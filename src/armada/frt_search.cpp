@@ -22,6 +22,9 @@ std::size_t FrtSearch::start_alignment(const KautzString& peer_id,
 
 namespace {
 
+// Shed count of a branch whose message serves exactly one destination.
+constexpr auto kOneDestination = [] { return std::uint64_t{1}; };
+
 // Shared state of one in-flight search. Kept alive by the arrival closures;
 // `pending` counts scheduled arrivals not yet processed, so the last one to
 // land finalises coverage and hands the result to `done`.
@@ -213,19 +216,18 @@ struct Search {
   }
 
   // Send one query-lane message of the search, honoring the installed
-  // flow-control policy. `lost_if_shed` is the destination count this
-  // branch gives up under admission shedding; `on_arrival` runs at the
-  // receiver. Returns false when the message was shed.
-  template <typename Fn>
+  // flow-control policy. `lost_if_shed()` counts the destinations this
+  // branch gives up under admission shedding; it runs only when the branch
+  // is shed, since the count can walk a whole subtree. `on_arrival` runs at
+  // the receiver. Returns false when the message was shed.
+  template <typename Lost, typename Fn>
   bool send(const std::shared_ptr<Search>& self, PeerId from, PeerId to,
-            const FrtSearchClass& cls, std::uint64_t lost_if_shed,
-            Fn&& on_arrival) {
-    (void)cls;
+            Lost&& lost_if_shed, Fn&& on_arrival) {
     net::Transport& transport = net->transport();
     if (transport.should_shed(*sim, to, net::TrafficClass::kQuery)) {
       transport.record_shed();
       ++result.stats.shed;
-      shed_destinations += lost_if_shed;
+      shed_destinations += lost_if_shed();
       return false;
     }
     sim::Time not_before = 0.0;
@@ -282,7 +284,7 @@ struct Search {
             trace->annotate(obs::kFlagDelegationSplit);
           }
           if (plan.native) {
-            send(self, b, c, cls, 1,
+            send(self, b, c, kOneDestination,
                  [self, c, hops, excluded = std::move(plan.excluded)] {
                    self->arrive_destination(c, hops + 1, excluded);
                  });
@@ -295,7 +297,7 @@ struct Search {
               arrive_host(b, msg.range, msg.segment, hops);
               continue;
             }
-            send(self, b, msg.host, cls, 1,
+            send(self, b, msg.host, kOneDestination,
                  [self, host = msg.host, range = std::move(msg.range),
                   segment = std::move(msg.segment), hops] {
                    self->arrive_host(host, range, segment, hops + 1);
@@ -304,7 +306,8 @@ struct Search {
           continue;
         }
       }
-      send(self, b, c, cls, subtree_destinations(cls, c, al),
+      send(self, b, c,
+           [this, &cls, c, al] { return subtree_destinations(cls, c, al); },
            [self, cls_idx, c, al, hops] {
              self->step(self, cls_idx, c, al, hops + 1);
            });

@@ -156,15 +156,9 @@ void ChurnDriver::apply_repair(const ChordNetwork::MembershipReport& report,
       std::max(stats_.repair_latency_max, repair_latency);
 }
 
-std::vector<NodeId> ChurnDriver::stale_nodes() const {
-  std::vector<NodeId> out;
-  for (NodeId n : net_.ring()) {
-    if (is_stale(n)) {
-      out.push_back(n);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+std::vector<NodeId> ChurnDriver::stale_nodes() {
+  return windows_.open_at(sim_.now(),
+                          [this](NodeId n) { return net_.is_alive(n); });
 }
 
 ChurnDriver::StaleRoute ChurnDriver::route(NodeId from, Key key) {

@@ -75,7 +75,9 @@ class ChurnDriver {
     return windows_.stale_at(node, sim_.now());
   }
   sim::Time stale_until(NodeId node) const { return windows_.until(node); }
-  std::vector<NodeId> stale_nodes() const;
+  /// Alive nodes currently inside a stale window, ascending (prunes closed
+  /// windows, like fissione::ChurnDriver::stale_peers).
+  std::vector<NodeId> stale_nodes();
 
   /// Stale-aware finger routing at sim.now(): hops leaving a node inside an
   /// open window first chase a dead or repointed finger and detour (one

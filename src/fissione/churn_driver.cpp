@@ -186,15 +186,9 @@ void ChurnDriver::apply_repair(const FissioneNetwork::MembershipReport& report,
                                        repair_latency);
 }
 
-std::vector<PeerId> ChurnDriver::stale_peers() const {
-  std::vector<PeerId> out;
-  for (PeerId p : net_.alive_peers()) {
-    if (is_stale(p)) {
-      out.push_back(p);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+std::vector<PeerId> ChurnDriver::stale_peers() {
+  return windows_.open_at(sim_.now(),
+                          [this](PeerId p) { return net_.is_alive(p); });
 }
 
 bool ChurnDriver::is_in_flight(std::uint64_t payload) const {

@@ -88,8 +88,9 @@ class ChurnDriver {
     return windows_.stale_at(peer, sim_.now());
   }
   sim::Time stale_until(PeerId peer) const { return windows_.until(peer); }
-  /// Alive peers currently inside a stale window.
-  std::vector<PeerId> stale_peers() const;
+  /// Alive peers currently inside a stale window, ascending. Prunes closed
+  /// windows from the record it lists from, hence non-const.
+  std::vector<PeerId> stale_peers();
   bool is_in_flight(std::uint64_t payload) const;
   std::size_t objects_in_flight() const;
 

@@ -32,11 +32,11 @@ KautzString KautzRegion::common_prefix() const {
 bool KautzRegion::intersects_prefix(const KautzString& prefix) const {
   ARMADA_CHECK(prefix.base() == base());
   ARMADA_CHECK(prefix.length() <= length());
-  if (prefix.empty()) {
-    return true;
-  }
-  return min_extension(prefix, length()) <= hi_ &&
-         max_extension(prefix, length()) >= lo_;
+  // Cutting two equal-length strings to one length keeps their order, and
+  // lo and hi are members themselves: some member starts with `prefix`
+  // exactly when it lies between the bounds cut to its length.
+  const std::size_t n = prefix.length();
+  return lo_.prefix(n) <= prefix && prefix <= hi_.prefix(n);
 }
 
 std::vector<KautzRegion> KautzRegion::split_common_prefix() const {

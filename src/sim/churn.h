@@ -17,6 +17,7 @@
 // repair protocol as transport-delivered messages on the Simulator.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -129,31 +130,67 @@ struct ChurnStats {
 /// Per-node stale-route windows, keyed by the dense uint32 node ids every
 /// overlay in this repo uses. A node is stale while its repair delivery is
 /// still on the wire; windows only store their end instant (they open the
-/// moment a churn driver touches them).
+/// moment a churn driver touches them). The ids of opened windows are also
+/// kept in a record, so listing the open windows costs what is open, not
+/// the size of the overlay.
 class StaleWindows {
  public:
   bool stale_at(std::uint32_t id, Time at) const {
-    return id < until_.size() && until_[id] > at;
+    return id < windows_.size() && windows_[id].until > at;
   }
   Time until(std::uint32_t id) const {
-    return id < until_.size() ? until_[id] : 0.0;
+    return id < windows_.size() ? windows_[id].until : 0.0;
   }
   /// Extend (never shrink) the window of `id` to `until`.
   void touch(std::uint32_t id, Time until) {
-    if (id >= until_.size()) {
-      until_.resize(id + 1, 0.0);
+    if (id >= windows_.size()) {
+      windows_.resize(id + 1);
     }
-    until_[id] = until_[id] > until ? until_[id] : until;
+    Window& w = windows_[id];
+    w.until = w.until > until ? w.until : until;
+    if (!w.recorded) {
+      w.recorded = true;
+      recorded_.push_back(id);
+    }
   }
   /// Drop any window (ids are recycled by some overlays).
   void clear(std::uint32_t id) {
-    if (id < until_.size()) {
-      until_[id] = 0.0;
+    if (id < windows_.size()) {
+      windows_[id].until = 0.0;
     }
+  }
+  /// Ids whose window is open at `at` and that `keep` accepts (drivers drop
+  /// dead ids), ascending. Windows closed by `at` leave the record here, so
+  /// `at` must not decrease from one call to the next; drivers pass their
+  /// simulator's now().
+  template <typename Keep>
+  std::vector<std::uint32_t> open_at(Time at, Keep&& keep) {
+    std::vector<std::uint32_t> out;
+    std::size_t kept = 0;
+    for (const std::uint32_t id : recorded_) {
+      Window& w = windows_[id];
+      if (w.until <= at) {
+        w.recorded = false;
+        continue;
+      }
+      recorded_[kept++] = id;
+      if (keep(id)) {
+        out.push_back(id);
+      }
+    }
+    recorded_.resize(kept);
+    std::sort(out.begin(), out.end());
+    return out;
   }
 
  private:
-  std::vector<Time> until_;
+  struct Window {
+    Time until = 0.0;
+    bool recorded = false;  ///< id is in recorded_
+  };
+  std::vector<Window> windows_;
+  /// Every id whose window may be open: touched since its last prune.
+  std::vector<std::uint32_t> recorded_;
 };
 
 /// Outcome of replaying one routing walk against open stale windows.

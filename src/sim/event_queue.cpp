@@ -175,8 +175,13 @@ void Simulator::rebuild(std::size_t new_bucket_count) {
     hi = std::max(hi, e.when);
   }
   if (hi > lo) {
-    // Aim for ~1 event per window across the pending span.
-    width_ = std::max((hi - lo) / static_cast<double>(pending.size()),
+    // Aim for ~1 event per window, with a calendar year (buckets * width)
+    // strictly longer than the pending span. A grow rebuild has as many
+    // events as buckets, so span / pending would make the year equal the
+    // span: FRT waves one time unit apart would then share a bucket, and
+    // each arrival of the next wave would unsort the batch being
+    // dispatched. hi > lo implies at least two events.
+    width_ = std::max((hi - lo) / static_cast<double>(pending.size() - 1),
                       kMinWidth);
   }
   window_ = window_of(lo);

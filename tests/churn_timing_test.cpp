@@ -53,6 +53,36 @@ std::vector<ChurnEvent> mixed_schedule(double rate, sim::Time horizon,
   return ChurnProcess(cfg, seed).events();
 }
 
+// The drivers list stale ids from a record of opened windows. Every probe
+// checks that listing against a brute-force scan of the alive ids with
+// is_stale, which is the listing's definition.
+std::vector<fissione::PeerId> checked_stale_peers(
+    fissione::ChurnDriver& driver) {
+  std::vector<fissione::PeerId> scan;
+  for (const fissione::PeerId p : driver.net().alive_peers()) {
+    if (driver.is_stale(p)) {
+      scan.push_back(p);
+    }
+  }
+  std::sort(scan.begin(), scan.end());
+  std::vector<fissione::PeerId> listed = driver.stale_peers();
+  EXPECT_EQ(listed, scan);
+  return listed;
+}
+
+std::vector<chord::NodeId> checked_stale_nodes(chord::ChurnDriver& driver) {
+  std::vector<chord::NodeId> scan;
+  for (const chord::NodeId n : driver.net().ring()) {
+    if (driver.is_stale(n)) {
+      scan.push_back(n);
+    }
+  }
+  std::sort(scan.begin(), scan.end());
+  std::vector<chord::NodeId> listed = driver.stale_nodes();
+  EXPECT_EQ(listed, scan);
+  return listed;
+}
+
 TEST(ChurnProcess, PoissonScheduleIsDeterministicAndSorted) {
   const auto a = mixed_schedule(1.0, 80.0, 404);
   const auto b = mixed_schedule(1.0, 80.0, 404);
@@ -306,7 +336,7 @@ TEST(FissioneTimedChurn, ZeroDelayScheduleMatchesInstantChurnBitwise) {
   // repair traffic is still accounted.
   EXPECT_EQ(driver.stats().repair_latency_max, 0.0);
   EXPECT_GT(driver.stats().repair_messages, 0u);
-  EXPECT_TRUE(driver.stale_peers().empty());
+  EXPECT_TRUE(checked_stale_peers(driver).empty());
   EXPECT_EQ(driver.objects_in_flight(), 0u);
 }
 
@@ -365,7 +395,7 @@ TEST(ChordTimedChurn, ZeroDelayScheduleMatchesInstantChurnBitwise) {
     EXPECT_EQ(ra.stats.latency, rb.stats.latency);
   }
   EXPECT_EQ(driver.stats().repair_latency_max, 0.0);
-  EXPECT_TRUE(driver.stale_nodes().empty());
+  EXPECT_TRUE(checked_stale_nodes(driver).empty());
 }
 
 // --- stale windows: detour-or-fail, then recovery ---------------------------
@@ -390,7 +420,7 @@ TEST(FissioneTimedChurn, StaleWindowQueriesDetourOrFailThenRecover) {
     sim.schedule_at(e.at, [&] {
       // Probe from inside the stale window: full-domain query, so every
       // in-flight object is observably missing from the answer.
-      const auto stale = driver.stale_peers();
+      const auto stale = checked_stale_peers(driver);
       ASSERT_FALSE(stale.empty());
       const auto out = harness.range_query(stale.front(), 0.0, 1000.0);
       EXPECT_TRUE(out.stale);
@@ -410,7 +440,7 @@ TEST(FissioneTimedChurn, StaleWindowQueriesDetourOrFailThenRecover) {
   EXPECT_GT(probes_with_missing, 0u);
 
   // At quiescence every window is closed: queries are clean and exact.
-  EXPECT_TRUE(driver.stale_peers().empty());
+  EXPECT_TRUE(checked_stale_peers(driver).empty());
   EXPECT_EQ(driver.objects_in_flight(), 0u);
   Rng rng(9604);
   for (int i = 0; i < 20; ++i) {
@@ -450,7 +480,7 @@ TEST(FissioneTimedChurn, StaleExactMatchRoutesDetourAndRecover) {
     driver.schedule(e);
     sim.schedule_at(e.at, [&] {
       // Probe an exact-match lookup from inside the open window.
-      const auto stale = driver.stale_peers();
+      const auto stale = checked_stale_peers(driver);
       ASSERT_FALSE(stale.empty());
       const auto target =
           fx->net.kautz_hash("stale-route" + std::to_string(probe++));
@@ -471,7 +501,7 @@ TEST(FissioneTimedChurn, StaleExactMatchRoutesDetourAndRecover) {
   EXPECT_GT(driver.stats().detours, 0u);
 
   // Quiescent routes are clean and cost exactly the structural walk.
-  EXPECT_TRUE(driver.stale_peers().empty());
+  EXPECT_TRUE(checked_stale_peers(driver).empty());
   Rng rng(9653);
   for (int i = 0; i < 30; ++i) {
     const auto target = fx->net.kautz_hash("quiet" + std::to_string(i));
@@ -482,6 +512,74 @@ TEST(FissioneTimedChurn, StaleExactMatchRoutesDetourAndRecover) {
     EXPECT_EQ(out.stats.messages, out.route.stats().messages);
     EXPECT_EQ(out.stats.latency, out.route.stats().latency);
   }
+}
+
+// A peer that dies inside its open window stays stale in the windows but
+// must not be listed; a joiner recycling its id starts from a cleared
+// window. Probes run on a quarter-unit grid until quiescence, twice per
+// instant (the first prunes, the second lists from the pruned record).
+TEST(FissioneTimedChurn, StaleListingSkipsDeadPeersAndRecycledWindows) {
+  auto fx = make_single_index(60, 9671);
+  testsupport::publish_uniform_values(fx->index, 240, 9672);
+  fx->net.set_latency_model(std::make_shared<net::TransitStub>(9673));
+  sim::Simulator sim;
+  fissione::ChurnDriver driver(fx->net, sim);
+
+  fissione::PeerId victim = fissione::kNoPeer;
+  sim.schedule_at(1.0, [&] {
+    driver.execute(ChurnEventKind::kLeave);
+    const auto stale = checked_stale_peers(driver);
+    ASSERT_FALSE(stale.empty());
+    // Crash one listed peer outside the driver: its window outlives it.
+    victim = stale.back();
+    fx->net.crash(victim);
+    ASSERT_FALSE(fx->net.is_alive(victim));
+    EXPECT_TRUE(driver.is_stale(victim));
+    const auto after_crash = checked_stale_peers(driver);
+    EXPECT_EQ(std::count(after_crash.begin(), after_crash.end(), victim), 0);
+    EXPECT_EQ(after_crash.size() + 1, stale.size());
+    // The next joiner recycles the dead peer's id while its old window is
+    // still open; the listing follows the joiner's own repair window.
+    driver.execute(ChurnEventKind::kJoin);
+    ASSERT_TRUE(fx->net.is_alive(victim));
+    checked_stale_peers(driver);
+  });
+  for (int i = 0; i < 60; ++i) {
+    sim.schedule_at(1.0 + 0.25 * i, [&] {
+      checked_stale_peers(driver);
+      checked_stale_peers(driver);
+    });
+  }
+  sim.run();
+  EXPECT_NE(victim, fissione::kNoPeer);
+  EXPECT_TRUE(checked_stale_peers(driver).empty());
+}
+
+// Chord never recycles ids; a node that dies inside its open window must
+// still drop out of the listing.
+TEST(ChordTimedChurn, StaleListingSkipsDeadNodes) {
+  chord::ChordNetwork net(120, 9711);
+  net.set_latency_model(std::make_shared<net::TransitStub>(9712));
+  sim::Simulator sim;
+  chord::ChurnDriver driver(net, sim);
+
+  sim.schedule_at(1.0, [&] {
+    driver.execute(ChurnEventKind::kJoin);
+    const auto stale = checked_stale_nodes(driver);
+    ASSERT_FALSE(stale.empty());
+    const chord::NodeId victim = stale.back();
+    net.crash(victim);
+    ASSERT_FALSE(net.is_alive(victim));
+    EXPECT_TRUE(driver.is_stale(victim));
+    const auto after_crash = checked_stale_nodes(driver);
+    EXPECT_EQ(std::count(after_crash.begin(), after_crash.end(), victim), 0);
+    EXPECT_EQ(after_crash.size() + 1, stale.size());
+  });
+  for (int i = 0; i < 60; ++i) {
+    sim.schedule_at(1.0 + 0.25 * i, [&] { checked_stale_nodes(driver); });
+  }
+  sim.run();
+  EXPECT_TRUE(checked_stale_nodes(driver).empty());
 }
 
 TEST(ChordTimedChurn, StaleRoutesDetourAndRecover) {
@@ -499,7 +597,7 @@ TEST(ChordTimedChurn, StaleRoutesDetourAndRecover) {
   for (const ChurnEvent& e : trace) {
     driver.schedule(e);
     sim.schedule_at(e.at, [&] {
-      const auto stale = driver.stale_nodes();
+      const auto stale = checked_stale_nodes(driver);
       ASSERT_FALSE(stale.empty());
       const auto out = driver.route(stale.front(), probe_rng.engine()());
       EXPECT_TRUE(out.stale);
@@ -516,7 +614,7 @@ TEST(ChordTimedChurn, StaleRoutesDetourAndRecover) {
   EXPECT_EQ(driver.stats().stale_queries, 8u);
 
   // Quiescent routes are clean.
-  EXPECT_TRUE(driver.stale_nodes().empty());
+  EXPECT_TRUE(checked_stale_nodes(driver).empty());
   Rng rng(9704);
   for (int i = 0; i < 30; ++i) {
     const auto from = net.ring()[rng.next_index(net.ring().size())];
@@ -650,7 +748,7 @@ TEST(TimedChurnTracing, SpanTreesStayWellFormedAcrossDetourAndMigration) {
                                            : ChurnEventKind::kLeave};
     driver.schedule(e);
     sim.schedule_at(e.at, [&] {
-      const auto stale = driver.stale_peers();
+      const auto stale = checked_stale_peers(driver);
       ASSERT_FALSE(stale.empty());
       const double c = zipf.next();
       const double lo = std::max(0.0, c - 12.5);

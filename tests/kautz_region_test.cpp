@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kautz/kautz_space.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -39,6 +41,27 @@ TEST(KautzRegion, CommonPrefix) {
   EXPECT_EQ(region("0101", "0101").common_prefix().to_string(), "0101");
 }
 
+// The extension-based definition of prefix viability: some member starts
+// with `prefix` iff its least extension is <= hi and its greatest >= lo.
+bool extension_intersects(const KautzRegion& r, const KautzString& prefix) {
+  return min_extension(prefix, r.length()) <= r.hi() &&
+         max_extension(prefix, r.length()) >= r.lo();
+}
+
+// A string of s's length that shares its first `shared` digits with `s`
+// and continues at random.
+KautzString branch_off(const KautzString& s, std::size_t shared, Rng& rng) {
+  KautzString out = s.prefix(shared);
+  while (out.length() < s.length()) {
+    const auto symbol =
+        static_cast<std::uint8_t>(rng.next_index(s.base() + 1u));
+    if (out.can_append(symbol)) {
+      out.push_back(symbol);
+    }
+  }
+  return out;
+}
+
 TEST(KautzRegion, IntersectsPrefixBruteForce) {
   const auto all = enumerate(2, 5);
   Rng rng(17);
@@ -60,10 +83,46 @@ TEST(KautzRegion, IntersectsPrefixBruteForce) {
             break;
           }
         }
+        EXPECT_EQ(extension_intersects(r, prefix), expected);
         EXPECT_EQ(r.intersects_prefix(prefix), expected)
             << "region " << r.to_string() << " prefix " << prefix.to_string();
       }
     }
+  }
+
+  // Sampled regions too long to enumerate, against the extension-based
+  // definition: the production ObjectID length (two packed words at base 2)
+  // and base 4, whose 4-bit digits fill a word every 16 digits. Bounds
+  // share a random-length prefix, and probes branch off a bound at a random
+  // digit, so every prefix length sees both verdicts.
+  struct Space {
+    std::uint8_t base;
+    std::size_t k;
+  };
+  for (const Space space : {Space{2, 48}, Space{4, 20}, Space{4, 48}}) {
+    std::size_t viable = 0;
+    std::size_t missed = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      const KautzString a = random_string(rng, space.base, space.k);
+      KautzString b = branch_off(a, rng.next_index(space.k + 1), rng);
+      const KautzRegion r(std::min(a, b), std::max(a, b));
+      for (int probe = 0; probe < 12; ++probe) {
+        const KautzString& bound = probe % 2 == 0 ? r.lo() : r.hi();
+        const KautzString s =
+            probe < 10 ? branch_off(bound, rng.next_index(space.k + 1), rng)
+                       : random_string(rng, space.base, space.k);
+        for (std::size_t len = 0; len <= space.k; ++len) {
+          const KautzString prefix = s.prefix(len);
+          const bool expected = extension_intersects(r, prefix);
+          (expected ? viable : missed) += 1;
+          EXPECT_EQ(r.intersects_prefix(prefix), expected)
+              << "base " << int(space.base) << " region " << r.to_string()
+              << " prefix " << prefix.to_string();
+        }
+      }
+    }
+    EXPECT_GT(viable, 0u);
+    EXPECT_GT(missed, 0u);
   }
 }
 

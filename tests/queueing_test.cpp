@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "chord/churn_driver.h"
@@ -679,27 +680,43 @@ TEST(FlowControl, AdmissionDegradesRangeQueriesIntoPartialCoverage) {
   sim::Simulator sim;
   Rng issuers(kSeed + 11);
   sim::RangeWorkload workload({0.0, 1000.0}, 150.0, Rng(kSeed + 12));
-  std::vector<core::RangeQueryResult> results;
   constexpr int kQueries = 60;
+  std::vector<sim::RangeQuery> queries;
+  // Completions arrive out of order: each lands in its query's slot.
+  std::vector<std::optional<core::RangeQueryResult>> results(kQueries);
   for (int q = 0; q < kQueries; ++q) {
     const auto rq = workload.next();
+    queries.push_back(rq);
     const auto issuer = fx->random_issuer(issuers);
-    sim.schedule_at(0.25 * q, [&, issuer, rq] {
+    sim.schedule_at(0.25 * q, [&, q, issuer, rq] {
       fx->index.range_query_async(
           sim, issuer, rq.lo, rq.hi,
-          [&results](core::RangeQueryResult r) {
-            results.push_back(std::move(r));
+          [&results, q](core::RangeQueryResult r) {
+            ASSERT_FALSE(results[q].has_value());
+            results[q] = std::move(r);
           });
     });
   }
   sim.run();
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(kQueries));
   bool any_partial = false;
-  for (const auto& r : results) {
+  for (int q = 0; q < kQueries; ++q) {
+    ASSERT_TRUE(results[q].has_value()) << "query " << q;
+    const core::RangeQueryResult& r = *results[q];
     EXPECT_GE(r.stats.coverage, 0.0);
     EXPECT_LE(r.stats.coverage, 1.0);
     // Shed branches and partial coverage imply each other, per query.
     EXPECT_EQ(r.stats.shed > 0, r.stats.coverage < 1.0);
+    // Coverage is exact: reached destinations over the structural
+    // destination set of the query's region, computed bitwise the same way.
+    const std::size_t structural =
+        fx->index.pira()
+            .expected_destinations(fx->index.naming_tree().region_for(
+                queries[q].lo, queries[q].hi))
+            .size();
+    ASSERT_GT(structural, 0u);
+    EXPECT_EQ(r.stats.coverage, static_cast<double>(r.stats.dest_peers) /
+                                    static_cast<double>(structural))
+        << "query " << q;
     any_partial |= r.stats.coverage < 1.0;
   }
   // The concurrent burst must overload some ingress: at least one query is

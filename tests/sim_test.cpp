@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -140,9 +144,30 @@ TEST(Simulator, RejectsSchedulingIntoThePast) {
 // The dispatch contract: events run in the strict total order (when, seq),
 // i.e. time order with FIFO ties — exactly what the old binary-heap kernel
 // produced. The calendar-queue implementation is checked against a plain
-// reference model on randomized schedules dominated by equal-time batches
-// (the FRT fan-out shape), including batches larger than the sorted-bucket
-// threshold and events injected into the current instant mid-dispatch.
+// reference model on two inputs dominated by equal-time batches (the FRT
+// fan-out shape): randomized schedules, including batches larger than the
+// sorted-bucket threshold and events injected into the current instant
+// mid-dispatch; and lockstep waves at integer instants, which grow and then
+// shrink the calendar.
+//
+// Reference: stable order by time — scheduling (insertion) order breaks
+// ties. `scheduled` is appended in insertion order, so a stable sort by
+// `when` is the expected dispatch sequence.
+void expect_reference_order(std::vector<std::pair<double, int>> scheduled,
+                            const std::vector<int>& dispatched,
+                            const std::string& input) {
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<int> expected;
+  expected.reserve(scheduled.size());
+  for (const auto& [when, id] : scheduled) {
+    expected.push_back(id);
+  }
+  ASSERT_EQ(dispatched, expected) << input;
+}
+
 TEST(Simulator, DispatchOrderMatchesReferenceOnEqualTimeBatches) {
   for (std::uint64_t seed : {101u, 202u, 303u}) {
     Rng rng(seed);
@@ -186,20 +211,53 @@ TEST(Simulator, DispatchOrderMatchesReferenceOnEqualTimeBatches) {
       });
     }
     sim.run();
+    expect_reference_order(scheduled, dispatched,
+                           "random slots, seed " + std::to_string(seed));
+  }
 
-    // Reference: stable order by time — scheduling (insertion) order breaks
-    // ties. `scheduled` is appended in insertion order, so a stable sort by
-    // `when` is the expected dispatch sequence.
-    std::stable_sort(scheduled.begin(), scheduled.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    std::vector<int> expected;
-    expected.reserve(scheduled.size());
-    for (const auto& [when, id] : scheduled) {
-      expected.push_back(id);
+  // Lockstep waves, the FRT's shape under ConstantHop: every event
+  // schedules its children at +1.0, so each wave is one equal-time batch at
+  // an integer instant. Two lineages of 64 start at t = 0 and t = 2; waves
+  // double to 2048 (grow rebuilds), hold, then halve (shrink rebuilds). A
+  // batch's events are created back to back while the previous batch
+  // dispatches, so id parity halves it exactly.
+  {
+    constexpr int kGenerations = 15;
+    Simulator sim;
+    std::vector<std::pair<double, int>> scheduled;
+    std::vector<int> dispatched;
+    int next_id = 0;
+    std::function<void(double, int)> schedule_wave_event =
+        [&](double when, int gen) {
+          const int id = next_id++;
+          scheduled.emplace_back(when, id);
+          sim.schedule_at(when, [&, id, gen] {
+            dispatched.push_back(id);
+            if (gen + 1 == kGenerations) {
+              return;
+            }
+            const int children = gen < 5 ? 2 : gen < 9 ? 1 : (id + 1) % 2;
+            for (int c = 0; c < children; ++c) {
+              schedule_wave_event(sim.now() + 1.0, gen + 1);
+            }
+          });
+        };
+    for (const double start : {0.0, 2.0}) {
+      for (int i = 0; i < 64; ++i) {
+        schedule_wave_event(start, 0);
+      }
     }
-    ASSERT_EQ(dispatched, expected) << "seed " << seed;
+    sim.run();
+    std::map<double, int> batch;  // instant -> events dispatched there
+    for (const auto& [when, id] : scheduled) {
+      ++batch[when];
+    }
+    for (const auto& [when, n] : batch) {
+      EXPECT_EQ(when, std::floor(when));
+      EXPECT_GE(n, 64) << "batch at " << when;
+    }
+    EXPECT_GT(dispatched.size(), 20000u);
+    expect_reference_order(scheduled, dispatched, "lockstep waves");
   }
 }
 
