@@ -107,7 +107,7 @@ struct TierResult {
 };
 
 /// Replay `walks` on a fresh shared simulator, one injection every `gap`,
-/// through the overlay's transport (tier 0: stateless; loaded tiers: the
+/// through the overlay's transport (tier 0: no queueing; loaded tiers: the
 /// queueing network, freshly installed so congestion stats cover exactly
 /// this tier).
 TierResult run_tier(overlay::RoutedOverlay& overlay,
@@ -119,7 +119,8 @@ TierResult run_tier(overlay::RoutedOverlay& overlay,
     overlay.uninstall_queueing();
   }
   net::Transport& transport = overlay.transport();
-  const std::uint32_t bytes = transport.default_message_bytes();
+  const net::Transport::WalkOptions options{
+      .bytes = transport.default_message_bytes()};
   TierResult r{sim::MetricSet(
                    std::log2(static_cast<double>(overlay.overlay_size()))),
                net::CongestionStats{}, 0.0};
@@ -127,7 +128,7 @@ TierResult run_tier(overlay::RoutedOverlay& overlay,
   for (std::size_t i = 0; i < walks.size(); ++i) {
     sim.schedule_at(static_cast<double>(i) * gap, [&, i] {
       transport.deliver_walk(
-          sim, walks[i], bytes,
+          sim, walks[i], options,
           [&r](const sim::QueryStats& s) { r.queries.add(s); });
     });
   }

@@ -374,15 +374,4 @@ void FrtSearch::run_async(
   }
 }
 
-RangeQueryResult FrtSearch::run(
-    PeerId issuer, const std::vector<FrtSearchClass>& classes,
-    const DestinationScan& on_destination) const {
-  RangeQueryResult result;
-  sim::Simulator sim;
-  run_async(sim, issuer, classes, on_destination,
-            [&result](RangeQueryResult r) { result = std::move(r); });
-  sim.run();
-  return result;
-}
-
 }  // namespace armada::core

@@ -61,22 +61,16 @@ class FrtSearch {
   /// delivery path; the overlay structure is never modified.
   explicit FrtSearch(fissione::FissioneNetwork& net) : net_(net) {}
 
-  RangeQueryResult run(fissione::PeerId issuer,
-                       const std::vector<FrtSearchClass>& classes,
-                       const DestinationScan& on_destination) const;
-
-  /// Event-driven variant on a caller-owned simulator: the search's
-  /// messages compete with every other flow on `sim` (concurrent queries,
-  /// repair traffic) through the shared transport queues, and `done`
-  /// receives the finished result when the last branch lands. The search
-  /// obeys the transport's installed flow-control policy: branches back off
-  /// into backlogged next hops, and a branch refused admission is shed —
-  /// the result then carries coverage = reached / (reached + shed
-  /// destinations), counted exactly by a structural recursion over the
-  /// forwarding tree (sibling branches partition the destination space).
-  /// `classes` is taken by value; captured state in `viable` must be owned
-  /// by the closures. With flow control off this schedules the exact event
-  /// sequence of `run` (which is a fresh-simulator wrapper around it).
+  /// Run the search on a caller-owned simulator: its messages compete
+  /// with every other flow on `sim` (concurrent queries, repair traffic)
+  /// through the shared transport queues, and `done` receives the finished
+  /// result when the last branch lands. The search obeys the transport's
+  /// installed flow-control policy: branches back off into backlogged next
+  /// hops, and a branch refused admission is shed — the result then
+  /// carries coverage = reached / (reached + shed destinations), counted
+  /// exactly by a structural recursion over the forwarding tree (sibling
+  /// branches partition the destination space). `classes` is taken by
+  /// value; captured state in `viable` must be owned by the closures.
   void run_async(sim::Simulator& sim, fissione::PeerId issuer,
                  std::vector<FrtSearchClass> classes,
                  DestinationScan on_destination,

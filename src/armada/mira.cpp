@@ -27,10 +27,10 @@ Mira::Mira(fissione::FissioneNetwork& net,
 RangeQueryResult Mira::query(PeerId issuer, const Box& box,
                              const ObjectFilter& matches) const {
   RangeQueryResult result;
-  sim::Simulator sim;
-  query_async(sim, issuer, box, matches,
-              [&result](RangeQueryResult r) { result = std::move(r); });
-  sim.run();
+  net_.transport().run_sync([&](sim::Simulator& sim) {
+    query_async(sim, issuer, box, matches,
+                [&result](RangeQueryResult r) { result = std::move(r); });
+  });
   return result;
 }
 
@@ -43,7 +43,7 @@ void Mira::query_async(sim::Simulator& sim, PeerId issuer, const Box& box,
   // frame.
   const KautzRegion region = tree_.bounding_region(box);
 
-  // Trace root for the whole query; see Pira::query_region_async_impl.
+  // Trace root for the whole query; see Pira::query_async.
   obs::TraceRecorder* rec = net_.transport().trace();
   std::uint64_t troot = 0;
   if (rec != nullptr) [[unlikely]] {

@@ -33,7 +33,8 @@ class Mira {
 
   using ObjectFilter = std::function<bool(const fissione::StoredObject&)>;
 
-  /// Query box: one closed interval per attribute.
+  /// Query box: one closed interval per attribute. Runs to completion on
+  /// its own simulator (net::Transport::run_sync).
   RangeQueryResult query(fissione::PeerId issuer, const kautz::Box& box,
                          const ObjectFilter& matches) const;
 

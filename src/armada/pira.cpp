@@ -1,6 +1,7 @@
 #include "armada/pira.h"
 
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "armada/replicated_query.h"
@@ -25,53 +26,18 @@ Pira::Pira(fissione::FissioneNetwork& net,
 
 RangeQueryResult Pira::query(PeerId issuer, double lo, double hi,
                              const ObjectFilter& matches) const {
-  // Through the value-level async path (not query_region) so the replica
-  // subsystem sees the [lo, hi] identity for result caching.
   RangeQueryResult result;
-  sim::Simulator sim;
-  query_async(sim, issuer, lo, hi, matches,
-              [&result](RangeQueryResult r) { result = std::move(r); });
-  sim.run();
-  return result;
-}
-
-RangeQueryResult Pira::query_region(PeerId issuer, const KautzRegion& region,
-                                    const ObjectFilter& matches) const {
-  RangeQueryResult result;
-  sim::Simulator sim;
-  query_region_async(sim, issuer, region, matches,
-                     [&result](RangeQueryResult r) { result = std::move(r); });
-  sim.run();
+  net_.transport().run_sync([&](sim::Simulator& sim) {
+    query_async(sim, issuer, lo, hi, matches,
+                [&result](RangeQueryResult r) { result = std::move(r); });
+  });
   return result;
 }
 
 void Pira::query_async(sim::Simulator& sim, PeerId issuer, double lo,
                        double hi, const ObjectFilter& matches,
                        std::function<void(RangeQueryResult)> done) const {
-  // Value-level queries have a canonical identity: the [lo, hi] interval.
-  // %.17g round-trips doubles, so equal intervals always share a tag.
-  char tag[64];
-  std::snprintf(tag, sizeof(tag), "pira|%.17g|%.17g", lo, hi);
-  query_region_async_impl(sim, issuer, tree_.region_for(lo, hi), matches, tag,
-                          std::move(done));
-}
-
-void Pira::query_region_async(sim::Simulator& sim, PeerId issuer,
-                              const KautzRegion& region,
-                              const ObjectFilter& matches,
-                              std::function<void(RangeQueryResult)> done)
-    const {
-  query_region_async_impl(sim, issuer, region, matches, std::string(),
-                          std::move(done));
-}
-
-void Pira::query_region_async_impl(sim::Simulator& sim, PeerId issuer,
-                                   const KautzRegion& region,
-                                   const ObjectFilter& matches,
-                                   const std::string& cache_tag,
-                                   std::function<void(RangeQueryResult)> done)
-    const {
-  ARMADA_CHECK(region.length() == net_.config().object_id_length);
+  const KautzRegion region = tree_.region_for(lo, hi);
 
   // Trace root for the whole query: the scope below covers the synchronous
   // dispatch (rebalancer on_query migrations, replica serves, FRT class
@@ -101,6 +67,11 @@ void Pira::query_region_async_impl(sim::Simulator& sim, PeerId issuer,
   }
 
   if (rs != nullptr) {
+    // Value-level queries have a canonical identity, the [lo, hi]
+    // interval, which keys them in the result cache; %.17g round-trips
+    // doubles, so equal intervals always share a tag.
+    char cache_tag[64];
+    std::snprintf(cache_tag, sizeof(cache_tag), "pira|%.17g|%.17g", lo, hi);
     // Paper §4.2 split, one ReplicatedClass per subregion: the orchestrator
     // serves each from cache/replica where possible and FRT-falls-back
     // per class otherwise.
@@ -116,10 +87,8 @@ void Pira::query_region_async_impl(sim::Simulator& sim, PeerId issuer,
       cls.viable = [sub](const KautzString& aligned) {
         return sub.intersects_prefix(aligned);
       };
-      std::string tag;
-      if (!cache_tag.empty()) {
-        tag = cache_tag + "|" + sub.common_prefix().to_string();
-      }
+      std::string tag =
+          std::string(cache_tag) + "|" + sub.common_prefix().to_string();
       classes.push_back(
           ReplicatedClass{std::move(sub), std::move(cls), std::move(tag)});
     }

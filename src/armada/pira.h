@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 
 #include "armada/frt_search.h"
 #include "armada/range_query.h"
@@ -35,16 +34,12 @@ class Pira {
   /// scan); typically an exact attribute check by the application layer.
   using ObjectFilter = std::function<bool(const fissione::StoredObject&)>;
 
-  /// Value-level query [lo, hi] (inclusive).
+  /// Value-level query [lo, hi] (inclusive), run to completion on its own
+  /// simulator (net::Transport::run_sync).
   RangeQueryResult query(fissione::PeerId issuer, double lo, double hi,
                          const ObjectFilter& matches) const;
 
-  /// Region-level query (the paper's <LowT, HighT> interface).
-  RangeQueryResult query_region(fissione::PeerId issuer,
-                                const kautz::KautzRegion& region,
-                                const ObjectFilter& matches) const;
-
-  /// Event-driven variants on a caller-owned simulator: the query's
+  /// Event-driven variant on a caller-owned simulator: the query's
   /// messages share the transport queues with every other flow on `sim`,
   /// obey the installed flow-control policy (backoff, admission shedding
   /// into partial answers with an explicit coverage fraction), and `done`
@@ -52,10 +47,6 @@ class Pira {
   void query_async(sim::Simulator& sim, fissione::PeerId issuer, double lo,
                    double hi, const ObjectFilter& matches,
                    std::function<void(RangeQueryResult)> done) const;
-  void query_region_async(sim::Simulator& sim, fissione::PeerId issuer,
-                          const kautz::KautzRegion& region,
-                          const ObjectFilter& matches,
-                          std::function<void(RangeQueryResult)> done) const;
 
   /// Ground truth for tests: peers in charge of the region, i.e. peers whose
   /// PeerID prefixes some string of the region.
@@ -75,16 +66,6 @@ class Pira {
   void set_rebalancer(rebalance::Rebalancer* rb) { rebalancer_ = rb; }
 
  private:
-  /// Shared implementation: `cache_tag` keys value-level queries in the
-  /// result cache; empty for region-level queries (uncacheable — the
-  /// caller's filter semantics are unknown), which still replica-route.
-  void query_region_async_impl(sim::Simulator& sim, fissione::PeerId issuer,
-                               const kautz::KautzRegion& region,
-                               const ObjectFilter& matches,
-                               const std::string& cache_tag,
-                               std::function<void(RangeQueryResult)> done)
-      const;
-
   fissione::FissioneNetwork& net_;  ///< mutable only for the queueing transport path
   kautz::PartitionTree tree_;  // by value: small and immutable
   replica::ReplicaSet* replicas_ = nullptr;  ///< optional, not owned

@@ -27,9 +27,7 @@
 
 namespace armada::core {
 
-/// One search class with its region identity and cache key. An empty
-/// cache_tag marks the class uncacheable (arbitrary destination filter);
-/// replica routing stays available either way.
+/// One search class with its region identity and cache key.
 struct ReplicatedClass {
   kautz::KautzRegion subregion;
   FrtSearchClass frt;

@@ -68,7 +68,12 @@ KautzRegion KautzRegion::clamp_to_prefix(const KautzString& prefix) const {
 }
 
 std::string KautzRegion::to_string() const {
-  return "<" + lo_.to_string() + ", " + hi_.to_string() + ">";
+  std::string out = "<";
+  out += lo_.to_string();
+  out += ", ";
+  out += hi_.to_string();
+  out += '>';
+  return out;
 }
 
 }  // namespace armada::kautz

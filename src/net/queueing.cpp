@@ -39,77 +39,21 @@ Queueing::Queueing(QueueingConfig config) : config_(config) {
   ARMADA_CHECK(config_.flow.hedge_threshold >= 0.0);
 }
 
-std::uint64_t Queueing::sent() const {
-  return current_ < states_.size() ? states_[current_].sent : 0;
-}
+std::uint64_t Queueing::sent() const { return state_.sent; }
 
-std::uint64_t Queueing::delivered() const {
-  return current_ < states_.size() ? states_[current_].live->delivered : 0;
-}
+std::uint64_t Queueing::delivered() const { return state_.live->delivered; }
 
-Queueing::SimState& Queueing::state_for(const sim::Simulator& sim) {
-  SimState* found = nullptr;
-  SimState* lru_drained = nullptr;
-  SimState* lru_any = nullptr;
-  for (SimState& state : states_) {
-    if (state.sim_id == sim.id()) {
-      found = &state;
-      break;
-    }
-    // A drained state (every reservation delivered) is inert: all its
-    // busy-until marks lie in the past, so evicting it is equivalent to a
-    // clean slate. Prefer those victims, so a live simulator with pending
-    // reservations — the shared churn/congestion simulator — is never
-    // reset underneath its own traffic by a burst of per-query
-    // simulators.
-    const bool drained = state.sent == state.live->delivered;
-    if (drained && (lru_drained == nullptr ||
-                    state.touched < lru_drained->touched)) {
-      lru_drained = &state;
-    }
-    if (lru_any == nullptr || state.touched < lru_any->touched) {
-      lru_any = &state;
-    }
+Queueing::NodeState& Queueing::node(NodeId id) {
+  if (id >= state_.nodes.size()) {
+    state_.nodes.resize(id + 1);
   }
-  if (found == nullptr) {
-    if (states_.size() < kMaxSimStates) {
-      states_.emplace_back();
-      found = &states_.back();
-    } else {
-      found = lru_drained != nullptr ? lru_drained : lru_any;
-      // Pending deliveries of a forced eviction keep their orphaned Live
-      // counter.
-      *found = SimState{};
-    }
-    found->sim_id = sim.id();
-    found->live = std::make_shared<Live>();
-  }
-  found->touched = ++touch_counter_;
-  current_ = static_cast<std::size_t>(found - states_.data());
-  return *found;
+  return state_.nodes[id];
 }
 
-const Queueing::SimState* Queueing::find_state(
-    const sim::Simulator& sim) const {
-  for (const SimState& state : states_) {
-    if (state.sim_id == sim.id()) {
-      return &state;
-    }
-  }
-  return nullptr;
-}
-
-Queueing::NodeState& Queueing::node(SimState& state, NodeId id) {
-  if (id >= state.nodes.size()) {
-    state.nodes.resize(id + 1);
-  }
-  return state.nodes[id];
-}
-
-Queueing::LinkState& Queueing::link(SimState& state, NodeId from, NodeId to) {
+Queueing::LinkState& Queueing::link(NodeId from, NodeId to) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
-  return state.links[key];
+  return state_.links[key];
 }
 
 void Queueing::push_backlog(std::deque<sim::Time>& backlog, sim::Time now,
@@ -172,7 +116,6 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
                          std::uint32_t bytes, sim::Time propagation,
                          std::function<void(sim::Time)> on_arrival,
                          sim::Time not_before, TrafficClass cls) {
-  SimState& state = state_for(sim);
   const sim::Time now = std::max(sim.now(), not_before);
   const sim::Time service = config_.service_rate == kUnlimitedRate
                                 ? 0.0
@@ -182,7 +125,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // structural no-op: the message is ready the instant it is enqueued.
   sim::Time ready = now;
   if (service > 0.0) {
-    NodeState& src = node(state, from);
+    NodeState& src = node(from);
     ready = reserve_server(src.egress_busy_until, src.egress_class_until, cls,
                            now, service);
     stats_.egress_busy_total += service;
@@ -196,7 +139,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // ready-now traffic). Otherwise open a new batch that departs a full
   // window after this message is ready. A zero window disables batching
   // (each message is its own departure).
-  LinkState& wire = link(state, from, to);
+  LinkState& wire = link(from, to);
   sim::Time departure = ready;
   if (config_.coalesce_window > 0.0 && wire.batch_occupancy > 0 &&
       wire.batch_departure >= ready &&
@@ -235,7 +178,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // Ingress service reservation at the receiver.
   sim::Time delivered_at = arrival;
   if (service > 0.0) {
-    NodeState& dst = node(state, to);
+    NodeState& dst = node(to);
     delivered_at = reserve_server(dst.ingress_busy_until,
                                   dst.ingress_class_until, cls, arrival,
                                   service);
@@ -246,7 +189,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
 
   ++stats_.messages;
   ++stats_.class_messages[class_index(cls)];
-  ++state.sent;
+  ++state_.sent;
   // Excess over the pure-propagation delivery instant. Formed as a single
   // subtraction against the identically-computed uncongested arrival so the
   // zero-queue degenerate yields exactly 0.0, not floating-point residue.
@@ -256,7 +199,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   stats_.queue_delay_max = std::max(stats_.queue_delay_max, queue_delay);
 
   sim.schedule_at(delivered_at,
-                  [live = state.live, cb = std::move(on_arrival), queue_delay] {
+                  [live = state_.live, cb = std::move(on_arrival), queue_delay] {
                     ++live->delivered;
                     if (cb) {
                       cb(queue_delay);
@@ -267,20 +210,18 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
 
 std::size_t Queueing::ingress_backlog(const sim::Simulator& sim,
                                       NodeId node_id) const {
-  const SimState* state = find_state(sim);
-  if (state == nullptr || node_id >= state->nodes.size()) {
+  if (node_id >= state_.nodes.size()) {
     return 0;
   }
-  return outstanding(state->nodes[node_id].ingress_backlog, sim.now());
+  return outstanding(state_.nodes[node_id].ingress_backlog, sim.now());
 }
 
 std::size_t Queueing::egress_backlog(const sim::Simulator& sim,
                                      NodeId node_id) const {
-  const SimState* state = find_state(sim);
-  if (state == nullptr || node_id >= state->nodes.size()) {
+  if (node_id >= state_.nodes.size()) {
     return 0;
   }
-  return outstanding(state->nodes[node_id].egress_backlog, sim.now());
+  return outstanding(state_.nodes[node_id].egress_backlog, sim.now());
 }
 
 bool Queueing::should_shed(const sim::Simulator& sim, NodeId to,

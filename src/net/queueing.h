@@ -45,21 +45,19 @@
 // class identically and reproduces every pre-existing golden bitwise.
 //
 // The zero-queue configuration (unlimited rates, zero window, zero-size
-// messages) degenerates structurally to the stateless path: every
-// reservation is a no-op and send() schedules exactly one event at
-// now + propagation — the same event, at the same time, in the same
-// scheduling order as Transport's stateless deliver — so every
+// messages) degenerates structurally to pure propagation: every reservation
+// is a no-op and send() schedules exactly one event at now + propagation —
+// the event Transport schedules with no engine installed — so every
 // pre-existing golden is reproduced bitwise.
 //
-// Queue state is scoped per sim::Simulator (tracked by Simulator::id()):
-// the first send on a new simulator sees empty queues, while the cumulative
-// CongestionStats keep aggregating across simulators. A bounded set of
-// recent simulators' states is retained (kMaxSimStates, LRU-evicted), so a
-// long-lived shared simulator keeps its backlog and open batches intact
-// while ephemeral per-query simulators (FrtSearch, the DCF-CAN flood spin
-// one up per query) come and go — those model *intra-query* contention,
-// and drivers sharing one simulator (churn repair, bench_congestion's
-// open-loop injector) model competition between concurrent traffic.
+// The engine holds one queue state, which the simulator driving it shares
+// with every flow on that simulator (churn repair, bench_congestion's
+// open-loop injector): they compete for the same servers and links. A
+// synchronous operation (Transport::run_sync) runs on a fresh simulator
+// under an Isolation, which sets that state aside and starts from empty
+// queues, so a query models only its own *intra-query* contention and a
+// query issued from inside a shared run's event leaves its backlog and open
+// batches intact. The cumulative CongestionStats aggregate across both.
 #pragma once
 
 #include <array>
@@ -69,6 +67,7 @@
 #include <limits>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/congestion_stats.h"
@@ -114,7 +113,7 @@ struct FlowControlConfig {
 
 /// Knobs of the queueing network. The default-constructed config is the
 /// zero-queue configuration: unlimited service and bandwidth, no
-/// coalescing, zero-size messages — bitwise the stateless transport.
+/// coalescing, zero-size messages — bitwise the transport without queueing.
 struct QueueingConfig {
   /// Per-node service scheduling across traffic classes.
   enum class Scheduling : std::uint8_t {
@@ -151,11 +150,10 @@ struct QueueingConfig {
   /// Sender-side closed-loop knobs (all off by default).
   FlowControlConfig flow;
 
-  /// True when the config degenerates to the stateless transport: nothing
-  /// this engine prices — service, bandwidth, coalescing, or message size
-  /// (bytes feed bytes_on_wire accounting even when bandwidth is
-  /// unlimited, so a config that only sizes messages must still route
-  /// through the sized path) — is active.
+  /// True when the config degenerates to pure propagation: nothing this
+  /// engine prices — service, bandwidth, coalescing, or message size — is
+  /// on. Size counts on its own: bytes feed bytes_on_wire accounting even
+  /// when bandwidth is unlimited.
   bool zero_queue() const {
     return service_rate == kUnlimitedRate &&
            link_bandwidth == kUnlimitedRate && coalesce_window == 0.0 &&
@@ -173,9 +171,9 @@ class Queueing {
   const QueueingConfig& config() const { return config_; }
   const CongestionStats& stats() const { return stats_; }
 
-  /// Messages sent on the most recently served simulator whose delivery
-  /// event has not yet run. sent() == delivered() + in_flight() at every
-  /// event boundary (message conservation); all zero before any send.
+  /// Messages sent / delivered on the current queue state, and those whose
+  /// delivery event has not yet run. sent() == delivered() + in_flight() at
+  /// every event boundary (message conservation); all zero before any send.
   std::uint64_t sent() const;
   std::uint64_t delivered() const;
   std::uint64_t in_flight() const { return sent() - delivered(); }
@@ -195,8 +193,7 @@ class Queueing {
 
   // --- closed-loop probes ----------------------------------------------------
   /// Outstanding (not yet completed) service reservations at `node`'s
-  /// ingress / egress server as seen by `sim`'s queue state at sim.now().
-  /// Zero for a simulator this engine has never served.
+  /// ingress / egress server in the current queue state at sim.now().
   std::size_t ingress_backlog(const sim::Simulator& sim, NodeId node) const;
   std::size_t egress_backlog(const sim::Simulator& sim, NodeId node) const;
   /// Admission decision for one more class-`cls` message to `to`: true when
@@ -217,6 +214,11 @@ class Queueing {
   void record_replica_route();
   void record_cache_hit();
 
+  /// Sets the engine's queue state aside for one synchronous run, which
+  /// starts from empty queues, and restores it on destruction — also when
+  /// the run throws (Transport::run_sync).
+  class Isolation;
+
  private:
   struct NodeState {
     sim::Time egress_busy_until = 0.0;
@@ -234,32 +236,22 @@ class Queueing {
     sim::Time batch_departure = 0.0;
     std::uint32_t batch_occupancy = 0;  ///< 0 = no open batch
   };
-  /// Delivery events outlive state eviction (and possibly this engine's
-  /// simulator binding), so the delivered counter they bump lives behind a
-  /// shared handle; eviction orphans the old counter.
+  /// Delivery events outlive the state they were sent on (set aside,
+  /// replaced with the engine, or uninstalled), so the delivered counter
+  /// they bump lives behind a shared handle.
   struct Live {
     std::uint64_t delivered = 0;
   };
-  /// The dynamic queue state of one simulator. States are retained for the
-  /// kMaxSimStates most recently served simulators: the shared simulator
-  /// of a churn/congestion run keeps its backlog and open batches while
-  /// per-query throwaway simulators cycle through the remaining slots.
-  struct SimState {
-    std::uint64_t sim_id = 0;
-    std::uint64_t touched = 0;  ///< LRU stamp
+  /// The dynamic queue state of the simulator driving this engine.
+  struct State {
     std::uint64_t sent = 0;
-    std::shared_ptr<Live> live;
+    std::shared_ptr<Live> live = std::make_shared<Live>();
     std::vector<NodeState> nodes;
     std::unordered_map<std::uint64_t, LinkState> links;
   };
-  static constexpr std::size_t kMaxSimStates = 4;
 
-  /// The state bound to `sim`, creating (and LRU-evicting) as needed.
-  SimState& state_for(const sim::Simulator& sim);
-  /// Lookup without creating or touching LRU order (closed-loop probes).
-  const SimState* find_state(const sim::Simulator& sim) const;
-  static NodeState& node(SimState& state, NodeId id);
-  static LinkState& link(SimState& state, NodeId from, NodeId to);
+  NodeState& node(NodeId id);
+  LinkState& link(NodeId from, NodeId to);
   /// Record one more outstanding reservation completing at `until` and
   /// update the corresponding backlog peak.
   void push_backlog(std::deque<sim::Time>& backlog, sim::Time now,
@@ -274,9 +266,22 @@ class Queueing {
 
   QueueingConfig config_;
   CongestionStats stats_;
-  std::vector<SimState> states_;
-  std::size_t current_ = static_cast<std::size_t>(-1);  ///< index into states_
-  std::uint64_t touch_counter_ = 0;
+  State state_;
+};
+
+class Queueing::Isolation {
+ public:
+  /// Holds the engine: the run may replace or uninstall it.
+  explicit Isolation(std::shared_ptr<Queueing> engine)
+      : engine_(std::move(engine)),
+        saved_(std::exchange(engine_->state_, State{})) {}
+  ~Isolation() { engine_->state_ = std::move(saved_); }
+  Isolation(const Isolation&) = delete;
+  Isolation& operator=(const Isolation&) = delete;
+
+ private:
+  std::shared_ptr<Queueing> engine_;
+  State saved_;
 };
 
 }  // namespace armada::net

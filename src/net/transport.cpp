@@ -27,39 +27,6 @@ Time Transport::path_latency(const std::vector<NodeId>& path) const {
   return total;
 }
 
-void Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
-                        std::function<void()> on_arrival) const {
-  ARMADA_CHECK_MSG(!queueing_active(),
-                   "stateless deliver would bypass the installed queueing "
-                   "network; use the sized overload");
-  if (trace_ != nullptr) [[unlikely]] {
-    deliver_stateless_traced(sim, from, to, std::move(on_arrival));
-    return;
-  }
-  sim.schedule_after(link(from, to), std::move(on_arrival));
-}
-
-void Transport::deliver_stateless_traced(
-    sim::Simulator& sim, NodeId from, NodeId to,
-    std::function<void()> on_arrival) const {
-  const Time now = sim.now();
-  const std::uint64_t span =
-      trace_->span_begin(from, to, 0, TrafficClass::kQuery, now, now);
-  if (span == 0) {
-    sim.schedule_after(link(from, to), std::move(on_arrival));
-    return;
-  }
-  trace_->span_delivered(span, now + link(from, to), 0.0);
-  sim.schedule_after(
-      link(from, to),
-      [rec = trace_.get(), span, cb = std::move(on_arrival)] {
-        const obs::TraceRecorder::Scope scope = rec->enter(span);
-        if (cb) {
-          cb();
-        }
-      });
-}
-
 Time Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
                         std::uint32_t bytes, QueuedArrival on_arrival,
                         Time not_before, TrafficClass cls) {
@@ -79,8 +46,7 @@ Time Transport::deliver_impl(sim::Simulator& sim, NodeId from, NodeId to,
     return queueing_->send(sim, from, to, bytes, link(from, to),
                            std::move(on_arrival), not_before, cls);
   }
-  // Fast path: the same single event, at the same instant, in the same
-  // scheduling order as the stateless overload — goldens stay bitwise.
+  // Fast path: one event at the pure-propagation instant.
   const Time at = std::max(sim.now(), not_before) + link(from, to);
   sim.schedule_at(at, [cb = std::move(on_arrival)] {
     if (cb) {
@@ -118,12 +84,6 @@ Time Transport::deliver_traced(sim::Simulator& sim, NodeId from, NodeId to,
   // the span closes synchronously — tracing schedules nothing.
   rec.span_delivered(span, at, at - enqueue_at - link(from, to));
   return at;
-}
-
-Time Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
-                        QueuedArrival on_arrival) {
-  return deliver(sim, from, to, default_message_bytes(),
-                 std::move(on_arrival));
 }
 
 void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
@@ -228,14 +188,6 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
     }
   }
   walk->hop(walk, 0);
-}
-
-void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
-                             std::uint32_t bytes,
-                             std::function<void(const sim::QueryStats&)> done) {
-  WalkOptions options;
-  options.bytes = bytes;
-  deliver_walk(sim, std::move(path), options, std::move(done));
 }
 
 void Transport::install_queueing(const QueueingConfig& config) {

@@ -10,16 +10,17 @@
 // ConstantHop(1.0), under which arrival times equal hop counts and every
 // pre-existing delay figure is reproduced bit-for-bit.
 //
-// Two delivery paths, split by constness so they cannot be confused:
+// One delivery path: every message goes through `deliver`. With no
+// queueing installed, or under the zero-queue config, it schedules one
+// event at now() + link(from, to), so arrival times are pure propagation
+// and goldens stay bitwise. With an active config it is priced through the
+// installed net::Queueing engine: egress/ingress service queues, per-link
+// bandwidth and batching (see queueing.h), each message tagged with a
+// TrafficClass.
 //
-//  * The `const` stateless path prices a message as pure propagation and
-//    CHECK-fails when an active (non-zero-queue) queueing config is
-//    installed — overlays cannot accidentally bypass the queues.
-//  * The sized path routes through the installed net::Queueing engine:
-//    egress/ingress service queues, per-link bandwidth and batching (see
-//    queueing.h), each message tagged with a TrafficClass. Without an
-//    installed config — or under the zero-queue config — it degenerates to
-//    exactly the stateless schedule, so goldens stay bitwise.
+// Synchronous operations (PIRA/MIRA `query`, the DCF-CAN flood) run through
+// `run_sync`: a fresh simulator, driven to completion, with the engine's
+// queue state set aside so the operation starts from empty queues.
 //
 // Senders close the loop through this seam too: `should_shed` /
 // `backoff_delay` surface the installed flow-control policy (no-ops
@@ -44,8 +45,8 @@ namespace armada::net {
 
 class Transport {
  public:
-  /// Arrival continuation of the queueing path; receives the message's
-  /// queueing delay (delivery - send - propagation; 0 on the fast path).
+  /// Arrival continuation of `deliver`; receives the message's queueing
+  /// delay (delivery - send - propagation; 0 without queueing).
   using QueuedArrival = std::function<void(Time queue_delay)>;
 
   /// Knobs of one deliver_walk replay.
@@ -73,31 +74,20 @@ class Transport {
   /// exact-match routing: source first, owner last).
   Time path_latency(const std::vector<NodeId>& path) const;
 
-  /// Stateless delivery: schedules `on_arrival` on `sim` at
-  /// now() + link(from, to). Concurrent deliveries interleave by arrival
-  /// time, so "query latency" falls out as the latest arrival at any
-  /// destination. CHECK-fails when an active queueing config is installed
-  /// (use the sized overload, which feeds the queues).
-  void deliver(sim::Simulator& sim, NodeId from, NodeId to,
-               std::function<void()> on_arrival) const;
-
-  /// Queueing-aware delivery of a `bytes`-sized message of class `cls`
-  /// enqueued at max(now(), not_before); returns the delivery instant.
-  /// With no queueing installed the message costs link(from, to) and the
-  /// returned instant equals the stateless schedule bitwise; with a config
+  /// Deliver a `bytes`-sized message of class `cls` enqueued at
+  /// max(now(), not_before); returns the delivery instant. With no
+  /// queueing installed the message costs link(from, to); with a config
   /// installed it is priced through the service queues, link bandwidth and
-  /// the per-link coalescer. `on_arrival` may be empty.
+  /// the per-link coalescer. Concurrent deliveries interleave by arrival
+  /// time, so "query latency" falls out as the latest arrival at any
+  /// destination. `on_arrival` may be empty.
   Time deliver(sim::Simulator& sim, NodeId from, NodeId to,
                std::uint32_t bytes, QueuedArrival on_arrival,
                Time not_before = 0.0,
                TrafficClass cls = TrafficClass::kQuery);
-  /// Same, with the installed config's default message size (0 bytes when
-  /// no queueing is installed).
-  Time deliver(sim::Simulator& sim, NodeId from, NodeId to,
-               QueuedArrival on_arrival);
 
-  /// Deliver a recorded walk (source..owner) hop by hop through the sized
-  /// path: each hop departs when the previous one was delivered. `done`
+  /// Deliver a recorded walk (source..owner) hop by hop through `deliver`:
+  /// each hop departs when the previous one was delivered. `done`
   /// receives the walk's cost fragment — messages == delay == hop count,
   /// latency = last delivery - start, plus the accumulated queue_delay and
   /// bytes_on_wire — when the final hop lands (immediately for an empty or
@@ -110,9 +100,25 @@ class Transport {
   void deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
                     const WalkOptions& options,
                     std::function<void(const sim::QueryStats&)> done);
-  void deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
-                    std::uint32_t bytes,
-                    std::function<void(const sim::QueryStats&)> done);
+
+  /// Run one synchronous operation: build a fresh simulator, let `fn`
+  /// schedule the operation on it, and run it to completion. An installed
+  /// engine's queue state is set aside for the run (Queueing::Isolation):
+  /// the operation starts from empty queues, and the backlog of an
+  /// enclosing simulator — a query issued from inside a churn or
+  /// congestion run's event — is left untouched.
+  template <typename Fn>
+  void run_sync(Fn&& fn) {
+    sim::Simulator sim;
+    if (queueing_ == nullptr) {
+      fn(sim);
+      sim.run();
+      return;
+    }
+    const Queueing::Isolation isolation(queueing_);
+    fn(sim);
+    sim.run();
+  }
 
   // --- queueing network ------------------------------------------------------
   /// Install (or replace) the queueing network; congestion stats restart
@@ -120,8 +126,8 @@ class Transport {
   void install_queueing(const QueueingConfig& config);
   void uninstall_queueing();
   bool queueing_installed() const { return queueing_ != nullptr; }
-  /// True when messages must take the sized path to be priced correctly:
-  /// an installed config that is not the zero-queue degenerate.
+  /// True when an installed config prices messages: one that is not the
+  /// zero-queue degenerate.
   bool queueing_active() const {
     return queueing_ != nullptr && !queueing_->config().zero_queue();
   }
@@ -194,13 +200,11 @@ class Transport {
   Time deliver_impl(sim::Simulator& sim, NodeId from, NodeId to,
                     std::uint32_t bytes, QueuedArrival on_arrival,
                     Time not_before, TrafficClass cls);
-  /// Out-of-line traced twins: record the hop span, wrap the arrival in
-  /// the span's context, then run the common path.
+  /// Out-of-line traced twin: record the hop span, wrap the arrival in the
+  /// span's context, then run the common path.
   Time deliver_traced(sim::Simulator& sim, NodeId from, NodeId to,
                       std::uint32_t bytes, QueuedArrival on_arrival,
                       Time not_before, TrafficClass cls);
-  void deliver_stateless_traced(sim::Simulator& sim, NodeId from, NodeId to,
-                                std::function<void()> on_arrival) const;
 
   std::shared_ptr<const LatencyModel> model_;
   std::shared_ptr<Queueing> queueing_;

@@ -67,7 +67,7 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
     return false;
   }
   const std::uint64_t now_tick = popularity_.now();
-  const bool cacheable = config_.cache_enabled() && !cache_tag.empty();
+  const bool cacheable = config_.cache_enabled();
   if (cacheable) {
     if (const ResultCache::Entry* hit =
             cache_.lookup(issuer, cache_tag, now_tick)) {
@@ -180,7 +180,7 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
 void ReplicaSet::cache_insert(PeerId peer, const std::string& cache_tag,
                               const KautzRegion& subregion,
                               const std::vector<std::uint64_t>& matches) {
-  if (!config_.cache_enabled() || cache_tag.empty()) {
+  if (!config_.cache_enabled()) {
     return;
   }
   if (cache_.insert(peer, cache_tag, subregion, matches, popularity_.now())) {

@@ -61,10 +61,9 @@ class ReplicaSet {
                 const std::vector<kautz::KautzRegion>& class_subregions);
 
   /// Serve one search class from cache or replica; false = run the FRT.
-  /// `cache_tag` identifies the (query bounds, subregion) pair — empty
-  /// means uncacheable (arbitrary filter), which still allows replica
-  /// routing: the holder scan applies `subregion.contains && filter`,
-  /// exactly the destination-scan semantics restricted to the class.
+  /// `cache_tag` identifies the (query bounds, subregion) pair. The holder
+  /// scan applies `subregion.contains && filter`, exactly the
+  /// destination-scan semantics restricted to the class.
   bool serve_class(sim::Simulator& sim, fissione::PeerId issuer,
                    const kautz::KautzRegion& subregion,
                    const std::string& cache_tag, const ObjectFilter& filter,

@@ -2,12 +2,11 @@
 // query paths.
 //
 // Entries are keyed by (peer, tag): the tag is built by the query layer
-// from the query's value bounds plus the class subregion, so only
-// value-level queries — whose filter is a pure function of the bounds —
-// ever populate or read the cache (region-level queries with arbitrary
-// filters pass an empty tag and bypass it). A hit serves the class without
-// touching the region's peers; walks toward a replica holder truncate at
-// the first peer holding a fresh entry.
+// from the query's value bounds (a box for MIRA) plus the class
+// subregion, on the premise that a query's filter is a pure function of
+// its bounds. A hit serves the class without touching the region's peers;
+// walks toward a replica holder truncate at the first peer holding a
+// fresh entry.
 //
 // Currency rules (the ouinet cache_control idiom, adapted):
 //   * TTL in query ticks — the subsystem's clock (see PopularityTracker).

@@ -100,13 +100,13 @@ core::RangeQueryResult DcfCan::query(NodeId issuer, double lo,
   // default ConstantHop model arrivals order exactly like the classic BFS,
   // so hop depths, parents, message counts and visit order are unchanged.
   ARMADA_CHECK(zone_intersects(route.final_node, qr));
-  sim::Simulator sim;
+  net::Transport& transport = net_.transport();
   std::vector<char> visited(net_.num_nodes(), 0);
   std::uint32_t max_depth = 0;
   double flood_latency = 0.0;
 
-  std::function<void(NodeId, NodeId, std::uint32_t)> arrive =
-      [&](NodeId z, NodeId from, std::uint32_t depth) {
+  std::function<void(sim::Simulator&, NodeId, NodeId, std::uint32_t)> arrive =
+      [&](sim::Simulator& sim, NodeId z, NodeId from, std::uint32_t depth) {
         if (visited[z]) {
           return;  // duplicate; its message was charged at transmission
         }
@@ -121,13 +121,13 @@ core::RangeQueryResult DcfCan::query(NodeId issuer, double lo,
             ++result.stats.results;
           }
         }
-        net::Transport& transport = net_.transport();
+        const std::uint32_t bytes = transport.default_message_bytes();
         for (NodeId n : net_.neighbors(z)) {
           if (n == from || !zone_intersects(n, qr)) {
             continue;
           }
           ++result.stats.messages;  // transmitted even if the receiver drops
-          result.stats.bytes_on_wire += transport.default_message_bytes();
+          result.stats.bytes_on_wire += bytes;
           // visited[] is monotone, so a receiver already visited at send
           // time is guaranteed to drop the arrival. On the propagation-only
           // path that event is a no-op and is skipped; with an active
@@ -135,17 +135,20 @@ core::RangeQueryResult DcfCan::query(NodeId issuer, double lo,
           // service, link bandwidth and a batch slot, so it must be sent
           // (arrive() drops it as a duplicate).
           if (!visited[n] || transport.queueing_active()) {
-            transport.deliver(sim, z, n,
-                              [&result, &arrive, n, z, depth](sim::Time qd) {
-                                result.stats.queue_delay += qd;
-                                arrive(n, z, depth + 1);
-                              });
+            transport.deliver(
+                sim, z, n, bytes,
+                [&result, &arrive, &sim, n, z, depth](sim::Time qd) {
+                  result.stats.queue_delay += qd;
+                  arrive(sim, n, z, depth + 1);
+                });
           }
         }
       };
-  sim.schedule_at(
-      0.0, [&arrive, &route] { arrive(route.final_node, can::kNoNode, 0); });
-  sim.run();
+  transport.run_sync([&](sim::Simulator& sim) {
+    sim.schedule_at(0.0, [&arrive, &route, &sim] {
+      arrive(sim, route.final_node, can::kNoNode, 0);
+    });
+  });
 
   result.stats.delay = route.stats.delay + static_cast<double>(max_depth);
   result.stats.latency = route.stats.latency + flood_latency;

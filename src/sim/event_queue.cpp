@@ -30,10 +30,6 @@ bool earlier(const Time a_when, const std::uint64_t a_seq, const Time b_when,
 }  // namespace
 
 Simulator::Simulator() {
-  // Distinct per instance within a process; never reused, so address reuse
-  // of stack-allocated simulators cannot alias two runs.
-  static std::uint64_t next_id = 0;
-  id_ = ++next_id;
   buckets_.resize(kMinBuckets);
   bucket_mask_ = kMinBuckets - 1;
 }

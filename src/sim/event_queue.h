@@ -133,10 +133,6 @@ class Simulator {
   Time now() const { return now_; }
   std::uint64_t events_processed() const { return processed_; }
   bool idle() const { return count_ == 0; }
-  /// Process-unique instance id. Stateful layers keyed to one simulation
-  /// (net::Queueing) use it to detect that a different simulator is now
-  /// driving them and reset their per-run state.
-  std::uint64_t id() const { return id_; }
 
  private:
   struct Event {
@@ -168,7 +164,6 @@ class Simulator {
   std::size_t sorted_bucket_ = static_cast<std::size_t>(-1);
 
   Time now_ = 0.0;
-  std::uint64_t id_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
 };

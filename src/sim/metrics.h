@@ -19,8 +19,8 @@ struct QueryStats {
   double latency = 0.0;
   /// Time the query's messages spent in the queueing network beyond pure
   /// propagation (service waits, coalescing windows, link transmission),
-  /// summed over messages. Exactly zero on the stateless transport path and
-  /// under the zero-queue config.
+  /// summed over messages. Exactly zero without queueing and under the
+  /// zero-queue config.
   double queue_delay = 0.0;
   /// Payload bytes the query's transmissions put on links; zero while
   /// messages are unsized (no queueing config installed).

@@ -140,13 +140,20 @@ TEST(Transport, DeliversAtLinkLatency) {
   Transport t(std::make_shared<UniformJitter>(3, 0.5, 2.5));
   sim::Simulator sim;
   Time arrival = -1.0;
-  t.deliver(sim, 5, 6, [&] { arrival = sim.now(); });
+  Time queue_delay = -1.0;
+  const Time at = t.deliver(sim, 5, 6, 0, [&](Time qd) {
+    arrival = sim.now();
+    queue_delay = qd;
+  });
   sim.run();
   EXPECT_EQ(arrival, t.link(5, 6));
+  EXPECT_EQ(at, arrival);  // the returned instant is the arrival
+  EXPECT_EQ(queue_delay, 0.0);  // no queueing installed
+  EXPECT_EQ(sim.events_processed(), 1u);  // one event per message
 
   // Chained deliveries accumulate like path_latency.
   Time second = -1.0;
-  t.deliver(sim, 6, 7, [&] { second = sim.now(); });
+  t.deliver(sim, 6, 7, 0, [&](Time) { second = sim.now(); });
   sim.run();
   EXPECT_DOUBLE_EQ(second, arrival + t.link(6, 7));
 }

@@ -283,12 +283,13 @@ TEST(Tracing, WalkSpansChainWithExactInstantsAndAuditorAttribution) {
   auto rec = std::make_shared<obs::TraceRecorder>(cfg);
   transport.attach_trace(rec);
 
-  // Four unit-latency hops (ConstantHop 1.0, stateless path): deliveries
-  // at t = 1, 2, 3, 4 exactly.
+  // Four unit-latency hops (ConstantHop 1.0, no queueing): deliveries at
+  // t = 1, 2, 3, 4 exactly.
   const auto path = first_path(fx->net, 4);
   sim::Simulator sim;
   sim::QueryStats out;
-  transport.deliver_walk(sim, path, transport.default_message_bytes(),
+  transport.deliver_walk(sim, path,
+                         {.bytes = transport.default_message_bytes()},
                          [&out](const sim::QueryStats& s) { out = s; });
   sim.run();
   transport.detach_trace();
@@ -337,7 +338,7 @@ TEST(Tracing, ExportsAreWellFormedAndComplete) {
   transport.attach_trace(rec);
   sim::Simulator sim;
   transport.deliver_walk(sim, first_path(fx->net, 3),
-                         transport.default_message_bytes(),
+                         {.bytes = transport.default_message_bytes()},
                          [](const sim::QueryStats&) {});
   sim.run();
   transport.detach_trace();

@@ -2,15 +2,14 @@
 // and its Transport integration:
 //
 //  * zero-queue bitwise equivalence — the default QueueingConfig reproduces
-//    the stateless delivery path exactly, for PIRA, the DCF-CAN flood and
-//    walk replays, under every latency model;
+//    the transport without queueing exactly, for PIRA, the DCF-CAN flood
+//    and walk replays, under every latency model;
 //  * exact reservation arithmetic — service, bandwidth and coalescing
 //    produce the delivery instants the model promises;
 //  * per-link FIFO order is preserved under coalescing and random load;
 //  * message conservation — sent == delivered + in-flight at every event
 //    boundary, and the queue drains to zero;
 //  * p99 latency is monotone in offered load;
-//  * the const stateless deliver refuses to bypass an active config;
 //  * repair batching — churn-driver repair through the coalescer saves
 //    departures and stays deterministic;
 //  * traffic classes — kFifo timing is class-blind, kWeighted isolates
@@ -19,8 +18,10 @@
 //    backlog, hedged retries win via the kHedge lane with the losing copy
 //    cancelled, and admission control degrades range queries into partial
 //    answers whose stats.coverage is the exact served fraction;
-//  * conservation survives LRU eviction of live simulators (the orphaned
-//    delivered-counter path).
+//  * one queue state per engine — a synchronous query nested inside a
+//    shared simulator's event starts from empty queues and leaves that
+//    simulator's backlog untouched, and in-flight deliveries survive the
+//    engine being replaced or uninstalled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,7 +58,7 @@ net::QueueingConfig loaded_config() {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-queue bitwise equivalence vs the stateless path.
+// Zero-queue bitwise equivalence vs no queueing at all.
 // ---------------------------------------------------------------------------
 
 TEST(ZeroQueue, PiraQueriesBitwiseEqualStatelessUnderAllModels) {
@@ -128,7 +129,7 @@ TEST(ZeroQueue, DeliverWalkMatchesPathLatencyArithmetic) {
       const auto route = net.route(net.random_peer(), net.random_object_id());
       sim::Simulator sim;
       sim::QueryStats walk;
-      transport.deliver_walk(sim, route.path, 0,
+      transport.deliver_walk(sim, route.path, {},
                              [&walk](const sim::QueryStats& s) { walk = s; });
       sim.run();
       EXPECT_EQ(walk.latency, transport.path_latency(route.path));
@@ -137,27 +138,6 @@ TEST(ZeroQueue, DeliverWalkMatchesPathLatencyArithmetic) {
                 route.path.empty() ? 0u : route.path.size() - 1);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The const stateless overload cannot bypass an active config.
-// ---------------------------------------------------------------------------
-
-TEST(TransportSplit, StatelessDeliverRefusesActiveQueueing) {
-  net::Transport transport;
-  sim::Simulator sim;
-  // No config and the zero-queue config: stateless deliveries are fine.
-  transport.deliver(sim, 1, 2, [] {});
-  transport.install_queueing(net::QueueingConfig{});
-  transport.deliver(sim, 1, 2, [] {});
-  // An active config must force traffic onto the sized path.
-  transport.install_queueing(loaded_config());
-  EXPECT_TRUE(transport.queueing_active());
-  EXPECT_THROW(transport.deliver(sim, 1, 2, [] {}), CheckError);
-  transport.deliver(sim, 1, 2, [](sim::Time) {});  // sized path: accepted
-  transport.uninstall_queueing();
-  transport.deliver(sim, 1, 2, [] {});
-  sim.run();
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +285,7 @@ TEST(QueueingInvariants, P99LatencyMonotoneInOfferedLoad) {
     for (std::size_t i = 0; i < walks.size(); ++i) {
       sim.schedule_at(static_cast<double>(i) * gap, [&, i] {
         transport.deliver_walk(
-            sim, walks[i], transport.default_message_bytes(),
+            sim, walks[i], {.bytes = transport.default_message_bytes()},
             [&metrics](const sim::QueryStats& s) { metrics.add(s); });
       });
     }
@@ -403,16 +383,16 @@ TEST(ZeroQueue, SizedMessagesAreNotZeroQueue) {
   net::QueueingConfig cfg;
   cfg.default_message_bytes = 64;
   // Regression: a config that only sizes messages still prices them
-  // (bytes_on_wire) and must not degenerate to the stateless path, which
+  // (bytes_on_wire) and must not degenerate to the zero-queue config, which
   // would silently drop the byte accounting.
   EXPECT_FALSE(cfg.zero_queue());
   net::Transport transport;
   transport.install_queueing(cfg);
   EXPECT_TRUE(transport.queueing_active());
   sim::Simulator sim;
-  EXPECT_THROW(transport.deliver(sim, 0, 1, [] {}), CheckError);
   sim::QueryStats walk;
-  transport.deliver_walk(sim, {0, 1, 2}, transport.default_message_bytes(),
+  transport.deliver_walk(sim, {0, 1, 2},
+                         {.bytes = transport.default_message_bytes()},
                          [&walk](const sim::QueryStats& s) { walk = s; });
   sim.run();
   // Timing is untouched (nothing else is priced), but bytes are counted.
@@ -436,43 +416,131 @@ TEST(CongestionStats, BatchOccupancyMeanIsOneWhenNothingCoalesced) {
   EXPECT_DOUBLE_EQ(transport.congestion().batch_occupancy_mean(), 1.5);
 }
 
-TEST(QueueingInvariants, ConservationSurvivesLruEvictionOfLiveSimulators) {
+// ---------------------------------------------------------------------------
+// One queue state per engine.
+// ---------------------------------------------------------------------------
+
+TEST(QueueingInvariants, NestedSyncQueryStartsEmptyAndLeavesTheSharedBacklog) {
+  // Two identical fixtures: `shared` runs a burst into one destination of
+  // the query and issues the query from inside an event while the burst is
+  // pending; `twin` runs the same query and the same burst apart.
+  auto shared = testsupport::make_single_index(300, kSeed);
+  auto twin = testsupport::make_single_index(300, kSeed);
+  shared->net.install_queueing(loaded_config());
+  twin->net.install_queueing(loaded_config());
+  Rng issuers(kSeed + 13);
+  const fissione::PeerId issuer = twin->random_issuer(issuers);
+  const double lo = 200.0;
+  const double hi = 420.0;
+
+  const core::RangeQueryResult alone = twin->index.range_query(issuer, lo, hi);
+  ASSERT_GE(alone.destinations.size(), 2u);
+  const net::NodeId target = alone.destinations.back();
+  ASSERT_NE(target, issuer);
+  const net::NodeId sender = target == 0 ? 1 : 0;
+
+  // A long burst into `target` at t = 0, still queued there when the
+  // nested query's own messages reach it, and a short one at t = 1,
+  // reserved after the query returns.
+  auto schedule_bursts = [&](fissione::FissioneNetwork& net,
+                             sim::Simulator& sim,
+                             std::vector<sim::Time>* landed) {
+    for (const int burst : {0, 1}) {
+      const int count = burst == 0 ? 60 : 6;
+      sim.schedule_at(burst, [&net, &sim, landed, sender, target, count] {
+        for (int i = 0; i < count; ++i) {
+          net.transport().deliver(
+              sim, sender, target, 128,
+              [&sim, landed](sim::Time) { landed->push_back(sim.now()); });
+        }
+      });
+    }
+  };
+
+  std::vector<sim::Time> landed_apart;
+  {
+    sim::Simulator sim;
+    schedule_bursts(twin->net, sim, &landed_apart);
+    sim.run();
+  }
+
+  std::vector<sim::Time> landed_shared;
+  core::RangeQueryResult nested;
+  sim::Simulator sim;
+  schedule_bursts(shared->net, sim, &landed_shared);
+  sim.schedule_at(0.5, [&] {
+    const net::Queueing& queueing = *shared->net.transport().queueing();
+    const std::uint64_t sent = queueing.sent();
+    const std::uint64_t in_flight = queueing.in_flight();
+    const std::size_t backlog = queueing.ingress_backlog(sim, target);
+    ASSERT_GT(in_flight, 0u);
+    ASSERT_GT(backlog, 0u);
+    nested = shared->index.range_query(issuer, lo, hi);
+    EXPECT_EQ(queueing.sent(), sent);
+    EXPECT_EQ(queueing.in_flight(), in_flight);
+    EXPECT_EQ(queueing.ingress_backlog(sim, target), backlog);
+    // A CheckError thrown inside a synchronous run still restores the
+    // shared state on its way out.
+    net::Transport& transport = shared->net.transport();
+    const auto send_then_fail = [&](sim::Simulator& inner) {
+      transport.deliver(inner, sender, target, 128, {});
+      ARMADA_CHECK_MSG(false, "abort the synchronous run");
+    };
+    EXPECT_THROW(transport.run_sync(send_then_fail), CheckError);
+    EXPECT_EQ(queueing.sent(), sent);
+    EXPECT_EQ(queueing.in_flight(), in_flight);
+    EXPECT_EQ(queueing.ingress_backlog(sim, target), backlog);
+  });
+  sim.run();
+
+  EXPECT_EQ(nested.stats, alone.stats);
+  EXPECT_EQ(nested.matches, alone.matches);
+  EXPECT_EQ(nested.destinations, alone.destinations);
+  EXPECT_GT(nested.stats.queue_delay, 0.0);  // the query did queue
+  EXPECT_EQ(landed_shared, landed_apart);
+  EXPECT_EQ(landed_shared.size(), 66u);
+}
+
+TEST(QueueingInvariants, InFlightDeliveriesSurviveEngineReplacement) {
+  for (const bool replace : {true, false}) {
+    net::Transport transport;
+    transport.install_queueing(loaded_config());
+    sim::Simulator sim;
+    int fired = 0;
+    for (int i = 0; i < 4; ++i) {
+      transport.deliver(sim, 0, 1, 64, [&fired](sim::Time) { ++fired; });
+    }
+    EXPECT_EQ(transport.queueing()->in_flight(), 4u);
+    if (replace) {
+      transport.install_queueing(loaded_config());
+    } else {
+      transport.uninstall_queueing();
+    }
+    // The old engine is gone; its deliveries still fire against the
+    // counter they hold, never against freed state.
+    sim.run();
+    EXPECT_EQ(fired, 4) << (replace ? "replaced" : "uninstalled");
+    if (replace) {
+      EXPECT_EQ(transport.queueing()->sent(), 0u);
+      EXPECT_EQ(transport.queueing()->delivered(), 0u);
+    } else {
+      EXPECT_FALSE(transport.queueing_installed());
+    }
+  }
+
+  // Replaced from inside a synchronous run: the run keeps the old engine
+  // alive until it ends, and the new engine never saw its traffic.
   net::Transport transport;
   transport.install_queueing(loaded_config());
-  const net::Queueing* queueing = transport.queueing();
-  ASSERT_NE(queueing, nullptr);
-
-  sim::Simulator sim_a;
-  transport.deliver(sim_a, 0, 1, 64, [](sim::Time) {});
-  EXPECT_EQ(queueing->sent(), 1u);
-  EXPECT_EQ(queueing->in_flight(), 1u);
-
-  // Fill every remaining state slot (kMaxSimStates = 4) with simulators
-  // whose deliveries are still pending, so the next new simulator has no
-  // drained victim and must evict sim_a's state while its delivery is in
-  // flight — orphaning the delivered counter.
-  sim::Simulator sim_b;
-  sim::Simulator sim_c;
-  sim::Simulator sim_d;
-  for (sim::Simulator* s : {&sim_b, &sim_c, &sim_d}) {
-    transport.deliver(*s, 0, 1, 64, [](sim::Time) {});
-  }
-  sim::Simulator sim_e;
-  transport.deliver(sim_e, 0, 1, 64, [](sim::Time) {});
-
-  // The orphaned delivery fires against the evicted state's counter.
-  sim_a.run();
-
-  // A fresh send on sim_a builds a clean state: conservation holds on the
-  // new counters, unaffected by the orphaned delivery above.
-  transport.deliver(sim_a, 2, 3, 64, [](sim::Time) {});
-  EXPECT_EQ(queueing->sent(), 1u);
-  EXPECT_EQ(queueing->delivered(), 0u);
-  EXPECT_EQ(queueing->in_flight(), 1u);
-  sim_a.run();
-  EXPECT_EQ(queueing->sent(), 1u);
-  EXPECT_EQ(queueing->delivered(), 1u);
-  EXPECT_EQ(queueing->in_flight(), 0u);
+  int fired = 0;
+  transport.run_sync([&](sim::Simulator& sim) {
+    transport.deliver(sim, 0, 1, 64, [&fired](sim::Time) { ++fired; });
+    transport.install_queueing(loaded_config());
+  });
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(transport.queueing()->sent(), 0u);
+  EXPECT_EQ(transport.queueing()->delivered(), 0u);
+  EXPECT_EQ(transport.congestion().messages, 0u);
 }
 
 // ---------------------------------------------------------------------------
