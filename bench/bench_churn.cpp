@@ -244,7 +244,7 @@ void run_fissione(Table& table, std::shared_ptr<const net::LatencyModel> model,
         // stale issuer when a window is open, so every churn round records
         // at least one stale-window query outcome under a timed schedule.
         sim.schedule_at(e.at, [&] {
-          const auto stale = driver.stale_peers();
+          const auto stale = driver.stale_nodes();
           const auto issuer =
               stale.empty() ? net.random_peer() : stale.front();
           const double lo = probe_rng.next_double(kDomainLo,

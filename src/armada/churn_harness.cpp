@@ -35,7 +35,7 @@ ChurnHarness::RangeOutcome ChurnHarness::range_query(fissione::PeerId issuer,
   // the drivers' route replay, charging stops once the detour budget is
   // exhausted: the query is abandoned, not retried further.
   const fissione::FissioneNetwork& net = driver_.net();
-  for (fissione::PeerId p : driver_.stale_peers()) {
+  for (fissione::PeerId p : driver_.stale_nodes()) {
     bool touches = p == issuer;
     if (!touches) {
       net.for_each_owned(p, [&](const fissione::StoredObject& obj) {
@@ -61,7 +61,7 @@ ChurnHarness::RangeOutcome ChurnHarness::range_query(fissione::PeerId issuer,
     const fissione::PeerId retry_peer =
         p == issuer ? net.peer(issuer).out_neighbors.front() : p;
     out.stats.latency += net.transport().link(issuer, retry_peer);
-    if (out.detours > driver_.config().max_detours) {
+    if (out.detours > fissione::ChurnDriver::kMaxDetours) {
       out.failed = true;
       break;
     }

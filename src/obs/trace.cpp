@@ -109,12 +109,6 @@ void TraceRecorder::end_trace(std::uint64_t root, const sim::QueryStats& stats) 
   audit(*r, stats);
 }
 
-void TraceRecorder::end_trace(std::uint64_t root) {
-  // Hop arrivals already advanced the root's end in span_delivered;
-  // nothing to audit for non-query traces.
-  (void)mutable_find(root);
-}
-
 std::uint64_t TraceRecorder::span_begin(net::NodeId from, net::NodeId to,
                                         std::uint32_t bytes,
                                         net::TrafficClass cls,

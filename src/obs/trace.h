@@ -51,7 +51,9 @@ enum SpanFlag : std::uint32_t {
 
 /// One hop (or one root). Roots have parent == 0, trace == id, from ==
 /// to == the issuer, and a static name; their deliver_at is the
-/// operation's end instant set by end_trace.
+/// operation's end instant: span_delivered advances it to the latest hop
+/// arrival in the trace, and end_trace extends a query root's to the
+/// query's reported latency.
 struct Span {
   std::uint64_t id = 0;      ///< 1-based; 0 is "no span"
   std::uint64_t parent = 0;  ///< parent span id, 0 for roots
@@ -152,11 +154,10 @@ class TraceRecorder {
     return current_ != 0 ? 0 : begin_trace(name, issuer, now);
   }
   /// Ends a query trace: stamps the root's end from `stats.latency` and
-  /// runs the delay-bound auditor. No-op for root == 0.
+  /// runs the delay-bound auditor. No-op for root == 0. Non-query traces
+  /// (repair waves) are never ended: span_delivered keeps their root's end
+  /// at the latest recorded arrival, and they are not audited.
   void end_trace(std::uint64_t root, const sim::QueryStats& stats);
-  /// Ends a non-query trace (repair waves): the root's end is the latest
-  /// recorded arrival in the trace. Not audited.
-  void end_trace(std::uint64_t root);
 
   // --- transport hooks ------------------------------------------------
   /// Records a hop under the current context; returns the span id (0 when

@@ -1,8 +1,8 @@
 // Timed membership change for the discrete-event kernel.
 //
 // The paper evaluates static snapshots, but the delay bound is a claim about
-// a network that is changing. This module supplies the two pieces every
-// overlay shares when membership runs on simulated time:
+// a network that is changing. This module supplies the pieces every overlay
+// shares when membership runs on simulated time:
 //
 //  * ChurnProcess — a deterministic schedule of join/leave/crash events,
 //    either Poisson (merged arrival process, seeded exponential gaps) or
@@ -11,20 +11,21 @@
 //    of QueryStats: repair messages and latency, objects handed off /
 //    dropped / in flight, and the outcomes of queries launched inside
 //    stale-route windows.
+//  * StaleWindows — the per-node record of open stale-route windows.
 //
-// The per-overlay churn drivers (fissione::ChurnDriver, chord::ChurnDriver)
-// consume events from here, execute the structural change, and price the
-// repair protocol as transport-delivered messages on the Simulator.
+// The timed-churn mechanism that consumes them (scheduling, the floor
+// guard, repair delivery, the stale-route replay) is overlay::ChurnCore in
+// net/churn_core.h, a layer up because it delivers through net::Transport.
+// Each overlay's churn driver (fissione::ChurnDriver, chord::ChurnDriver)
+// derives from it and adds only its repair protocol.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/metrics.h"
 #include "util/rng.h"
 
 namespace armada::sim {
@@ -138,9 +139,6 @@ class StaleWindows {
   bool stale_at(std::uint32_t id, Time at) const {
     return id < windows_.size() && windows_[id].until > at;
   }
-  Time until(std::uint32_t id) const {
-    return id < windows_.size() ? windows_[id].until : 0.0;
-  }
   /// Extend (never shrink) the window of `id` to `until`.
   void touch(std::uint32_t id, Time until) {
     if (id >= windows_.size()) {
@@ -192,119 +190,6 @@ class StaleWindows {
   /// Every id whose window may be open: touched since its last prune.
   std::vector<std::uint32_t> recorded_;
 };
-
-/// Outcome of replaying one routing walk against open stale windows.
-struct WalkReplay {
-  QueryStats stats;  ///< full walk cost including detour surcharges
-  bool stale = false;
-  std::uint32_t detours = 0;
-  bool failed = false;  ///< detour budget exhausted; walk abandoned
-};
-
-/// Invoke a walk-replay link functor for one transmission departing at
-/// `at`. Pure latency functors take (u, v); a queueing-transport functor
-/// takes (u, v, at) so it can reserve capacity at the transmission's actual
-/// departure instant. For pure functors the two-argument form called once
-/// per transmission is indistinguishable from the historical
-/// once-per-iteration call.
-template <typename Node, typename LinkFn>
-Time replay_link_cost(LinkFn&& link, Node u, Node v, Time at) {
-  if constexpr (std::is_invocable_v<LinkFn&, Node, Node, Time>) {
-    return link(u, v, at);
-  } else {
-    (void)at;
-    return link(u, v);
-  }
-}
-
-/// Replay a recorded walk (source..owner) at its own arrival times: a hop
-/// leaving a node whose window is still open first chases a dead or
-/// not-yet-wired pointer and detours — one extra message, one extra hop of
-/// delay, one extra link charge — and more than `max_detours` detours
-/// abandons the walk. Windows are checked per hop at that hop's departure
-/// time, so repair completing mid-walk cleans up the later hops. This is
-/// the one definition of the stale-route pricing rule; both overlay churn
-/// drivers route through it, which is what keeps their detour economics
-/// comparable in bench_churn.
-template <typename Node, typename LinkFn>
-WalkReplay replay_walk(const std::vector<Node>& path, Time start,
-                       std::uint32_t max_detours, const StaleWindows& windows,
-                       LinkFn&& link) {
-  WalkReplay out;
-  Time at = start;
-  if (!path.empty()) {
-    out.stale = windows.stale_at(static_cast<std::uint32_t>(path.front()), at);
-  }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const Node u = path[i];
-    const Node v = path[i + 1];
-    if (windows.stale_at(static_cast<std::uint32_t>(u), at)) {
-      out.stale = true;
-      ++out.detours;
-      const Time detour_cost = replay_link_cost(link, u, v, at);
-      ++out.stats.messages;
-      out.stats.delay += 1.0;
-      out.stats.latency += detour_cost;
-      at += detour_cost;
-      if (out.detours > max_detours) {
-        out.failed = true;
-        break;
-      }
-    }
-    const Time cost = replay_link_cost(link, u, v, at);
-    ++out.stats.messages;
-    out.stats.delay += 1.0;
-    out.stats.latency += cost;
-    at += cost;
-  }
-  return out;
-}
-
-/// replay_walk through a queueing transport: every transmission reserves
-/// queue capacity at its departure instant (stale detours included), so
-/// replayed queries compete with concurrent traffic for the same node
-/// servers and links. The walk's stats gain the accumulated queue_delay
-/// and the bytes its messages put on the wire. TransportT is
-/// net::Transport (templated to keep sim/ free of a net/ dependency);
-/// SimT is the simulator shared with that transport's other traffic.
-template <typename Node, typename TransportT, typename SimT>
-WalkReplay replay_walk_queued(const std::vector<Node>& path, Time start,
-                              std::uint32_t max_detours,
-                              const StaleWindows& windows,
-                              TransportT& transport, SimT& sim,
-                              std::uint32_t bytes) {
-  double queue_delay = 0.0;
-  WalkReplay out = replay_walk(
-      path, start, max_detours, windows, [&](Node u, Node v, Time at) {
-        const Time cost = transport.deliver(sim, u, v, bytes, {}, at) - at;
-        queue_delay += cost - transport.link(u, v);
-        return cost;
-      });
-  out.stats.queue_delay = queue_delay;
-  out.stats.bytes_on_wire =
-      out.stats.messages * static_cast<std::uint64_t>(bytes);
-  return out;
-}
-
-/// The one stale-route pricing rule both churn drivers use: replay the
-/// walk through the queueing network when `use_queueing` (reserving
-/// capacity per transmission, the config's default message size), or at
-/// pure propagation cost otherwise.
-template <typename Node, typename TransportT, typename SimT>
-WalkReplay replay_walk_priced(const std::vector<Node>& path, Time start,
-                              std::uint32_t max_detours,
-                              const StaleWindows& windows,
-                              TransportT& transport, SimT& sim,
-                              bool use_queueing) {
-  if (use_queueing) {
-    return replay_walk_queued(path, start, max_detours, windows, transport,
-                              sim, transport.default_message_bytes());
-  }
-  return replay_walk(path, start, max_detours, windows,
-                     [&transport](Node u, Node v) {
-                       return transport.link(u, v);
-                     });
-}
 
 /// Deterministic membership schedules.
 class ChurnProcess {

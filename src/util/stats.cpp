@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -114,16 +113,6 @@ void Histogram::add(std::int64_t value, std::uint64_t weight) {
   total_ += weight;
 }
 
-std::uint64_t Histogram::count(std::int64_t value) const {
-  auto it = buckets_.find(value);
-  return it == buckets_.end() ? 0 : it->second;
-}
-
-std::int64_t Histogram::min() const {
-  ARMADA_CHECK(total_ > 0);
-  return buckets_.begin()->first;
-}
-
 std::int64_t Histogram::max() const {
   ARMADA_CHECK(total_ > 0);
   return buckets_.rbegin()->first;
@@ -136,20 +125,6 @@ double Histogram::mean() const {
     acc += static_cast<double>(value) * static_cast<double>(count);
   }
   return acc / static_cast<double>(total_);
-}
-
-std::int64_t Histogram::quantile(double q) const {
-  ARMADA_CHECK(total_ > 0);
-  ARMADA_CHECK(q > 0.0 && q <= 1.0);
-  const double target = q * static_cast<double>(total_);
-  std::uint64_t seen = 0;
-  for (const auto& [value, count] : buckets_) {
-    seen += count;
-    if (static_cast<double>(seen) >= target) {
-      return value;
-    }
-  }
-  return buckets_.rbegin()->first;
 }
 
 double gini(std::vector<double> loads) {
@@ -165,20 +140,6 @@ double gini(std::vector<double> loads) {
   ARMADA_CHECK_MSG(total > 0.0, "gini of an all-zero load vector");
   const double n = static_cast<double>(loads.size());
   return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
-}
-
-std::string Histogram::to_string(int max_rows) const {
-  std::ostringstream os;
-  int rows = 0;
-  for (const auto& [value, count] : buckets_) {
-    if (rows++ >= max_rows) {
-      os << "  ... (" << buckets_.size() - static_cast<std::size_t>(max_rows)
-         << " more buckets)\n";
-      break;
-    }
-    os << "  " << value << ": " << count << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace armada

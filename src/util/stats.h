@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace armada {
@@ -75,18 +74,12 @@ class Histogram {
   void add(std::int64_t value, std::uint64_t weight = 1);
 
   std::uint64_t total() const { return total_; }
-  std::uint64_t count(std::int64_t value) const;
-  std::int64_t min() const;
   std::int64_t max() const;
   double mean() const;
-  /// Smallest value v such that at least `q` (0..1] of the mass is <= v.
-  std::int64_t quantile(double q) const;
 
   const std::map<std::int64_t, std::uint64_t>& buckets() const {
     return buckets_;
   }
-
-  std::string to_string(int max_rows = 32) const;
 
  private:
   std::map<std::int64_t, std::uint64_t> buckets_;

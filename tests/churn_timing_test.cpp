@@ -5,6 +5,7 @@
 //  * structural invariants at every event boundary (neighborhood invariant,
 //    PeerID-length bound, finger-table consistency),
 //  * repair message budgets,
+//  * the floor guard both drivers share through overlay::ChurnCore,
 //  * the zero-delay degenerate schedule reproducing the instant
 //    join/leave/crash path bitwise,
 //  * stale-route windows: queries racing repair detour or fail observably
@@ -65,7 +66,7 @@ std::vector<fissione::PeerId> checked_stale_peers(
     }
   }
   std::sort(scan.begin(), scan.end());
-  std::vector<fissione::PeerId> listed = driver.stale_peers();
+  std::vector<fissione::PeerId> listed = driver.stale_nodes();
   EXPECT_EQ(listed, scan);
   return listed;
 }
@@ -299,12 +300,12 @@ TEST(FissioneTimedChurn, ZeroDelayScheduleMatchesInstantChurnBitwise) {
         instant->net.join();
         break;
       case ChurnEventKind::kLeave:
-        if (instant->net.num_peers() > cfg.min_peers) {
+        if (instant->net.num_peers() > fissione::ChurnDriver::kMinSize) {
           instant->net.leave(instant->net.random_peer());
         }
         break;
       case ChurnEventKind::kCrash:
-        if (instant->net.num_peers() > cfg.min_peers) {
+        if (instant->net.num_peers() > fissione::ChurnDriver::kMinSize) {
           instant->net.crash(instant->net.random_peer());
         }
         break;
@@ -361,12 +362,12 @@ TEST(ChordTimedChurn, ZeroDelayScheduleMatchesInstantChurnBitwise) {
         instant.join();
         break;
       case ChurnEventKind::kLeave:
-        if (instant.num_nodes() > cfg.min_nodes) {
+        if (instant.num_nodes() > chord::ChurnDriver::kMinSize) {
           instant.leave(instant.random_node());
         }
         break;
       case ChurnEventKind::kCrash:
-        if (instant.num_nodes() > cfg.min_nodes) {
+        if (instant.num_nodes() > chord::ChurnDriver::kMinSize) {
           instant.crash(instant.random_node());
         }
         break;
@@ -396,6 +397,80 @@ TEST(ChordTimedChurn, ZeroDelayScheduleMatchesInstantChurnBitwise) {
   }
   EXPECT_EQ(driver.stats().repair_latency_max, 0.0);
   EXPECT_TRUE(checked_stale_nodes(driver).empty());
+}
+
+// --- floor guard -------------------------------------------------------------
+
+// Both drivers inherit ChurnCore's floor guard: at kMinSize nodes a leave or
+// crash is skipped. A skipped event counts in skipped_events and nothing
+// else — no membership change, no hook, no repair message, no stale window,
+// no scheduled event.
+struct FissioneAtFloor {
+  using Driver = fissione::ChurnDriver;
+  FissioneNetwork net = FissioneNetwork::build(Driver::kMinSize + 1, 9961);
+  std::size_t size() const { return net.num_peers(); }
+};
+
+struct ChordAtFloor {
+  using Driver = chord::ChurnDriver;
+  chord::ChordNetwork net{Driver::kMinSize + 1, 9971};
+  std::size_t size() const { return net.num_nodes(); }
+};
+
+template <typename Overlay>
+class ChurnFloorGuard : public ::testing::Test {};
+using FloorOverlays = ::testing::Types<FissioneAtFloor, ChordAtFloor>;
+TYPED_TEST_SUITE(ChurnFloorGuard, FloorOverlays);
+
+TYPED_TEST(ChurnFloorGuard, SkipsLeaveAndCrashAtTheFloor) {
+  using Driver = typename TypeParam::Driver;
+  TypeParam overlay;
+  ASSERT_EQ(overlay.size(), Driver::kMinSize + 1);
+  sim::Simulator sim;
+  Driver driver(overlay.net, sim);
+  int hooks = 0;
+  driver.set_membership_hook([&] { ++hooks; });
+
+  // One above the floor, a leave runs and opens repair windows.
+  driver.execute(ChurnEventKind::kLeave);
+  EXPECT_EQ(driver.stats().leaves, 1u);
+  EXPECT_EQ(hooks, 1);
+  ASSERT_EQ(overlay.size(), Driver::kMinSize);
+  const std::uint64_t repair_messages = driver.stats().repair_messages;
+  EXPECT_GT(repair_messages, 0u);
+  const std::vector<std::uint32_t> stale = driver.stale_nodes();
+  ASSERT_FALSE(stale.empty());
+
+  // At the floor, a leave is skipped while those windows are still open.
+  driver.execute(ChurnEventKind::kLeave);
+  EXPECT_EQ(driver.stats().skipped_events, 1u);
+  EXPECT_EQ(driver.stats().repair_messages, repair_messages);
+  EXPECT_EQ(driver.stale_nodes(), stale);
+  // Every event the simulator runs is one of the first leave's repair
+  // deliveries (one event per message): the skipped leave scheduled none.
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), repair_messages);
+  EXPECT_TRUE(driver.stale_nodes().empty());
+
+  // A crash at the floor is skipped too, on an idle simulator.
+  ASSERT_TRUE(sim.idle());
+  driver.execute(ChurnEventKind::kCrash);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(driver.stats().skipped_events, 2u);
+  EXPECT_EQ(driver.stats().repair_messages, repair_messages);
+  EXPECT_TRUE(driver.stale_nodes().empty());
+  EXPECT_EQ(driver.stats().events(), 1u);
+  EXPECT_EQ(hooks, 1);
+  EXPECT_EQ(overlay.size(), Driver::kMinSize);
+
+  // Joins are never floor-guarded.
+  driver.execute(ChurnEventKind::kJoin);
+  EXPECT_EQ(driver.stats().joins, 1u);
+  EXPECT_EQ(driver.stats().skipped_events, 2u);
+  EXPECT_EQ(hooks, 2);
+  EXPECT_EQ(overlay.size(), Driver::kMinSize + 1);
+  EXPECT_FALSE(sim.idle());
+  overlay.net.check_invariants();
 }
 
 // --- stale windows: detour-or-fail, then recovery ---------------------------

@@ -224,20 +224,18 @@ TEST(Percentiles, CappedModeIsIndependentOfQueryTiming) {
   EXPECT_EQ(quiet.p99(), queried.p99());
 }
 
-TEST(Histogram, CountsAndQuantiles) {
+TEST(Histogram, BucketsMaxAndMean) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) {
     h.add(i);
   }
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.min(), 1);
+  h.add(42, 2);
+  EXPECT_EQ(h.total(), 102u);
   EXPECT_EQ(h.max(), 100);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_EQ(h.quantile(0.5), 50);
-  EXPECT_EQ(h.quantile(0.99), 99);
-  EXPECT_EQ(h.quantile(1.0), 100);
-  EXPECT_EQ(h.count(42), 1u);
-  EXPECT_EQ(h.count(101), 0u);
+  EXPECT_DOUBLE_EQ(h.mean(), (5050.0 + 84.0) / 102.0);
+  ASSERT_EQ(h.buckets().size(), 100u);
+  EXPECT_EQ(h.buckets().at(42), 3u);
+  EXPECT_EQ(h.buckets().begin()->first, 1);
 }
 
 TEST(Table, TextAndCsv) {

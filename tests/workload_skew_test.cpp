@@ -14,7 +14,6 @@ namespace {
 
 TEST(ZipfValues, StaysInDomainAndSkews) {
   ZipfValues gen({0.0, 1000.0}, 100, 1.2, Rng(3));
-  Histogram first_decile;
   const int n = 20000;
   int low = 0;
   for (int i = 0; i < n; ++i) {
