@@ -153,21 +153,22 @@ const Mira& ArmadaIndex::mira() const { return *mira_; }
 replica::ReplicaSet& ArmadaIndex::enable_replication(
     replica::ReplicationConfig config) {
   replicas_ = std::make_unique<replica::ReplicaSet>(net_, config);
-  if (pira_.has_value()) {
-    pira_->set_replicas(replicas_.get());
-  }
-  mira_->set_replicas(replicas_.get());
+  attach_subsystems();
   return *replicas_;
 }
 
 rebalance::Rebalancer& ArmadaIndex::enable_rebalancing(
     rebalance::RebalanceConfig config) {
   rebalancer_ = std::make_unique<rebalance::Rebalancer>(net_, config);
-  if (pira_.has_value()) {
-    pira_->set_rebalancer(rebalancer_.get());
-  }
-  mira_->set_rebalancer(rebalancer_.get());
+  attach_subsystems();
   return *rebalancer_;
+}
+
+void ArmadaIndex::attach_subsystems() {
+  if (pira_.has_value()) {
+    pira_->set_subsystems(replicas_.get(), rebalancer_.get());
+  }
+  mira_->set_subsystems(replicas_.get(), rebalancer_.get());
 }
 
 }  // namespace armada::core

@@ -118,6 +118,8 @@ class ArmadaIndex {
   ArmadaIndex(fissione::FissioneNetwork& net, kautz::PartitionTree tree);
 
   bool point_in_box(const std::vector<double>& p, const kautz::Box& box) const;
+  /// Point PIRA and MIRA at the current replica set and rebalancer.
+  void attach_subsystems();
 
   fissione::FissioneNetwork& net_;
   kautz::PartitionTree tree_;

@@ -47,7 +47,7 @@ struct Search {
   // Trace context captured at run_async: the class-start events below are
   // scheduled directly (not through a Transport delivery), so they re-enter
   // the enclosing query's span themselves. The search never begins traces —
-  // roots belong to PIRA/MIRA/the drivers.
+  // roots belong to the range front end and the drivers.
   obs::TraceRecorder* trace = nullptr;
   std::uint64_t ctx = 0;
 

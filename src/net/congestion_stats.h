@@ -21,8 +21,8 @@ namespace armada::net {
 
 /// Traffic classes priced by the queueing network. Under the default
 /// (FIFO) discipline the class is pure accounting — timing is identical
-/// for every mix — while the weighted/strict disciplines schedule each
-/// node server per class (see QueueingConfig::scheduling). kHedge is the
+/// for every mix — while the strict discipline schedules each node server
+/// per class (see QueueingConfig::scheduling). kHedge is the
 /// retry lane used by hedged sends: above queries, below repair, so a
 /// hedge can jump a query backlog without ever delaying repair.
 enum class TrafficClass : std::uint8_t {

@@ -17,8 +17,8 @@ constexpr std::array<int, kNumTrafficClasses> kStrictRank = {
 
 /// Outstanding entries in a backlog deque at `now`. Completion instants
 /// are monotone under kFifo but may interleave across classes under the
-/// weighted/strict disciplines, so count exactly rather than assuming a
-/// sorted prefix.
+/// strict discipline, so count exactly rather than assuming a sorted
+/// prefix.
 std::size_t outstanding(const std::deque<sim::Time>& backlog, sim::Time now) {
   return static_cast<std::size_t>(std::count_if(
       backlog.begin(), backlog.end(),
@@ -31,9 +31,6 @@ Queueing::Queueing(QueueingConfig config) : config_(config) {
   ARMADA_CHECK(config_.service_rate > 0.0);
   ARMADA_CHECK(config_.link_bandwidth > 0.0);
   ARMADA_CHECK(config_.coalesce_window >= 0.0);
-  for (const double w : config_.class_weights) {
-    ARMADA_CHECK_MSG(w > 0.0, "class weights must be positive");
-  }
   ARMADA_CHECK(config_.flow.backoff >= 0.0);
   ARMADA_CHECK(config_.flow.hedge_delay >= 0.0);
   ARMADA_CHECK(config_.flow.hedge_threshold >= 0.0);
@@ -75,20 +72,6 @@ sim::Time Queueing::reserve_server(
       // One shared FIFO — the pre-class engine, bit for bit.
       const sim::Time done = std::max(now, busy_until) + service;
       busy_until = done;
-      return done;
-    }
-    case QueueingConfig::Scheduling::kWeighted: {
-      // Per-class virtual clock: the class owns service_rate x share of
-      // the server, so its completions advance at service / share per
-      // message regardless of other classes' backlog.
-      double total = 0.0;
-      for (const double w : config_.class_weights) {
-        total += w;
-      }
-      const double share = config_.class_weights[c] / total;
-      const sim::Time done = std::max(now, class_until[c]) + service / share;
-      class_until[c] = done;
-      busy_until = std::max(busy_until, done);
       return done;
     }
     case QueueingConfig::Scheduling::kStrict: {

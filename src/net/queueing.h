@@ -22,11 +22,7 @@
 //
 // Traffic classes and priority (the closed-loop PR): every send carries a
 // TrafficClass. Under the default kFifo discipline the class is pure
-// accounting and timing is bit-identical for any mix. kWeighted gives each
-// class a dedicated share of every node server (per-class virtual clocks at
-// service_rate x weight share — each class is isolated, so repair keeps its
-// share no matter how deep the query class queues; the price is that the
-// discipline is not work-conserving across classes). kStrict serializes a
+// accounting and timing is bit-identical for any mix. kStrict serializes a
 // class behind its own tier and every higher tier only: repair never waits
 // for query backlog. Because reservations already granted to a lower tier
 // are never revoked, a higher-tier burst may transiently overbook a server
@@ -120,10 +116,6 @@ struct QueueingConfig {
     /// One shared FIFO per server; classes are accounting-only. Default —
     /// bit-identical to the pre-class engine for any traffic mix.
     kFifo,
-    /// Per-class virtual clocks at service_rate x (weight / total weight):
-    /// each class owns its share of every server, isolated from the
-    /// others' backlog (not work-conserving across classes).
-    kWeighted,
     /// Strict priority kRepair > kHandoff > kHedge > kQuery: a class
     /// serializes behind its own tier and all higher tiers only.
     kStrict,
@@ -143,9 +135,6 @@ struct QueueingConfig {
   std::uint32_t default_message_bytes = 0;
 
   Scheduling scheduling = Scheduling::kFifo;
-  /// Per-class service shares under kWeighted (indexed by class_index;
-  /// ignored otherwise). Must be positive.
-  std::array<double, kNumTrafficClasses> class_weights{1.0, 1.0, 1.0, 1.0};
 
   /// Sender-side closed-loop knobs (all off by default).
   FlowControlConfig flow;
@@ -223,8 +212,8 @@ class Queueing {
   struct NodeState {
     sim::Time egress_busy_until = 0.0;
     sim::Time ingress_busy_until = 0.0;
-    /// Per-class server horizons used by the kWeighted (virtual clocks)
-    /// and kStrict (priority tiers) disciplines; untouched under kFifo.
+    /// Per-class server horizons used by the kStrict (priority tiers)
+    /// discipline; untouched under kFifo.
     std::array<sim::Time, kNumTrafficClasses> egress_class_until{};
     std::array<sim::Time, kNumTrafficClasses> ingress_class_until{};
     /// Completion instants of outstanding reservations (FIFO backlog).

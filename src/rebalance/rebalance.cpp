@@ -16,11 +16,8 @@ using kautz::KautzRegion;
 using kautz::KautzString;
 
 Rebalancer::Rebalancer(fissione::FissioneNetwork& net, RebalanceConfig config)
-    : net_(net),
-      config_(config),
-      heat_(config.heat_decay, config.heat_interval) {
+    : net_(net), config_(config), heat_(kHeatInterval) {
   ARMADA_CHECK(config_.sweep_interval > 0);
-  ARMADA_CHECK(config_.load_decay >= 0.0 && config_.load_decay < 1.0);
 }
 
 std::size_t Rebalancer::inflight() const {
@@ -47,8 +44,8 @@ void Rebalancer::on_query(sim::Simulator& sim,
   heat_.tick();
   for (const KautzRegion& sub : class_subregions) {
     KautzString prefix = sub.common_prefix();
-    if (prefix.length() > config_.max_track_len) {
-      prefix = prefix.prefix(config_.max_track_len);
+    if (prefix.length() > kMaxTrackLen) {
+      prefix = prefix.prefix(kMaxTrackLen);
     }
     heat_.bump(prefix);
   }
@@ -92,7 +89,7 @@ void Rebalancer::refresh_loads() {
     // The count only moves backward when the id was recycled between
     // sweeps; treat the new count as this interval's arrivals then.
     const std::uint64_t delta = cur >= prev_[p] ? cur - prev_[p] : cur;
-    load_[p] = config_.load_decay * load_[p] + static_cast<double>(delta);
+    load_[p] = kLoadDecay * load_[p] + static_cast<double>(delta);
     prev_[p] = cur;
   }
 }
@@ -314,7 +311,7 @@ void Rebalancer::start_migration(sim::Simulator& sim,
   }
   const std::uint32_t bytes =
       transport.default_message_bytes() +
-      config_.object_bytes * static_cast<std::uint32_t>(object_count);
+      kObjectBytes * static_cast<std::uint32_t>(object_count);
   stats_.bytes_on_wire += bytes;
   transport.deliver(
       sim, flight->donor, flight->acceptor, bytes,

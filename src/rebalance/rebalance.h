@@ -57,19 +57,10 @@ struct RebalanceConfig {
   std::size_t backlog_trigger = 0;
   /// Query ticks between rebalance sweeps (and load-EWMA refreshes).
   std::uint64_t sweep_interval = 16;
-  /// Decay of the per-peer load EWMA per sweep.
-  double load_decay = 0.5;
-  /// Popularity decay and its tick interval (see PopularityTracker).
-  double heat_decay = 0.5;
-  std::uint64_t heat_interval = 16;
-  /// Charged heat prefixes are truncated to this length.
-  std::size_t max_track_len = 8;
   /// Concurrent migrations across the whole overlay.
   std::uint32_t max_inflight = 4;
   /// Query ticks a migrated range rests before it may move again.
   std::uint64_t cooldown = 64;
-  /// Wire size of one migrated object in the batched transfer.
-  std::uint32_t object_bytes = 64;
 
   /// Enabled iff some trigger can fire. Query layers null a disabled
   /// rebalancer out, keeping their pre-existing path bitwise.
@@ -89,6 +80,15 @@ struct RebalanceStats {
 
 class Rebalancer {
  public:
+  /// Decay of the per-peer load EWMA per sweep.
+  static constexpr double kLoadDecay = 0.5;
+  /// Query ticks between heat decays (see PopularityTracker).
+  static constexpr std::uint64_t kHeatInterval = 16;
+  /// Charged heat prefixes are truncated to this length.
+  static constexpr std::size_t kMaxTrackLen = 8;
+  /// Wire size of one migrated object in the batched transfer.
+  static constexpr std::uint32_t kObjectBytes = 64;
+
   Rebalancer(fissione::FissioneNetwork& net, RebalanceConfig config);
 
   Rebalancer(const Rebalancer&) = delete;
@@ -109,8 +109,8 @@ class Rebalancer {
   std::vector<std::pair<fissione::PeerId, fissione::PeerId>> flight_endpoints()
       const;
 
-  /// Per-query entry point (PIRA/MIRA call it once per query with the
-  /// common-prefix subregions of the search classes): advances the query
+  /// Per-query entry point (RangeFrontEnd calls it once per PIRA/MIRA query
+  /// with every common-prefix subregion of the region): advances the query
   /// tick, charges heat, and every `sweep_interval` ticks runs a rebalance
   /// sweep whose transfers are priced on `sim` as kHandoff traffic.
   void on_query(sim::Simulator& sim,

@@ -14,9 +14,8 @@ constexpr double kDropBelow = 1e-3;
 
 }  // namespace
 
-PopularityTracker::PopularityTracker(double decay, std::uint64_t interval)
-    : decay_(decay), interval_(interval) {
-  ARMADA_CHECK(decay_ > 0.0 && decay_ < 1.0);
+PopularityTracker::PopularityTracker(std::uint64_t interval)
+    : interval_(interval) {
   ARMADA_CHECK(interval_ > 0);
 }
 
@@ -26,7 +25,7 @@ bool PopularityTracker::tick() {
     return false;
   }
   for (auto it = counts_.begin(); it != counts_.end();) {
-    it->second *= decay_;
+    it->second *= kDecay;
     it = it->second < kDropBelow ? counts_.erase(it) : std::next(it);
   }
   return true;

@@ -5,7 +5,7 @@
 // Its clock is the *query tick* (one per query), not simulated time — the
 // synchronous query wrappers run each query on a fresh simulator, so sim
 // time never accumulates across a workload. Every `interval` ticks all
-// counters are multiplied by `decay` and vanishing ones are dropped, so a
+// counters are multiplied by kDecay and vanishing ones are dropped, so a
 // region's steady-state count tracks its recent query share and cooled
 // regions fall back below the teardown threshold.
 #pragma once
@@ -19,7 +19,10 @@ namespace armada::replica {
 
 class PopularityTracker {
  public:
-  PopularityTracker(double decay, std::uint64_t interval);
+  /// Factor every counter is multiplied by once per interval.
+  static constexpr double kDecay = 0.5;
+
+  explicit PopularityTracker(std::uint64_t interval);
 
   /// Advance the clock one query; returns true when this tick ran the
   /// periodic decay sweep (the caller's cue to re-check cooled regions).
@@ -37,7 +40,6 @@ class PopularityTracker {
   }
 
  private:
-  double decay_;
   std::uint64_t interval_;
   std::uint64_t tick_ = 0;
   std::map<kautz::KautzString, double> counts_;

@@ -15,10 +15,10 @@ ReplicaSet::ReplicaSet(fissione::FissioneNetwork& net,
                        ReplicationConfig config)
     : net_(net),
       config_(config),
-      popularity_(config_.decay, config_.decay_interval),
+      popularity_(kDecayInterval),
       manager_(net, config_, stats_),
       selector_(net),
-      cache_(config_.cache_ttl, config_.cache_capacity) {
+      cache_(config_.cache_ttl, kCacheCapacity) {
   ARMADA_CHECK_MSG(config_.cool_threshold < config_.hot_threshold,
                    "cooled regions must sit strictly below the hot "
                    "threshold or placement flaps every sweep");

@@ -44,6 +44,14 @@ class ReplicaSet {
   using ServeDone = std::function<void(
       sim::QueryStats, std::vector<std::uint64_t>, fissione::PeerId)>;
 
+  /// Popularity counters decay once every this many queries (the
+  /// subsystem's clock is the query tick, not simulated time: synchronous
+  /// query wrappers run each query on a fresh simulator, so sim time never
+  /// advances across queries).
+  static constexpr std::uint64_t kDecayInterval = 256;
+  /// Cached class results retained across all peers before FIFO eviction.
+  static constexpr std::size_t kCacheCapacity = 4096;
+
   ReplicaSet(fissione::FissioneNetwork& net, ReplicationConfig config);
 
   ReplicaSet(const ReplicaSet&) = delete;
@@ -55,8 +63,8 @@ class ReplicaSet {
   const PopularityTracker& popularity() const { return popularity_; }
   const ResultCache& cache() const { return cache_; }
 
-  /// Per-query entry point (PIRA/MIRA call it once per query with the
-  /// common-prefix subregions of the search classes).
+  /// Per-query entry point (RangeFrontEnd calls it once per PIRA/MIRA query
+  /// with the common-prefix subregions of the search classes).
   void on_query(sim::Simulator& sim,
                 const std::vector<kautz::KautzRegion>& class_subregions);
 

@@ -99,7 +99,7 @@ void ReplicationManager::sync_holder(sim::Simulator& sim,
   const auto send = [this, &sim, &transport, &holder, &prefix,
                      version](PeerId from, std::uint32_t count) {
     const std::uint32_t bytes =
-        transport.default_message_bytes() + config_.object_bytes * count;
+        transport.default_message_bytes() + kObjectBytes * count;
     ++holder.pending;
     ++stats_.placement_messages;
     stats_.placement_bytes += bytes;

@@ -46,22 +46,10 @@ struct ReplicationConfig {
   /// Decayed count below which an existing replica set is torn down (must
   /// stay below hot_threshold or placement would flap every sweep).
   double cool_threshold = 4.0;
-  /// Popularity counters are multiplied by `decay` once every
-  /// `decay_interval` queries (the subsystem's clock is the query tick, not
-  /// simulated time: synchronous query wrappers run each query on a fresh
-  /// simulator, so sim time never advances across queries).
-  double decay = 0.5;
-  std::uint64_t decay_interval = 256;
-  /// Per-object surcharge on a replica transfer's byte size (the base
-  /// message costs the queueing config's default size), mirroring the churn
-  /// drivers' handoff pricing.
-  std::uint32_t object_bytes = 32;
 
   // --- result cache ---------------------------------------------------------
   /// TTL of a cached class result, in query ticks; 0 disables caching.
   std::uint64_t cache_ttl = 0;
-  /// Entries retained across all peers before FIFO eviction.
-  std::size_t cache_capacity = 4096;
 
   bool replication_enabled() const { return max_replicas > 0; }
   bool cache_enabled() const { return cache_ttl > 0; }
@@ -110,6 +98,11 @@ class ReplicationManager {
     /// they captured even if a publish or repair swaps it meanwhile.
     std::shared_ptr<const std::vector<fissione::StoredObject>> objects;
   };
+
+  /// Per-object surcharge on a replica transfer's byte size (the base
+  /// message costs the queueing config's default size), mirroring the churn
+  /// drivers' handoff pricing.
+  static constexpr std::uint32_t kObjectBytes = 32;
 
   ReplicationManager(fissione::FissioneNetwork& net,
                      const ReplicationConfig& config, ReplicaStats& stats);

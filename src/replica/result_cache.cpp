@@ -2,10 +2,19 @@
 
 #include <utility>
 
+#include "util/check.h"
+
 namespace armada::replica {
 
 ResultCache::ResultCache(std::uint64_t ttl, std::size_t capacity)
-    : ttl_(ttl), capacity_(capacity) {}
+    : ttl_(ttl), capacity_(capacity) {
+  ARMADA_CHECK(capacity_ > 0);
+}
+
+ResultCache::Slots::iterator ResultCache::erase(Slots::iterator it) {
+  fifo_.erase(it->second.age);
+  return entries_.erase(it);
+}
 
 const ResultCache::Entry* ResultCache::lookup(fissione::PeerId peer,
                                               const std::string& tag,
@@ -17,11 +26,11 @@ const ResultCache::Entry* ResultCache::lookup(fissione::PeerId peer,
   if (it == entries_.end()) {
     return nullptr;
   }
-  if (now - it->second.inserted >= ttl_) {
-    entries_.erase(it);  // fifo_ keeps the ghost key; erasure tolerates it
+  if (now - it->second.entry.inserted >= ttl_) {
+    erase(it);
     return nullptr;
   }
-  return &it->second;
+  return &it->second.entry;
 }
 
 bool ResultCache::insert(fissione::PeerId peer, const std::string& tag,
@@ -35,16 +44,16 @@ bool ResultCache::insert(fissione::PeerId peer, const std::string& tag,
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Refresh in place; the key keeps its original FIFO position.
-    it->second.matches = std::move(matches);
-    it->second.inserted = now;
+    it->second.entry.matches = std::move(matches);
+    it->second.entry.inserted = now;
     return true;
   }
-  while (entries_.size() >= capacity_ && !fifo_.empty()) {
-    entries_.erase(fifo_.front());  // may be a ghost of an erased entry
-    fifo_.pop_front();
+  while (entries_.size() >= capacity_) {
+    erase(entries_.find(fifo_.front()));
   }
-  entries_.emplace(key, Entry{subregion, std::move(matches), now});
-  fifo_.push_back(std::move(key));
+  const auto age = fifo_.insert(fifo_.end(), key);
+  entries_.emplace(std::move(key),
+                   Slot{Entry{subregion, std::move(matches), now}, age});
   return true;
 }
 
@@ -52,8 +61,8 @@ std::size_t ResultCache::invalidate_object(
     const kautz::KautzString& object_id) {
   std::size_t dropped = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.subregion.contains(object_id)) {
-      it = entries_.erase(it);
+    if (it->second.entry.subregion.contains(object_id)) {
+      it = erase(it);
       ++dropped;
     } else {
       ++it;

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <map>
 #include <string>
 #include <utility>
@@ -45,7 +45,7 @@ class ResultCache {
   const Entry* lookup(fissione::PeerId peer, const std::string& tag,
                       std::uint64_t now);
 
-  /// Insert (or refresh) an entry; evicts the oldest insertion once
+  /// Insert (or refresh) an entry; evicts the oldest live insertion once
   /// capacity is exceeded. Returns false when the cache is disabled.
   bool insert(fissione::PeerId peer, const std::string& tag,
               const kautz::KautzRegion& subregion,
@@ -62,11 +62,19 @@ class ResultCache {
 
  private:
   using Key = std::pair<fissione::PeerId, std::string>;
+  struct Slot {
+    Entry entry;
+    std::list<Key>::iterator age;  ///< the key's place in fifo_
+  };
+  using Slots = std::map<Key, Slot>;
+
+  /// Drop one entry and its key in the eviction order; returns the next.
+  Slots::iterator erase(Slots::iterator it);
 
   std::uint64_t ttl_;
   std::size_t capacity_;
-  std::map<Key, Entry> entries_;  ///< ordered: deterministic iteration
-  std::deque<Key> fifo_;          ///< insertion order for eviction
+  Slots entries_;          ///< ordered: deterministic iteration
+  std::list<Key> fifo_;    ///< live keys, oldest insertion first
 };
 
 }  // namespace armada::replica

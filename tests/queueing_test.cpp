@@ -12,8 +12,8 @@
 //  * p99 latency is monotone in offered load;
 //  * repair batching — churn-driver repair through the coalescer saves
 //    departures and stays deterministic;
-//  * traffic classes — kFifo timing is class-blind, kWeighted isolates
-//    each class's share, kStrict serves repair ahead of query backlog;
+//  * traffic classes — kFifo timing is class-blind, kStrict serves repair
+//    ahead of query backlog;
 //  * closed-loop flow control — backoff/admission probes track ingress
 //    backlog, hedged retries win via the kHedge lane with the losing copy
 //    cancelled, and admission control degrades range queries into partial
@@ -578,34 +578,6 @@ TEST(TrafficClasses, FifoTimingIsClassBlind) {
   EXPECT_EQ(untagged_stats.class_messages[net::class_index(
                 net::TrafficClass::kQuery)],
             12u);
-}
-
-TEST(TrafficClasses, WeightedSharesIsolateRepairFromQueryBacklog) {
-  net::Transport transport;  // ConstantHop(1.0)
-  net::QueueingConfig cfg;
-  cfg.service_rate = 1.0;
-  cfg.scheduling = net::QueueingConfig::Scheduling::kWeighted;
-  transport.install_queueing(cfg);
-  sim::Simulator sim;
-  std::vector<sim::Time> query;
-  std::vector<sim::Time> repair;
-  for (int i = 0; i < 2; ++i) {
-    transport.deliver(
-        sim, 0, 1, 0,
-        [&query, &sim](sim::Time) { query.push_back(sim.now()); }, 0.0,
-        net::TrafficClass::kQuery);
-  }
-  transport.deliver(
-      sim, 0, 1, 0,
-      [&repair, &sim](sim::Time) { repair.push_back(sim.now()); }, 0.0,
-      net::TrafficClass::kRepair);
-  sim.run();
-  // Four equal weights: each class owns a quarter of the server — 4.0 per
-  // message in its lane. The queries serialize behind each other only
-  // (egress 4/8, +1 propagation, ingress 9/13); repair rides its own lane
-  // and lands with the first query no matter how deep the query lane is.
-  EXPECT_EQ(query, (std::vector<sim::Time>{9.0, 13.0}));
-  EXPECT_EQ(repair, (std::vector<sim::Time>{9.0}));
 }
 
 TEST(TrafficClasses, StrictPriorityServesRepairAheadOfQueryBacklog) {

@@ -1,8 +1,10 @@
 // The popularity-aware replication / result-cache subsystem (src/replica/):
 // disabled-config bitwise equivalence, replica-served correctness against
 // the global scan and the paper delay bound, cache TTL / publish / churn
-// invalidation, churn repair, and determinism of the placement and cache
-// hit/miss sequences (ARMADA_FUZZ_SEED overrides the seed sweep).
+// invalidation, the cache's FIFO eviction order, churn repair, MIRA box
+// queries with replication, caching and rebalancing all on, and
+// determinism of the placement and cache hit/miss sequences
+// (ARMADA_FUZZ_SEED overrides the seed sweep).
 #include "replica/replica_set.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "armada/armada.h"
 #include "fissione/churn_driver.h"
+#include "rebalance/rebalance.h"
 #include "sim/churn.h"
 #include "support/test_networks.h"
 #include "support/test_workloads.h"
@@ -24,6 +27,7 @@ namespace {
 
 using core::RangeQueryResult;
 using fissione::PeerId;
+using testsupport::make_multi_index;
 using testsupport::make_single_index;
 using testsupport::publish_uniform_values;
 
@@ -192,6 +196,78 @@ TEST(ResultCaching, PublishInvalidatesCoveringEntries) {
             after.matches.end());
 }
 
+// Aggregate folds through its own PIRA, which no subsystem is attached to:
+// its filter rejects every object, so a result cache it shared would hand
+// the next range query on the same issuer and bounds an empty answer.
+TEST(ResultCaching, AggregateLeavesTheRangeQueryCacheAlone) {
+  constexpr std::uint64_t kSeed = 59;
+  auto fx = make_single_index(160, kSeed);
+  publish_uniform_values(fx->index, 500, kSeed * 31 + 7);
+  ReplicationConfig cfg;
+  cfg.max_replicas = 0;
+  cfg.cache_ttl = 64;
+  ReplicaSet& rs = fx->index.enable_replication(cfg);
+
+  Rng rng(kSeed + 3);
+  const PeerId issuer = fx->random_issuer(rng);
+  const auto truth = sorted(fx->index.scan_matches({{200.0, 260.0}}));
+  ASSERT_FALSE(truth.empty());
+  const core::AggregateResult agg =
+      fx->index.range_aggregate(issuer, 200.0, 260.0);
+  EXPECT_EQ(agg.count, truth.size());
+  EXPECT_EQ(rs.stats(), ReplicaStats{});
+
+  const RangeQueryResult first = fx->index.range_query(issuer, 200.0, 260.0);
+  EXPECT_EQ(first.stats.cache_hits, 0u);
+  EXPECT_EQ(sorted(first.matches), truth);
+  const RangeQueryResult again = fx->index.range_query(issuer, 200.0, 260.0);
+  EXPECT_GT(again.stats.cache_hits, 0u);
+  EXPECT_EQ(sorted(again.matches), truth);
+}
+
+// The FIFO eviction order holds exactly the live entries. An entry erased
+// on expiry and inserted again is the newest, so the next eviction drops
+// the oldest live entry rather than the fresh one through its stale key.
+TEST(ResultCacheEviction, ReinsertAfterExpiryEvictsTheOldestLiveEntry) {
+  const kautz::KautzRegion region(kautz::KautzString::parse("010"),
+                                  kautz::KautzString::parse("012"));
+  ResultCache cache(/*ttl=*/4, /*capacity=*/2);
+  ASSERT_TRUE(cache.insert(1, "a", region, {1}, 0));
+  ASSERT_TRUE(cache.insert(2, "b", region, {2}, 2));
+  EXPECT_EQ(cache.lookup(1, "a", 4), nullptr);  // expired: erased
+  ASSERT_TRUE(cache.insert(1, "a", region, {3}, 4));
+  ASSERT_TRUE(cache.insert(3, "c", region, {4}, 5));  // evicts b
+
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.lookup(2, "b", 5), nullptr);
+  const ResultCache::Entry* a = cache.lookup(1, "a", 5);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->matches, std::vector<std::uint64_t>{3});
+  EXPECT_NE(cache.lookup(3, "c", 5), nullptr);
+}
+
+// The same through publish invalidation: the entry dropped by
+// invalidate_object leaves no key behind in the eviction order.
+TEST(ResultCacheEviction, ReinsertAfterInvalidationEvictsTheOldestLiveEntry) {
+  const kautz::KautzRegion left(kautz::KautzString::parse("010"),
+                                kautz::KautzString::parse("012"));
+  const kautz::KautzRegion right(kautz::KautzString::parse("201"),
+                                 kautz::KautzString::parse("212"));
+  ResultCache cache(/*ttl=*/100, /*capacity=*/2);
+  ASSERT_TRUE(cache.insert(1, "a", left, {1}, 0));
+  ASSERT_TRUE(cache.insert(2, "b", right, {2}, 1));
+  EXPECT_EQ(cache.invalidate_object(kautz::KautzString::parse("012")), 1u);
+  ASSERT_TRUE(cache.insert(1, "a", left, {3}, 2));
+  ASSERT_TRUE(cache.insert(3, "c", right, {4}, 3));  // evicts b
+
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.lookup(2, "b", 3), nullptr);
+  const ResultCache::Entry* a = cache.lookup(1, "a", 3);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->matches, std::vector<std::uint64_t>{3});
+  EXPECT_NE(cache.lookup(3, "c", 3), nullptr);
+}
+
 // Killing a replica holder forces a repair: the holder list is re-derived
 // against the new membership, re-synced over priced kHandoff transfers, and
 // queries keep matching the global scan throughout.
@@ -269,6 +345,47 @@ TEST(ReplicaChurn, DriverHookInvalidatesCacheAndKeepsQueriesExact) {
     const RangeQueryResult r =
         fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
     EXPECT_EQ(sorted(r.matches), truth);
+  }
+}
+
+// MIRA box queries with replication, the result cache and the rebalancer
+// all on: three hot boxes repeat, so their regions replicate, walks fill
+// path caches and hot peers shed ranges. Every answer equals the global
+// scan at coverage 1 inside the delay bound, all three subsystems act, and
+// the overlay invariants hold afterwards.
+TEST(ReplicaMira, BoxQueriesWithEverySubsystemOnMatchTheScan) {
+  const kautz::Box domain{{0.0, 1000.0}, {0.0, 1000.0}};
+  const kautz::Box boxes[] = {{{100.0, 140.0}, {200.0, 240.0}},
+                              {{480.0, 520.0}, {610.0, 650.0}},
+                              {{830.0, 870.0}, {90.0, 130.0}}};
+  for (const std::uint64_t seed : fuzz_seeds()) {
+    auto fx = make_multi_index(200, seed, domain);
+    testsupport::publish_uniform_points(fx->index, 1500, seed * 31 + 7);
+    fissione::ServiceLoadMap load;
+    fx->net.set_service_load(&load);
+    ReplicaSet& rs = fx->index.enable_replication(small_scale_config());
+    rebalance::RebalanceConfig rcfg;
+    rcfg.trigger_load = 2.5;
+    rcfg.target_load = 1.25;
+    rcfg.sweep_interval = 8;
+    rcfg.cooldown = 32;
+    const rebalance::Rebalancer& rb = fx->index.enable_rebalancing(rcfg);
+
+    Rng rng(seed + 17);
+    for (int q = 0; q < 300; ++q) {
+      const kautz::Box& box = boxes[rng.next_index(3)];
+      const PeerId issuer = fx->random_issuer(rng);
+      const RangeQueryResult r = fx->index.box_query(issuer, box);
+      ASSERT_EQ(sorted(r.matches), fx->index.scan_matches(box))
+          << "seed " << seed << " query " << q;
+      EXPECT_EQ(r.stats.coverage, 1.0);
+      EXPECT_LE(r.stats.delay,
+                static_cast<double>(fx->net.peer(issuer).peer_id.length()));
+    }
+    EXPECT_GT(rs.stats().replica_routes, 0u) << "seed " << seed;
+    EXPECT_GT(rs.stats().cache_hits, 0u) << "seed " << seed;
+    EXPECT_GT(rb.stats().migrations_completed, 0u) << "seed " << seed;
+    fx->net.check_invariants();
   }
 }
 
