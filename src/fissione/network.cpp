@@ -20,15 +20,6 @@ std::vector<PeerId> bootstrap_ids(std::uint8_t base) {
   return ids;
 }
 
-// Canonical order of delegation contents: prefix-restricted subsets stay
-// contiguous and content equality is independent of collection order.
-bool canonical_object_less(const StoredObject& a, const StoredObject& b) {
-  if (a.object_id != b.object_id) {
-    return a.object_id < b.object_id;
-  }
-  return a.payload < b.payload;
-}
-
 }  // namespace
 
 FissioneNetwork::FissioneNetwork(Config config, std::uint64_t seed)
@@ -490,8 +481,7 @@ void FissioneNetwork::publish(const KautzString& object_id,
       Delegation& d = it->second;
       StoredObject obj{object_id, payload};
       const auto pos =
-          std::lower_bound(d.objects.begin(), d.objects.end(), obj,
-                           canonical_object_less);
+          std::lower_bound(d.objects.begin(), d.objects.end(), obj);
       d.objects.insert(pos, std::move(obj));
       return;
     }
@@ -559,7 +549,7 @@ std::vector<StoredObject> FissioneNetwork::detach_range(
     }
     stores_.assign(store_refs_[p], std::move(keep));
   }
-  std::sort(out.begin(), out.end(), canonical_object_less);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -576,7 +566,7 @@ void FissioneNetwork::delegate_range(const KautzString& range, PeerId host,
         !existing.is_prefix_of(range) && !range.is_prefix_of(existing),
         "delegated ranges must stay pairwise prefix-free");
   }
-  std::sort(objects.begin(), objects.end(), canonical_object_less);
+  std::sort(objects.begin(), objects.end());
   for (const StoredObject& obj : objects) {
     ARMADA_CHECK(range.is_prefix_of(obj.object_id));
   }
@@ -801,9 +791,8 @@ void FissioneNetwork::check_invariants() const {
       ARMADA_CHECK(d.objects[i].object_id.length() ==
                    config_.object_id_length);
       if (i > 0) {
-        ARMADA_CHECK_MSG(
-            !canonical_object_less(d.objects[i], d.objects[i - 1]),
-            "delegation contents out of canonical order");
+        ARMADA_CHECK_MSG(d.objects[i - 1] <= d.objects[i],
+                         "delegation contents out of canonical order");
       }
     }
   }

@@ -18,11 +18,16 @@ inline constexpr PeerId kNoPeer = static_cast<PeerId>(-1);
 
 /// An application object published into the DHT. `payload` is an opaque
 /// application handle (Armada uses it to index its object table).
+///
+/// Ordered by (object_id, payload): the canonical order of delegation
+/// contents and replica snapshots, so prefix-restricted subsets stay
+/// contiguous and content equality is independent of collection order.
 struct StoredObject {
   kautz::KautzString object_id;
   std::uint64_t payload = 0;
 
   friend bool operator==(const StoredObject&, const StoredObject&) = default;
+  friend auto operator<=>(const StoredObject&, const StoredObject&) = default;
 };
 
 /// Per-peer count of query-plane messages served (received), recorded by

@@ -76,12 +76,6 @@ struct CongestionStats {
   /// but its reservations were consumed).
   std::uint64_t hedges_launched = 0;
   std::uint64_t hedges_won = 0;
-  /// Search classes the replica subsystem rerouted to a replica holder /
-  /// answered from a path result cache — load the hot region never
-  /// received, reported through the transport so congestion dashboards see
-  /// it in the same currency as sheds and hedges.
-  std::uint64_t replica_routes = 0;
-  std::uint64_t cache_hits = 0;
 
   // --- node pressure ---------------------------------------------------------
   /// Deepest egress/ingress backlog (outstanding service reservations)
@@ -146,8 +140,6 @@ struct CongestionStats {
     shed_messages -= snapshot.shed_messages;
     hedges_launched -= snapshot.hedges_launched;
     hedges_won -= snapshot.hedges_won;
-    replica_routes -= snapshot.replica_routes;
-    cache_hits -= snapshot.cache_hits;
     egress_busy_total -= snapshot.egress_busy_total;
     ingress_busy_total -= snapshot.ingress_busy_total;
     return *this;

@@ -236,8 +236,4 @@ void Queueing::record_hedge(bool won) {
   }
 }
 
-void Queueing::record_replica_route() { ++stats_.replica_routes; }
-
-void Queueing::record_cache_hit() { ++stats_.cache_hits; }
-
 }  // namespace armada::net

@@ -198,10 +198,6 @@ class Queueing {
   void record_shed();
   /// Account a hedged duplicate launch / a hedge winning its race.
   void record_hedge(bool won);
-  /// Account a search class the replica subsystem rerouted to a holder /
-  /// served from a path result cache (see CongestionStats).
-  void record_replica_route();
-  void record_cache_hit();
 
   /// Sets the engine's queue state aside for one synchronous run, which
   /// starts from empty queues, and restores it on destruction — also when

@@ -162,24 +162,6 @@ class Transport {
       trace_->annotate(obs::kFlagShed);
     }
   }
-  /// Account a replica reroute / cache hit by the replica subsystem in the
-  /// same currency (no-ops without queueing, like record_shed).
-  void record_replica_route() {
-    if (queueing_ != nullptr) {
-      queueing_->record_replica_route();
-    }
-    if (trace_ != nullptr) {
-      trace_->annotate(obs::kFlagReplicaRoute);
-    }
-  }
-  void record_cache_hit() {
-    if (queueing_ != nullptr) {
-      queueing_->record_cache_hit();
-    }
-    if (trace_ != nullptr) {
-      trace_->annotate(obs::kFlagCacheHit);
-    }
-  }
 
   // --- tracing seam ----------------------------------------------------------
   /// Attach a span recorder: every subsequent delivery made under an

@@ -47,10 +47,6 @@ void publish(Registry& reg, std::string_view prefix,
             static_cast<double>(stats.hedges_launched));
   reg.count(dotted(prefix, "hedges_won"),
             static_cast<double>(stats.hedges_won));
-  reg.count(dotted(prefix, "replica_routes"),
-            static_cast<double>(stats.replica_routes));
-  reg.count(dotted(prefix, "cache_hits"),
-            static_cast<double>(stats.cache_hits));
   reg.set(dotted(prefix, "queue_delay_max"), stats.queue_delay_max);
   reg.set(dotted(prefix, "egress_depth_peak"),
           static_cast<double>(stats.egress_depth_peak));

@@ -14,7 +14,7 @@
 #include "net/congestion_stats.h"
 #include "obs/registry.h"
 #include "rebalance/rebalance.h"
-#include "replica/replication.h"
+#include "replica/replica_set.h"
 #include "sim/churn.h"
 #include "sim/metrics.h"
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "net/queueing.h"
 #include "net/transport.h"
 #include "util/check.h"
 
@@ -40,7 +39,6 @@ std::vector<std::pair<PeerId, PeerId>> Rebalancer::flight_endpoints() const {
 
 void Rebalancer::on_query(sim::Simulator& sim,
                           const std::vector<KautzRegion>& class_subregions) {
-  ++tick_;
   heat_.tick();
   for (const KautzRegion& sub : class_subregions) {
     KautzString prefix = sub.common_prefix();
@@ -49,7 +47,7 @@ void Rebalancer::on_query(sim::Simulator& sim,
     }
     heat_.bump(prefix);
   }
-  if (tick_ % config_.sweep_interval == 0) {
+  if (heat_.now() % config_.sweep_interval == 0) {
     sweep(sim);
   }
 }
@@ -125,21 +123,12 @@ void Rebalancer::sweep(sim::Simulator& sim) {
   struct Donor {
     PeerId peer;
     double load;
-    std::size_t backlog;
-    bool load_hot;
   };
   std::vector<Donor> donors;
-  const net::Queueing* queueing = net_.transport().queueing();
   for (PeerId p : net_.alive_peers()) {
     const double load = load_of(p);
-    const std::size_t backlog =
-        queueing != nullptr ? queueing->ingress_backlog(sim, p) : 0;
-    const bool load_hot =
-        config_.trigger_load > 0.0 && load >= config_.trigger_load;
-    const bool backlog_hot =
-        config_.backlog_trigger > 0 && backlog >= config_.backlog_trigger;
-    if (load_hot || backlog_hot) {
-      donors.push_back(Donor{p, load, backlog, load_hot});
+    if (config_.trigger_load > 0.0 && load >= config_.trigger_load) {
+      donors.push_back(Donor{p, load});
     }
   }
   std::sort(donors.begin(), donors.end(), [](const Donor& a, const Donor& b) {
@@ -172,7 +161,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
         return;
       }
       const auto cooled = cooldown_until_.find(range);
-      if (cooled != cooldown_until_.end() && cooled->second > tick_) {
+      if (cooled != cooldown_until_.end() && cooled->second > heat_.now()) {
         return;
       }
       if (range_engaged(range)) {
@@ -209,7 +198,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
         continue;
       }
       const auto cooled = cooldown_until_.find(key);
-      if (cooled != cooldown_until_.end() && cooled->second > tick_) {
+      if (cooled != cooldown_until_.end() && cooled->second > heat_.now()) {
         continue;
       }
       if (range_engaged(key)) {
@@ -230,21 +219,17 @@ void Rebalancer::sweep(sim::Simulator& sim) {
               });
 
     for (const Candidate& cand : candidates) {
-      // A load-hot donor only sheds a range whose recent popularity is
-      // commensurate with its overload: the forwarding funnel around a hot
-      // zone is load-hot too, but its own barely-queried ranges would move
-      // for no relief. Backlog-hot donors are exempt — their relief is
-      // shedding service work at the node, not chasing the range's
-      // popularity.
-      if (donor.load_hot && cand.gain < donor.load) {
+      // A donor only sheds a range whose recent popularity is commensurate
+      // with its overload: the forwarding funnel around a hot zone is hot
+      // too, but its own barely-queried ranges would move for no relief.
+      if (cand.gain < donor.load) {
         continue;
       }
       // Acceptor: the least-loaded overlay neighbor at or below the target
-      // that is *strictly cooler than the donor in the dimension that
-      // triggered it*. Every migration therefore moves the range downhill,
-      // and the per-range cooldown spaces moves out — together the
-      // hysteresis band that turns a stationary hot spot into a bounded
-      // rotation instead of a ping-pong storm.
+      // that is *strictly cooler than the donor*. Every migration therefore
+      // moves the range downhill, and the per-range cooldown spaces moves
+      // out — together the hysteresis band that turns a stationary hot spot
+      // into a bounded rotation instead of a ping-pong storm.
       const fissione::Peer donor_peer = net_.peer(donor.peer);
       std::vector<PeerId> neighbors(donor_peer.out_neighbors.begin(),
                                     donor_peer.out_neighbors.end());
@@ -264,19 +249,8 @@ void Rebalancer::sweep(sim::Simulator& sim) {
           continue;  // a host must be zone-disjoint from the range
         }
         const double load = load_of(a);
-        if (load > config_.target_load) {
+        if (load > config_.target_load || load >= donor.load) {
           continue;
-        }
-        if (donor.load_hot) {
-          if (load >= donor.load) {
-            continue;
-          }
-        } else {
-          const std::size_t backlog =
-              queueing != nullptr ? queueing->ingress_backlog(sim, a) : 0;
-          if (backlog >= donor.backlog) {
-            continue;
-          }
         }
         if (acceptor == fissione::kNoPeer || load < acceptor_load) {
           acceptor = a;
@@ -301,7 +275,7 @@ void Rebalancer::start_migration(sim::Simulator& sim,
                                  const std::shared_ptr<Flight>& flight,
                                  std::uint64_t object_count) {
   flights_.push_back(flight);
-  cooldown_until_[flight->range] = tick_ + config_.cooldown;
+  cooldown_until_[flight->range] = heat_.now() + config_.cooldown;
   ++stats_.migrations_started;
   net::Transport& transport = net_.transport();
   if (obs::TraceRecorder* rec = transport.trace(); rec != nullptr) {

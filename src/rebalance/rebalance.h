@@ -3,9 +3,9 @@
 // FISSIONE balances the *static* partition (zone sizes within a factor
 // kappa), but a skewed query workload still concentrates service on the few
 // peers owning the hot key ranges. The Rebalancer watches per-peer service
-// load (a decayed EWMA over the attached ServiceLoadMap) and transport
-// ingress backlog, and when a peer crosses the trigger threshold it migrates
-// a hot slice of that peer's key space to a lightly loaded overlay neighbor.
+// load (a decayed EWMA over the attached ServiceLoadMap), and when a peer
+// crosses the trigger threshold it migrates a hot slice of that peer's key
+// space to a lightly loaded overlay neighbor.
 //
 // Migrations are *delegations*, not re-partitions: the Kautz partition tree
 // — and with it the paper's structural guarantees (interval preservation,
@@ -21,13 +21,12 @@
 // racing the transfer are served by the donor, queries after it by the
 // host. Nothing is ever unreachable and nothing is served twice.
 //
-// Hysteresis: a donor must exceed `trigger_load` (or `backlog_trigger`),
-// an acceptor must sit at or below `target_load` *and* be strictly cooler
-// than the donor in the dimension that triggered it, and every migrated
-// range rests for `cooldown` query ticks. Every migration therefore moves
-// a range strictly downhill, at a bounded rate: a stationary hot spot
-// rotates across cool peers (spreading its cumulative load) instead of
-// ping-ponging between two neighbors every sweep.
+// Hysteresis: a donor must exceed `trigger_load`, an acceptor must sit at
+// or below `target_load` *and* be strictly cooler than the donor, and
+// every migrated range rests for `cooldown` query ticks. Every migration
+// therefore moves a range strictly downhill, at a bounded rate: a
+// stationary hot spot rotates across cool peers (spreading its cumulative
+// load) instead of ping-ponging between two neighbors every sweep.
 //
 // Disabled (the default config), every hook is a no-op and the query layer
 // takes its pre-existing code path bitwise.
@@ -52,9 +51,6 @@ struct RebalanceConfig {
   double trigger_load = 0.0;
   /// Acceptor ceiling: only neighbors at or below this load accept ranges.
   double target_load = 0.0;
-  /// Donor threshold on transport ingress backlog (queued arrivals at the
-  /// peer); 0 disables the backlog trigger.
-  std::size_t backlog_trigger = 0;
   /// Query ticks between rebalance sweeps (and load-EWMA refreshes).
   std::uint64_t sweep_interval = 16;
   /// Concurrent migrations across the whole overlay.
@@ -62,9 +58,9 @@ struct RebalanceConfig {
   /// Query ticks a migrated range rests before it may move again.
   std::uint64_t cooldown = 64;
 
-  /// Enabled iff some trigger can fire. Query layers null a disabled
+  /// Enabled iff the trigger can fire. Query layers null a disabled
   /// rebalancer out, keeping their pre-existing path bitwise.
-  bool enabled() const { return trigger_load > 0.0 || backlog_trigger > 0; }
+  bool enabled() const { return trigger_load > 0.0; }
 };
 
 struct RebalanceStats {
@@ -96,7 +92,6 @@ class Rebalancer {
 
   const RebalanceConfig& config() const { return config_; }
   const RebalanceStats& stats() const { return stats_; }
-  const replica::PopularityTracker& heat() const { return heat_; }
 
   /// Decayed service-load EWMA of one peer as of the last sweep.
   double load_of(fissione::PeerId p) const {
@@ -142,8 +137,8 @@ class Rebalancer {
   fissione::FissioneNetwork& net_;
   RebalanceConfig config_;
   RebalanceStats stats_;
+  /// Heat per prefix; its query-tick clock also times sweeps and cooldowns.
   replica::PopularityTracker heat_;
-  std::uint64_t tick_ = 0;
   std::vector<double> load_;          ///< decayed EWMA, indexed by PeerId
   std::vector<std::uint64_t> prev_;   ///< ServiceLoadMap counts at last sweep
   std::vector<std::shared_ptr<Flight>> flights_;

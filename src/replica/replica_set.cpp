@@ -1,5 +1,7 @@
 #include "replica/replica_set.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "net/transport.h"
@@ -8,6 +10,7 @@
 namespace armada::replica {
 
 using fissione::PeerId;
+using fissione::StoredObject;
 using kautz::KautzRegion;
 using kautz::KautzString;
 
@@ -16,12 +19,212 @@ ReplicaSet::ReplicaSet(fissione::FissioneNetwork& net,
     : net_(net),
       config_(config),
       popularity_(kDecayInterval),
-      manager_(net, config_, stats_),
-      selector_(net),
       cache_(config_.cache_ttl, kCacheCapacity) {
+  ARMADA_CHECK(config_.region_prefix_len > 0);
   ARMADA_CHECK_MSG(config_.cool_threshold < config_.hot_threshold,
                    "cooled regions must sit strictly below the hot "
                    "threshold or placement flaps every sweep");
+}
+
+bool ReplicaSet::is_primary(PeerId peer, const KautzString& prefix) const {
+  const KautzString& pid = net_.peer(peer).peer_id;
+  return pid.is_prefix_of(prefix) || prefix.is_prefix_of(pid);
+}
+
+void ReplicaSet::annotate(std::uint32_t flag) const {
+  if (obs::TraceRecorder* rec = net_.transport().trace(); rec != nullptr) {
+    rec->annotate(flag);
+  }
+}
+
+std::vector<PeerId> ReplicaSet::primaries(const KautzString& prefix) const {
+  std::vector<PeerId> out;
+  for (PeerId p : net_.alive_peers()) {
+    if (is_primary(p, prefix)) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+std::vector<StoredObject> ReplicaSet::collect_objects(
+    const KautzString& prefix) const {
+  std::vector<StoredObject> out;
+  for (PeerId p : primaries(prefix)) {
+    for (const StoredObject& obj : net_.peer(p).store) {
+      if (prefix.is_prefix_of(obj.object_id)) {
+        out.push_back(obj);
+      }
+    }
+  }
+  // Region objects inside migrated ranges live in the delegation registry,
+  // not in any primary's native store; fold their slices in so snapshots
+  // stay complete while the rebalancer is active.
+  if (net_.has_delegations()) {
+    net_.visit_delegation_slices(
+        prefix, [&out](const KautzString&, std::span<const StoredObject> run) {
+          out.insert(out.end(), run.begin(), run.end());
+        });
+  }
+  // Content equality across re-collections must not depend on which
+  // primary held which object.
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<ReplicaSet::Holder> ReplicaSet::derive_holders(
+    const KautzString& prefix) const {
+  const std::string stem = "replica/" + prefix.to_string() + "/";
+  std::vector<Holder> holders;
+  for (std::uint32_t i = 0; holders.size() < config_.max_replicas &&
+                            i < config_.max_replicas * 8;
+       ++i) {
+    KautzString name = net_.kautz_hash(stem + std::to_string(i));
+    const PeerId owner = net_.owner_of(name);
+    if (!net_.is_alive(owner) || is_primary(owner, prefix)) {
+      continue;
+    }
+    const bool taken =
+        std::any_of(holders.begin(), holders.end(),
+                    [owner](const Holder& h) { return h.peer == owner; });
+    if (!taken) {
+      holders.push_back(Holder{std::move(name), owner});
+    }
+  }
+  return holders;
+}
+
+void ReplicaSet::sync_holder(sim::Simulator& sim, const KautzString& prefix,
+                             Holder& holder) {
+  holder.synced = false;
+  holder.pending = 0;
+  ++holder.version;
+  const std::uint64_t version = holder.version;
+  net::Transport& transport = net_.transport();
+  // When a query's popularity tick tripped this placement, tag its trace:
+  // the kHandoff spans below are replication, not query fan-out.
+  annotate(obs::kFlagReplication);
+  // One batched transfer per peer actually holding region objects — each
+  // primary, plus each delegation host serving a migrated slice of the
+  // region; the version guard keeps arrivals of a superseded sync (re-sync
+  // raced by churn) from marking the newer one complete.
+  const auto send = [this, &sim, &transport, &holder, &prefix,
+                     version](PeerId from, std::uint32_t count) {
+    const std::uint32_t bytes =
+        transport.default_message_bytes() + kObjectBytes * count;
+    ++holder.pending;
+    ++stats_.placement_messages;
+    stats_.placement_bytes += bytes;
+    transport.deliver(
+        sim, from, holder.peer, bytes,
+        [this, prefix, name = holder.name, version](sim::Time) {
+          const auto it = regions_.find(prefix);
+          if (it == regions_.end()) {
+            return;  // torn down while the transfer was in flight
+          }
+          for (Holder& h : it->second.holders) {
+            if (h.name == name && h.version == version) {
+              if (--h.pending == 0) {
+                h.synced = true;
+              }
+              return;
+            }
+          }
+        },
+        0.0, net::TrafficClass::kHandoff);
+  };
+  for (PeerId p : primaries(prefix)) {
+    std::uint32_t count = 0;
+    for (const StoredObject& obj : net_.peer(p).store) {
+      if (prefix.is_prefix_of(obj.object_id)) {
+        ++count;
+      }
+    }
+    if (count > 0) {
+      send(p, count);
+    }
+  }
+  if (net_.has_delegations()) {
+    net_.visit_delegation_slices(
+        prefix, [this, &send, &holder](const KautzString& range,
+                                       std::span<const StoredObject> run) {
+          const PeerId host = net_.find_delegation(range)->host;
+          // A holder hosting a migrated slice stores it already.
+          if (!run.empty() && host != holder.peer) {
+            send(host, static_cast<std::uint32_t>(run.size()));
+          }
+        });
+  }
+  if (holder.pending == 0) {
+    holder.synced = true;  // empty region: nothing to move
+  }
+}
+
+void ReplicaSet::replicate(sim::Simulator& sim, const KautzString& prefix) {
+  std::vector<Holder> holders = derive_holders(prefix);
+  if (holders.empty()) {
+    return;  // nowhere to replicate to
+  }
+  auto snapshot = collect_objects(prefix);
+  stats_.replica_objects += snapshot.size();
+  const auto [it, inserted] = regions_.emplace(
+      prefix,
+      RegionReplica{std::move(holders),
+                    std::make_shared<const std::vector<StoredObject>>(
+                        std::move(snapshot))});
+  ARMADA_CHECK(inserted);
+  ++stats_.regions_replicated;
+  ++stats_.active_regions;
+  for (Holder& holder : it->second.holders) {
+    sync_holder(sim, prefix, holder);
+  }
+}
+
+ReplicaSet::Regions::iterator ReplicaSet::tear_down(sim::Simulator& sim,
+                                                    Regions::iterator it) {
+  // Release notices travel the handoff lane; the region stops serving
+  // immediately (the erase below), the notices are pure accounting.
+  const std::vector<PeerId> prims = primaries(it->first);
+  const PeerId origin = prims.empty() ? fissione::kNoPeer : prims.front();
+  net::Transport& transport = net_.transport();
+  for (const Holder& holder : it->second.holders) {
+    if (origin == fissione::kNoPeer || !net_.is_alive(holder.peer)) {
+      continue;
+    }
+    const std::uint32_t bytes = transport.default_message_bytes();
+    ++stats_.placement_messages;
+    stats_.placement_bytes += bytes;
+    transport.deliver(sim, origin, holder.peer, bytes, nullptr, 0.0,
+                      net::TrafficClass::kHandoff);
+  }
+  stats_.replica_objects -= it->second.objects->size();
+  ++stats_.regions_torn_down;
+  --stats_.active_regions;
+  return regions_.erase(it);
+}
+
+std::optional<ReplicaSet::Choice> ReplicaSet::choose(
+    PeerId issuer, const RegionReplica& region) const {
+  std::optional<Choice> best;
+  double best_latency = 0.0;
+  for (const Holder& holder : region.holders) {
+    if (!holder.synced || !net_.is_alive(holder.peer)) {
+      continue;
+    }
+    if (net_.owner_of(holder.name) != holder.peer) {
+      continue;  // ownership moved under churn; repair will re-sync
+    }
+    fissione::RouteResult route = net_.route(issuer, holder.name);
+    if (route.owner != holder.peer) {
+      continue;
+    }
+    // Strict < keeps the lowest holder index on latency ties.
+    if (!best.has_value() || route.latency < best_latency) {
+      best = Choice{holder.peer, std::move(route.path)};
+      best_latency = route.latency;
+    }
+  }
+  return best;
 }
 
 void ReplicaSet::on_query(sim::Simulator& sim,
@@ -35,15 +238,10 @@ void ReplicaSet::on_query(sim::Simulator& sim,
     return;
   }
   if (swept) {
-    // Collect first: tear_down mutates the region map under iteration.
-    std::vector<KautzString> cooled;
-    for (const auto& [prefix, region] : manager_.regions()) {
-      if (popularity_.count(prefix) < config_.cool_threshold) {
-        cooled.push_back(prefix);
-      }
-    }
-    for (const KautzString& prefix : cooled) {
-      manager_.tear_down(sim, prefix);
+    for (auto it = regions_.begin(); it != regions_.end();) {
+      it = popularity_.count(it->first) < config_.cool_threshold
+               ? tear_down(sim, it)
+               : std::next(it);
     }
   }
   for (const KautzRegion& sub : class_subregions) {
@@ -53,8 +251,8 @@ void ReplicaSet::on_query(sim::Simulator& sim,
     }
     const KautzString prefix = com.prefix(config_.region_prefix_len);
     if (popularity_.bump(prefix) >= config_.hot_threshold &&
-        !manager_.replicated(prefix)) {
-      manager_.replicate(sim, prefix);
+        !regions_.contains(prefix)) {
+      replicate(sim, prefix);
     }
   }
 }
@@ -73,7 +271,7 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
             cache_.lookup(issuer, cache_tag, now_tick)) {
       // Local hit: the class costs nothing on the wire.
       ++stats_.cache_hits;
-      net_.transport().record_cache_hit();
+      annotate(obs::kFlagCacheHit);
       sim.schedule_at(
           sim.now(), [done = std::move(done), matches = hit->matches] {
             sim::QueryStats frag;
@@ -91,13 +289,16 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
   if (com.length() < config_.region_prefix_len) {
     return false;  // class spans several regions: fan out normally
   }
-  const KautzString prefix = com.prefix(config_.region_prefix_len);
-  const auto choice = selector_.choose(manager_, issuer, prefix);
+  const auto region = regions_.find(com.prefix(config_.region_prefix_len));
+  if (region == regions_.end()) {
+    return false;  // not replicated
+  }
+  std::optional<Choice> choice = choose(issuer, region->second);
   if (!choice.has_value()) {
-    return false;  // not replicated, or no holder usable yet
+    return false;  // no holder usable yet
   }
 
-  std::vector<PeerId> path = choice->path;
+  std::vector<PeerId> path = std::move(choice->path);
   // Path-cache probe: serve from the peer nearest the issuer holding a
   // fresh entry, truncating the walk there. The matches are copied at
   // decision time — the entry may be evicted or invalidated mid-walk, and
@@ -118,7 +319,7 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
   // Snapshot at decision time, scanned at arrival: the holder answers with
   // the replica content it was synced with (copy-on-write keeps the
   // captured snapshot alive across publishes and repairs).
-  auto objects = manager_.find(prefix)->objects;
+  auto objects = region->second.objects;
   const PeerId holder = choice->holder;
 
   net::Transport::WalkOptions options;
@@ -146,16 +347,16 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
           matches = cached;
           frag.cache_hits = 1;
           ++stats_.cache_hits;
-          net_.transport().record_cache_hit();
+          annotate(obs::kFlagCacheHit);
         } else {
-          for (const fissione::StoredObject& obj : *objects) {
+          for (const StoredObject& obj : *objects) {
             if (subregion.contains(obj.object_id) && filter(obj)) {
               matches.push_back(obj.payload);
             }
           }
           frag.replica_routes = 1;
           ++stats_.replica_routes;
-          net_.transport().record_replica_route();
+          annotate(obs::kFlagReplicaRoute);
           served_by = holder;
         }
         if (cacheable) {
@@ -193,7 +394,21 @@ void ReplicaSet::on_publish(const KautzString& object_id,
   if (!config_.enabled()) {
     return;
   }
-  manager_.on_publish(object_id, payload);
+  // Region prefixes share one length, so at most one region holds the
+  // object. Copy-on-write: serves in flight keep scanning the snapshot they
+  // captured.
+  if (object_id.length() >= config_.region_prefix_len) {
+    const auto it = regions_.find(object_id.prefix(config_.region_prefix_len));
+    if (it != regions_.end()) {
+      auto updated =
+          std::make_shared<std::vector<StoredObject>>(*it->second.objects);
+      StoredObject obj{object_id, payload};
+      const auto pos = std::lower_bound(updated->begin(), updated->end(), obj);
+      updated->insert(pos, std::move(obj));
+      it->second.objects = std::move(updated);
+      ++stats_.replica_objects;
+    }
+  }
   stats_.cache_invalidated_publish += cache_.invalidate_object(object_id);
 }
 
@@ -202,8 +417,36 @@ void ReplicaSet::on_membership(sim::Simulator& sim) {
     return;
   }
   stats_.cache_invalidated_churn += cache_.clear();
-  if (config_.replication_enabled()) {
-    manager_.repair(sim);
+  for (auto& [prefix, region] : regions_) {
+    auto fresh = collect_objects(prefix);
+    const bool content_changed = fresh != *region.objects;
+    if (content_changed) {
+      stats_.replica_objects += fresh.size();
+      stats_.replica_objects -= region.objects->size();
+      region.objects = std::make_shared<const std::vector<StoredObject>>(
+          std::move(fresh));
+    }
+    // Carry over the version of every holder that kept its name, and the
+    // sync of those that also kept their owner and content; re-sync the
+    // rest.
+    std::vector<Holder> holders = derive_holders(prefix);
+    for (Holder& holder : holders) {
+      const auto old = std::find_if(
+          region.holders.begin(), region.holders.end(),
+          [&holder](const Holder& h) { return h.name == holder.name; });
+      if (old != region.holders.end()) {
+        holder.version = old->version;
+        holder.synced =
+            old->peer == holder.peer && old->synced && !content_changed;
+      }
+    }
+    region.holders = std::move(holders);
+    for (Holder& holder : region.holders) {
+      if (!holder.synced) {
+        ++stats_.repairs;
+        sync_holder(sim, prefix, holder);
+      }
+    }
   }
 }
 

@@ -63,38 +63,12 @@ double OnlineStats::max() const {
   return max_;
 }
 
-Percentiles::Percentiles(std::size_t max_samples)
-    : max_samples_(max_samples) {
-  ARMADA_CHECK(max_samples >= 2);
-}
-
-void Percentiles::add(double x) {
-  if (max_samples_ == 0 || count_ % stride_ == 0) {
-    samples_.push_back(x);
-    if (max_samples_ != 0 && samples_.size() > max_samples_) {
-      // Thin to every other retained sample (in arrival order) and double
-      // the stride; the retained set stays a uniform systematic sample of
-      // the stream regardless of any queries in between.
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < samples_.size(); i += 2) {
-        samples_[kept++] = samples_[i];
-      }
-      samples_.resize(kept);
-      stride_ *= 2;
-    }
-  }
-  ++count_;
-}
-
 double Percentiles::percentile(double q) const {
   ARMADA_CHECK(q > 0.0 && q <= 1.0);
   ARMADA_CHECK(!samples_.empty());
-  // Select on a scratch copy: `samples_` must keep arrival order so that
-  // capped-mode thinning samples the stream, not the order statistics.
-  scratch_ = samples_;
-  const double n = static_cast<double>(scratch_.size());
+  const double n = static_cast<double>(samples_.size());
   auto rank = static_cast<std::size_t>(std::ceil(q * n));
-  rank = std::min(rank, scratch_.size());
+  rank = std::min(rank, samples_.size());
   // ceil(q * n) can overshoot by one when q * n lands one ulp above an
   // integer (e.g. 0.07 * 100); nearest-rank is the smallest k with k/n >= q,
   // so test the previous rank with the division (not the rounded product).
@@ -102,10 +76,10 @@ double Percentiles::percentile(double q) const {
     --rank;
   }
   const std::size_t idx = rank - 1;
-  std::nth_element(scratch_.begin(),
-                   scratch_.begin() + static_cast<std::ptrdiff_t>(idx),
-                   scratch_.end());
-  return scratch_[idx];
+  std::nth_element(samples_.begin(),
+                   samples_.begin() + static_cast<std::ptrdiff_t>(idx),
+                   samples_.end());
+  return samples_[idx];
 }
 
 void Histogram::add(std::int64_t value, std::uint64_t weight) {

@@ -35,36 +35,26 @@ class OnlineStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact percentile accumulator: stores every sample in arrival order and
-/// selects on query. Bench workloads add at most a few hundred thousand
-/// samples, so exact storage beats a reservoir's approximation error;
-/// callers that outgrow it can cap via `Percentiles(max_samples)`, which
-/// degrades to a deterministic every-k-th systematic sample of the stream
-/// (no RNG, and independent of when queries interleave with adds, so runs
-/// stay reproducible).
+/// Exact percentile accumulator: stores every sample and selects on query.
+/// Bench workloads add at most a few hundred thousand samples, so exact
+/// storage beats a reservoir's approximation error.
 class Percentiles {
  public:
-  Percentiles() = default;
-  explicit Percentiles(std::size_t max_samples);
+  void add(double x) { samples_.push_back(x); }
 
-  void add(double x);
+  std::uint64_t count() const { return samples_.size(); }
 
-  /// Samples offered (not necessarily retained when capped).
-  std::uint64_t count() const { return count_; }
-
-  /// Nearest-rank percentile: the smallest retained sample such that at
-  /// least `q` of the mass is <= it. Requires q in (0, 1] and count() > 0.
+  /// Nearest-rank percentile: the smallest sample such that at least `q`
+  /// of the mass is <= it. Requires q in (0, 1] and count() > 0.
   double percentile(double q) const;
   double p50() const { return percentile(0.50); }
   double p95() const { return percentile(0.95); }
   double p99() const { return percentile(0.99); }
 
  private:
-  std::uint64_t count_ = 0;
-  std::size_t max_samples_ = 0;  ///< 0 = unbounded (exact)
-  std::uint64_t stride_ = 1;     ///< keep every stride-th sample when capped
-  std::vector<double> samples_;  ///< retained, in arrival order
-  mutable std::vector<double> scratch_;  ///< selection buffer for queries
+  /// Every sample; a query's selection reorders them, which changes no
+  /// order statistic.
+  mutable std::vector<double> samples_;
 };
 
 /// Integer-bucket histogram (exact counts per value), suitable for hop-count

@@ -500,38 +500,41 @@ TEST(Rebalancer, ServiceLoadForgetsRecycledPeerIds) {
   net.check_invariants();
 }
 
-TEST(Rebalancer, BacklogTriggerFiresUnderCongestion) {
+TEST(Rebalancer, LoadTriggerFiresUnderCongestion) {
   auto fx = testsupport::make_single_index(100, 13);
   auto& net = fx->net;
   auto& index = fx->index;
   const auto values = testsupport::publish_uniform_values(index, 400, 59);
+  fissione::ServiceLoadMap load;
+  net.set_service_load(&load);
 
-  // A slow service rate makes ingress backlog real; no admission control,
-  // so answers stay complete and the only new behaviour is the trigger.
+  // A slow service rate queues the burst at the hot range's peers; no
+  // admission control, so answers stay complete while migrations race
+  // queued queries.
   net::QueueingConfig qcfg;
   qcfg.service_rate = 1.0;
   qcfg.default_message_bytes = 64;
   net.transport().install_queueing(qcfg);
 
   rebalance::RebalanceConfig cfg;
-  cfg.backlog_trigger = 3;  // load trigger off: backlog is the only signal
-  cfg.target_load = 0.0;
+  cfg.trigger_load = 3.0;
+  cfg.target_load = 1.0;
   cfg.sweep_interval = 4;
   cfg.cooldown = 8;
   cfg.max_inflight = 2;
   const rebalance::Rebalancer& rb = index.enable_rebalancing(cfg);
 
-  // One issuer fires a dense burst into one hot range: its first hops pile
-  // onto the same few ingress servers, which is exactly the congestion the
-  // backlog trigger watches.
+  // One issuer fires an async burst into one hot range on one simulator.
+  // Load is counted when a message arrives, so the queries are spaced out:
+  // each sweep sees the arrivals of the queries before it.
   sim::Simulator sim;
   Rng rng(3);
   const PeerId issuer = fx->random_issuer(rng);
   int completed = 0;
   const auto expected = index.scan_matches({{100.0, 140.0}});
   for (int q = 0; q < 48; ++q) {
-    sim.schedule_at(0.01 + 0.002 * q, [&sim, &index, issuer, &completed,
-                                       &expected] {
+    sim.schedule_at(0.01 + 1.5 * q, [&sim, &index, issuer, &completed,
+                                     &expected] {
       index.range_query_async(sim, issuer, 100.0, 140.0,
                               [&completed, &expected](RangeQueryResult out) {
                                 ++completed;

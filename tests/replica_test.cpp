@@ -1,7 +1,8 @@
 // The popularity-aware replication / result-cache subsystem (src/replica/):
 // disabled-config bitwise equivalence, replica-served correctness against
 // the global scan and the paper delay bound, cache TTL / publish / churn
-// invalidation, the cache's FIFO eviction order, churn repair, MIRA box
+// invalidation, the cache's FIFO eviction order, churn repair (which
+// holders it re-syncs, and a holder hosting a migrated slice), MIRA box
 // queries with replication, caching and rebalancing all on, and
 // determinism of the placement and cache hit/miss sequences
 // (ARMADA_FUZZ_SEED overrides the seed sweep).
@@ -12,7 +13,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "armada/armada.h"
@@ -127,10 +130,10 @@ TEST(ReplicaRouting, HotRegionServedByReplicaMatchesScanAndDelayBound) {
   EXPECT_GT(rs.stats().placement_messages, 0u);
   EXPECT_GT(replica_served_queries, 0u);
   // Holders never sit on the region itself, and only live peers serve.
-  for (const auto& [prefix, region] : rs.manager().regions()) {
+  for (const auto& [prefix, region] : rs.regions()) {
     for (const auto& holder : region.holders) {
       EXPECT_TRUE(fx->net.is_alive(holder.peer));
-      EXPECT_FALSE(rs.manager().is_primary(holder.peer, prefix));
+      EXPECT_FALSE(rs.is_primary(holder.peer, prefix));
     }
   }
 }
@@ -285,9 +288,8 @@ TEST(ReplicaChurn, HolderCrashForcesRepairAndStaysCorrect) {
   for (int q = 0; q < 20; ++q) {
     fx->index.range_query(fx->random_issuer(rng), kLo, kHi);
   }
-  ASSERT_FALSE(rs.manager().regions().empty());
-  const PeerId victim =
-      rs.manager().regions().begin()->second.holders.front().peer;
+  ASSERT_FALSE(rs.regions().empty());
+  const PeerId victim = rs.regions().begin()->second.holders.front().peer;
 
   fissione::FissioneNetwork::MembershipReport report;
   fx->net.crash(victim, &report);
@@ -303,12 +305,189 @@ TEST(ReplicaChurn, HolderCrashForcesRepairAndStaysCorrect) {
     const PeerId issuer = fx->random_issuer(rng);
     const RangeQueryResult r = fx->index.range_query(issuer, kLo, kHi);
     EXPECT_EQ(sorted(r.matches), truth);
-    for (const auto& [prefix, region] : rs.manager().regions()) {
+    for (const auto& [prefix, region] : rs.regions()) {
       for (const auto& holder : region.holders) {
         EXPECT_TRUE(fx->net.is_alive(holder.peer));
       }
     }
   }
+}
+
+// Churn repair carries a holder over only when its (name, peer) pair and the
+// region content survived the membership change: a no-op change re-syncs
+// nothing, a crashed holder re-syncs exactly the holders whose pair is new,
+// and a crashed primary that stored region objects re-syncs every holder of
+// its region. Each re-sync bumps the holder's version and counts one repair.
+TEST(ReplicaChurn, RepairResyncsExactlyTheHoldersThatChanged) {
+  constexpr std::uint64_t kSeed = 29;
+  auto fx = make_single_index(220, kSeed);
+  publish_uniform_values(fx->index, 700, kSeed * 31 + 7);
+  ReplicationConfig cfg = small_scale_config();
+  cfg.cache_ttl = 0;
+  ReplicaSet& rs = fx->index.enable_replication(cfg);
+  Rng rng(kSeed + 9);
+  for (int q = 0; q < 20; ++q) {
+    fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+  }
+  ASSERT_FALSE(rs.regions().empty());
+
+  // (region prefix, holder name) -> (peer, version) of every holder.
+  using Placement = std::map<std::pair<std::string, std::string>,
+                             std::pair<PeerId, std::uint64_t>>;
+  const auto placement = [&rs] {
+    Placement out;
+    for (const auto& [prefix, region] : rs.regions()) {
+      for (const auto& holder : region.holders) {
+        out[{prefix.to_string(), holder.name.to_string()}] = {holder.peer,
+                                                              holder.version};
+      }
+    }
+    return out;
+  };
+  // Holders re-synced since `before` (new pair or bumped version), per
+  // region prefix; a re-synced holder waits on its transfers, every other
+  // holder stays synced.
+  const auto resynced = [&rs](const Placement& before, bool same_pair_only) {
+    std::map<std::string, std::size_t> out;
+    for (const auto& [prefix, region] : rs.regions()) {
+      for (const auto& holder : region.holders) {
+        const auto old =
+            before.find({prefix.to_string(), holder.name.to_string()});
+        const bool new_pair =
+            old == before.end() || old->second.first != holder.peer;
+        const bool again =
+            new_pair || old->second.second != holder.version;
+        if (same_pair_only) {
+          EXPECT_EQ(again, new_pair) << holder.name.to_string();
+        }
+        EXPECT_EQ(holder.synced, !again) << holder.name.to_string();
+        out[prefix.to_string()] += again ? 1 : 0;
+      }
+    }
+    return out;
+  };
+  const auto total = [](const std::map<std::string, std::size_t>& per) {
+    std::size_t n = 0;
+    for (const auto& [prefix, count] : per) {
+      n += count;
+    }
+    return n;
+  };
+
+  // No membership change: every holder keeps its pair and its sync.
+  {
+    const Placement before = placement();
+    const ReplicaStats stats = rs.stats();
+    sim::Simulator sim;
+    rs.on_membership(sim);
+    EXPECT_TRUE(sim.idle());
+    EXPECT_EQ(placement(), before);
+    EXPECT_EQ(total(resynced(before, true)), 0u);
+    EXPECT_EQ(rs.stats().repairs, stats.repairs);
+    EXPECT_EQ(rs.stats().placement_messages, stats.placement_messages);
+  }
+
+  // A crashed holder: exactly the holders whose (name, peer) pair is new
+  // are re-synced.
+  {
+    const Placement before = placement();
+    const std::uint64_t repairs = rs.stats().repairs;
+    fx->net.crash(rs.regions().begin()->second.holders.front().peer);
+    sim::Simulator sim;
+    rs.on_membership(sim);
+    const std::size_t fresh = total(resynced(before, true));
+    EXPECT_GE(fresh, 1u);
+    EXPECT_LT(fresh, before.size());
+    EXPECT_EQ(rs.stats().repairs, repairs + fresh);
+    sim.run();
+    EXPECT_EQ(total(resynced(placement(), true)), 0u);
+  }
+
+  // A crashed primary that stored region objects: the region's content
+  // changed, so every one of its holders is re-synced.
+  {
+    const kautz::KautzString prefix = rs.regions().begin()->first;
+    PeerId victim = fissione::kNoPeer;
+    for (const PeerId p : fx->net.alive_peers()) {
+      const auto& store = fx->net.peer(p).store;
+      if (rs.is_primary(p, prefix) &&
+          std::any_of(store.begin(), store.end(), [&](const auto& obj) {
+            return prefix.is_prefix_of(obj.object_id);
+          })) {
+        victim = p;
+        break;
+      }
+    }
+    ASSERT_NE(victim, fissione::kNoPeer);
+    const Placement before = placement();
+    const std::uint64_t repairs = rs.stats().repairs;
+    fx->net.crash(victim);
+    sim::Simulator sim;
+    rs.on_membership(sim);
+    const auto per_region = resynced(before, false);
+    const std::size_t holders = rs.regions().at(prefix).holders.size();
+    EXPECT_GT(holders, 0u);
+    EXPECT_EQ(per_region.at(prefix.to_string()), holders);
+    EXPECT_EQ(rs.stats().repairs, repairs + total(per_region));
+    sim.run();
+    EXPECT_EQ(total(resynced(placement(), true)), 0u);
+  }
+}
+
+// A holder that hosts a migrated slice of its own region already stores
+// those objects: its re-sync sends the slice nowhere (a transfer to itself
+// would be a self-delivery, which the transport refuses), and it still
+// serves the whole region.
+TEST(ReplicaChurn, HolderHostingAMigratedSliceResyncsWithoutSelfTransfer) {
+  constexpr std::uint64_t kSeed = 29;
+  auto fx = make_single_index(220, kSeed);
+  publish_uniform_values(fx->index, 700, kSeed * 31 + 7);
+  ReplicationConfig cfg = small_scale_config();
+  cfg.cache_ttl = 0;
+  ReplicaSet& rs = fx->index.enable_replication(cfg);
+  Rng rng(kSeed + 9);
+  for (int q = 0; q < 20; ++q) {
+    fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+  }
+  ASSERT_FALSE(rs.regions().empty());
+  const kautz::KautzString prefix = rs.regions().begin()->first;
+  const PeerId host = rs.regions().begin()->second.holders.front().peer;
+  std::vector<PeerId> stocked;  // primaries storing region objects
+  for (const PeerId p : fx->net.alive_peers()) {
+    const auto& store = fx->net.peer(p).store;
+    if (rs.is_primary(p, prefix) &&
+        std::any_of(store.begin(), store.end(), [&](const auto& obj) {
+          return prefix.is_prefix_of(obj.object_id);
+        })) {
+      stocked.push_back(p);
+    }
+  }
+  ASSERT_GE(stocked.size(), 2u);
+  // Migrate one primary's zone to the holder, then crash another primary:
+  // the region's content changed, so every holder re-syncs.
+  const kautz::KautzString zone = fx->net.peer(stocked[0]).peer_id;
+  fx->net.delegate_range(zone, host, fx->net.detach_range(zone));
+  fx->net.crash(stocked[1]);
+  const std::uint64_t repairs = rs.stats().repairs;
+  sim::Simulator sim;
+  rs.on_membership(sim);
+  sim.run();
+  EXPECT_GT(rs.stats().repairs, repairs);
+  for (const auto& [p, region] : rs.regions()) {
+    for (const auto& holder : region.holders) {
+      EXPECT_TRUE(holder.synced) << holder.name.to_string();
+    }
+  }
+  const auto truth = sorted(fx->index.scan_matches({{300.0, 305.0}}));
+  std::uint64_t routed = 0;
+  for (int q = 0; q < 10; ++q) {
+    const RangeQueryResult r =
+        fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+    EXPECT_EQ(sorted(r.matches), truth);
+    routed += r.stats.replica_routes;
+  }
+  EXPECT_GT(routed, 0u);
+  fx->net.check_invariants();
 }
 
 // Full churn-driver wiring: membership events fire the hook, which clears
@@ -414,7 +593,7 @@ TEST(ReplicaDeterminism, PlacementAndCacheSequencesReplay) {
         matches[run].push_back(sorted(r.matches));
       }
       final_stats[run] = rs.stats();
-      for (const auto& [prefix, region] : rs.manager().regions()) {
+      for (const auto& [prefix, region] : rs.regions()) {
         regions[run].push_back(prefix.to_string());
       }
     }

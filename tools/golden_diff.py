@@ -12,11 +12,14 @@ examples/* program with no arguments.  Other ARMADA_* variables are
 cleared, and each program runs in its own temporary directory.
 
 For every program, the JSON records and stdout of the two builds must be
-byte-identical and both runs must exit 0.  The first differing line of each
-stream is printed.  Exits 1 on any difference, 0 when every output matches.
-Stdlib only.
+byte-identical and both runs must exit 0.  For stdout the script prints how
+many lines differ and the first differing line.  For the JSON stream it
+prints how many records differ and the dotted keys of those records that
+are only in a, only in b, or hold different values.  Exits 1 on any
+difference, 0 when every output matches.  Stdlib only.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -60,22 +63,74 @@ def run(build, program):
     return proc.returncode, proc.stdout, json_bytes
 
 
-def first_difference(a, b):
-    """1-based line number and the two lines where byte strings a, b part."""
+def line_pairs(a, b):
+    """Lines of byte strings a and b side by side; None past either end."""
     lines_a = a.splitlines(keepends=True)
     lines_b = b.splitlines(keepends=True)
-    for i in range(max(len(lines_a), len(lines_b))):
-        line_a = lines_a[i] if i < len(lines_a) else None
-        line_b = lines_b[i] if i < len(lines_b) else None
-        if line_a != line_b:
-            return i + 1, line_a, line_b
-    return None
+    return [(lines_a[i] if i < len(lines_a) else None,
+             lines_b[i] if i < len(lines_b) else None)
+            for i in range(max(len(lines_a), len(lines_b)))]
 
 
 def show(line):
     if line is None:
         return '<end of output>'
     return line.decode('utf-8', 'replace').rstrip('\n')
+
+
+def stdout_summary(a, b):
+    """Count of differing lines and the first of them; None if equal."""
+    pairs = line_pairs(a, b)
+    differing = [i for i, (x, y) in enumerate(pairs) if x != y]
+    if not differing:
+        return None
+    first = differing[0]
+    line_a, line_b = pairs[first]
+    return (f'{len(differing)} of {len(pairs)} lines differ, first at line '
+            f'{first + 1}\n'
+            f'    a: {show(line_a)}\n'
+            f'    b: {show(line_b)}')
+
+
+def leaves(record):
+    """Dotted key -> value of every leaf of one JSON record line."""
+    try:
+        value = json.loads(record)
+    except ValueError:
+        return {'<record>': record}
+    out = {}
+
+    def walk(prefix, node):
+        if isinstance(node, dict) and node:
+            for key, child in node.items():
+                walk(f'{prefix}.{key}' if prefix else key, child)
+        else:
+            out[prefix or '<record>'] = node
+    walk('', value)
+    return out
+
+
+def json_summary(a, b):
+    """Count of differing records and the dotted keys that differ in them;
+    None if equal."""
+    pairs = line_pairs(a, b)
+    differing = [(x, y) for x, y in pairs if x != y]
+    if not differing:
+        return None
+    only_a, only_b, changed = set(), set(), set()
+    for x, y in differing:
+        keys_a = leaves(x) if x is not None else {}
+        keys_b = leaves(y) if y is not None else {}
+        only_a |= keys_a.keys() - keys_b.keys()
+        only_b |= keys_b.keys() - keys_a.keys()
+        changed |= {k for k in keys_a.keys() & keys_b.keys()
+                    if keys_a[k] != keys_b[k]}
+    parts = [f'{len(differing)} of {len(pairs)} records differ']
+    for label, keys in (('only in a', only_a), ('only in b', only_b),
+                        ('different values', changed)):
+        if keys:
+            parts.append(f'{label}: ' + ', '.join(sorted(keys)))
+    return '; '.join(parts)
 
 
 def main(argv):
@@ -100,14 +155,10 @@ def main(argv):
         problems = []
         if rc_a != 0 or rc_b != 0:
             problems.append(f'exit codes {rc_a} vs {rc_b}')
-        for stream, a, b in (('stdout', out_a, out_b),
-                             ('json', json_a, json_b)):
-            diff = first_difference(a, b)
-            if diff is not None:
-                line, line_a, line_b = diff
-                problems.append(f'{stream} differs at line {line}\n'
-                                f'    a: {show(line_a)}\n'
-                                f'    b: {show(line_b)}')
+        for stream, summary in (('stdout', stdout_summary(out_a, out_b)),
+                                ('json', json_summary(json_a, json_b))):
+            if summary is not None:
+                problems.append(f'{stream}: {summary}')
         if problems:
             differing += 1
             for p in problems:
