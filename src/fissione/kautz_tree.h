@@ -53,7 +53,8 @@ class KautzTree {
   /// zone. Requires in_leaf_pair(leaving) and survivor == pair_sibling.
   void merge_pair(PeerId leaving, PeerId survivor);
 
-  /// A leaf of maximum depth (ties broken deterministically).
+  /// A leaf of maximum depth; among several, the lowest PeerId. Scans
+  /// every hosted peer; only departures call it.
   PeerId deepest_leaf() const;
 
   /// Re-home the zone of `old_peer` to `new_peer` (departure takeover).

@@ -142,7 +142,20 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   /// Record view of one peer, assembled from the column arrays. The spans
   /// inside are valid until the next membership or publish operation.
   Peer peer(PeerId id) const;
+  /// One column of the view: the PeerID, or the native object store (valid
+  /// like the view's spans). For callers that read one column of many peers.
+  const kautz::KautzString& peer_id(PeerId id) const { return ids_[id]; }
+  std::span<const StoredObject> store_of(PeerId id) const {
+    return stores_.view(store_refs_[id]);
+  }
   const std::vector<PeerId>& alive_peers() const { return alive_; }
+  /// Position of an alive peer in alive_peers().
+  std::size_t alive_index(PeerId id) const { return alive_pos_[id]; }
+  /// One past the largest PeerId ever allocated (alive or free).
+  std::size_t peer_id_bound() const { return ids_.size(); }
+  /// Released PeerIds awaiting reuse: exactly the ids below
+  /// peer_id_bound() that are not alive.
+  const std::vector<PeerId>& free_peers() const { return free_ids_; }
   PeerId random_peer();
   const KautzTree& tree() const { return tree_; }
   const Config& config() const { return config_; }
@@ -158,12 +171,13 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   void set_service_load(ServiceLoadMap* load) { service_load_ = load; }
   void record_service(PeerId receiver) const {
     if (service_load_ != nullptr) {
-      ++(*service_load_)[receiver];
+      service_load_->add(receiver);
     }
   }
   /// The attached recorder (null when none) — the rebalancer reads service
-  /// deltas from it to locate hot peers.
+  /// deltas from it, and drains its touched list, to locate hot peers.
   const ServiceLoadMap* service_load() const { return service_load_; }
+  ServiceLoadMap* service_load() { return service_load_; }
 
   // --- key-range delegation ----------------------------------------------
   // The rebalancer's cutover surface. Ranges in the registry are pairwise
@@ -275,9 +289,6 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   }
   std::span<const PeerId> in_of(PeerId id) const {
     return edges_.view(in_refs_[id]);
-  }
-  std::span<const StoredObject> store_of(PeerId id) const {
-    return stores_.view(store_refs_[id]);
   }
   /// Move a peer's store out of the arena (the block is kept for reuse).
   std::vector<StoredObject> take_store(PeerId id);

@@ -1,7 +1,9 @@
 #include "rebalance/rebalance.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <utility>
 
 #include "net/transport.h"
@@ -10,6 +12,7 @@
 namespace armada::rebalance {
 
 using fissione::PeerId;
+using fissione::ServiceLoadMap;
 using fissione::StoredObject;
 using kautz::KautzRegion;
 using kautz::KautzString;
@@ -62,34 +65,98 @@ void Rebalancer::on_membership(sim::Simulator&) {
   }
   // PeerIds are recycled: a joiner reusing a dead peer's id must start with
   // a clean slate, both in the EWMA and in the raw-count baseline (the
-  // network resets its ServiceLoadMap entry the same way).
-  for (std::size_t p = 0; p < load_.size(); ++p) {
-    if (!net_.is_alive(static_cast<PeerId>(p))) {
-      load_[p] = 0.0;
-      prev_[p] = 0;
+  // network resets its ServiceLoadMap entry the same way). The dead ids
+  // are exactly the released ones.
+  for (PeerId p : net_.free_peers()) {
+    if (p < loads_.size()) {
+      PeerLoad& l = loads_[p];
+      if (l.prev != 0) {
+        forgotten_.push_back(p);  // the baseline no longer equals the count
+      }
+      l.load = 0.0;
+      l.prev = 0;
     }
   }
 }
 
-void Rebalancer::refresh_loads() {
-  std::size_t hi = 0;
-  for (PeerId p : net_.alive_peers()) {
-    hi = std::max(hi, static_cast<std::size_t>(p) + 1);
+double Rebalancer::decayed(double load, std::uint64_t sweeps) {
+  static_assert(kLoadDecay == 0.5);
+  if (load == 0.0 || sweeps == 0) {
+    return load;
   }
-  if (hi > load_.size()) {
-    load_.resize(hi, 0.0);
-    prev_.resize(hi, 0);
+  // Halvings that keep the result normal, hence exact.
+  constexpr int kMinExponent = std::numeric_limits<double>::min_exponent - 1;
+  const int exponent = std::ilogb(load);
+  const std::uint64_t exact =
+      exponent > kMinExponent
+          ? static_cast<std::uint64_t>(exponent - kMinExponent)
+          : 0;
+  if (sweeps <= exact) {
+    return std::ldexp(load, -static_cast<int>(sweeps));
   }
-  const fissione::ServiceLoadMap* counts = net_.service_load();
-  for (std::size_t p = 0; p < load_.size(); ++p) {
-    const std::uint64_t cur =
-        counts != nullptr ? counts->count(static_cast<PeerId>(p)) : 0;
-    // The count only moves backward when the id was recycled between
-    // sweeps; treat the new count as this interval's arrivals then.
-    const std::uint64_t delta = cur >= prev_[p] ? cur - prev_[p] : cur;
-    load_[p] = kLoadDecay * load_[p] + static_cast<double>(delta);
-    prev_[p] = cur;
+  load = std::ldexp(load, -static_cast<int>(exact));
+  for (std::uint64_t i = exact; i < sweeps && load != 0.0; ++i) {
+    load = kLoadDecay * load;
   }
+  return load;
+}
+
+void Rebalancer::refresh(PeerId p, const ServiceLoadMap* counts) {
+  PeerLoad& l = loads_[p];
+  if (l.stamp == stats_.sweeps) {
+    return;  // already current
+  }
+  const std::uint64_t cur = counts != nullptr ? counts->count(p) : 0;
+  // The count only moves backward when the id was recycled (or the map
+  // cleared) between sweeps; treat the new count as this interval's
+  // arrivals then.
+  const std::uint64_t delta = cur >= l.prev ? cur - l.prev : cur;
+  l.load = kLoadDecay * decayed(l.load, stats_.sweeps - 1 - l.stamp) +
+           static_cast<double>(delta);
+  l.prev = cur;
+  l.stamp = stats_.sweeps;
+  refreshed_.push_back(p);
+}
+
+const std::vector<PeerId>& Rebalancer::refresh_loads() {
+  ServiceLoadMap* counts = net_.service_load();
+  // The touched list covers every changed count only for the map drained
+  // at the last sweep, and only if no one else drained it since.
+  const bool full =
+      counts != seen_ ||
+      (counts != nullptr && counts->drains() != seen_drains_);
+  refreshed_.clear();
+  // Cover every id alive now. Ids are allocated densely, so only ids past
+  // the covered range can extend it; they start from a zero load.
+  const std::size_t covered = loads_.size();
+  std::size_t hi = covered;
+  for (std::size_t p = net_.peer_id_bound(); p > covered; --p) {
+    if (net_.is_alive(static_cast<PeerId>(p - 1))) {
+      hi = p;
+      break;
+    }
+  }
+  loads_.resize(hi, PeerLoad{0.0, stats_.sweeps - 1, 0});
+  for (std::size_t p = full ? 0 : covered; p < hi; ++p) {
+    refresh(static_cast<PeerId>(p), counts);
+  }
+  if (counts != nullptr) {
+    counts->drain([&](PeerId p) {
+      if (p < hi) {
+        refresh(p, counts);
+      }
+    });
+    seen_drains_ = counts->drains();
+  }
+  seen_ = counts;
+  for (PeerId p : forgotten_) {
+    refresh(p, counts);
+  }
+  forgotten_.clear();
+  for (PeerId p : hot_) {
+    refresh(p, counts);
+  }
+  return refreshed_;
 }
 
 double Rebalancer::heat_gain(const KautzString& range, bool whole_zone) const {
@@ -118,17 +185,21 @@ bool Rebalancer::range_engaged(const KautzString& range) const {
 
 void Rebalancer::sweep(sim::Simulator& sim) {
   ++stats_.sweeps;
-  refresh_loads();
+  const std::vector<PeerId>& refreshed = refresh_loads();
 
   struct Donor {
     PeerId peer;
     double load;
   };
   std::vector<Donor> donors;
-  for (PeerId p : net_.alive_peers()) {
-    const double load = load_of(p);
+  hot_.clear();
+  for (PeerId p : refreshed) {
+    const double load = loads_[p].load;
     if (config_.trigger_load > 0.0 && load >= config_.trigger_load) {
-      donors.push_back(Donor{p, load});
+      hot_.push_back(p);
+      if (net_.is_alive(p)) {
+        donors.push_back(Donor{p, load});
+      }
     }
   }
   std::sort(donors.begin(), donors.end(), [](const Donor& a, const Donor& b) {

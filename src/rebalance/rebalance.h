@@ -28,6 +28,15 @@
 // stationary hot spot rotates across cool peers (spreading its cumulative
 // load) instead of ping-ponging between two neighbors every sweep.
 //
+// A sweep costs what the queries since the last sweep touched, not the
+// overlay's size. It refreshes only the peers the ServiceLoadMap lists as
+// touched (count added to, reset or cleared) plus the peers that were at
+// or above the trigger at the last sweep; no other peer can have become a
+// donor, because an untouched load only decays. Untouched loads decay
+// lazily: each peer remembers the sweep it was last brought current at,
+// and load_of applies the missed decays on read (see decayed), bitwise
+// equal to decaying every peer at every sweep.
+//
 // Disabled (the default config), every hook is a no-op and the query layer
 // takes its pre-existing code path bitwise.
 #pragma once
@@ -76,7 +85,8 @@ struct RebalanceStats {
 
 class Rebalancer {
  public:
-  /// Decay of the per-peer load EWMA per sweep.
+  /// Decay of the per-peer load EWMA per sweep. A power of two, so lazy
+  /// decay can scale by it exactly (see decayed).
   static constexpr double kLoadDecay = 0.5;
   /// Query ticks between heat decays (see PopularityTracker).
   static constexpr std::uint64_t kHeatInterval = 16;
@@ -95,8 +105,16 @@ class Rebalancer {
 
   /// Decayed service-load EWMA of one peer as of the last sweep.
   double load_of(fissione::PeerId p) const {
-    return p < load_.size() ? load_[p] : 0.0;
+    return p < loads_.size()
+               ? decayed(loads_[p].load, stats_.sweeps - loads_[p].stamp)
+               : 0.0;
   }
+  /// `load` (>= 0) after `sweeps` idle sweeps: bitwise the result of
+  /// `sweeps` rounds of `kLoadDecay * load + 0.0`. Scaling by a power of
+  /// two is exact while the result stays normal, so that part is one
+  /// std::ldexp; only the subnormal tail rounds, once per halving, and is
+  /// walked step by step (at most ~53 steps before it reaches zero).
+  static double decayed(double load, std::uint64_t sweeps);
   /// Migrations currently in flight (transfer scheduled, cutover pending).
   std::size_t inflight() const;
   /// (donor, acceptor) of every active flight — introspection for tests
@@ -118,6 +136,14 @@ class Rebalancer {
   void on_membership(sim::Simulator& sim);
 
  private:
+  /// One peer's load record. The sweep reads and writes all three fields
+  /// of each peer it refreshes, so they share a cache line.
+  struct PeerLoad {
+    double load = 0.0;        ///< EWMA as of sweep `stamp`
+    std::uint64_t stamp = 0;  ///< sweep `load` is current at
+    std::uint64_t prev = 0;   ///< ServiceLoadMap count at the last refresh
+  };
+
   struct Flight {
     fissione::PeerId donor = fissione::kNoPeer;
     fissione::PeerId acceptor = fissione::kNoPeer;
@@ -126,7 +152,11 @@ class Rebalancer {
     bool cancelled = false;
   };
 
-  void refresh_loads();
+  /// Bring the loads current for this sweep; returns the peers refreshed,
+  /// every possible donor among them.
+  const std::vector<fissione::PeerId>& refresh_loads();
+  /// Apply this sweep's update to one peer (idempotent within a sweep).
+  void refresh(fissione::PeerId p, const fissione::ServiceLoadMap* counts);
   void sweep(sim::Simulator& sim);
   double heat_gain(const kautz::KautzString& range, bool whole_zone) const;
   bool range_engaged(const kautz::KautzString& range) const;
@@ -139,8 +169,17 @@ class Rebalancer {
   RebalanceStats stats_;
   /// Heat per prefix; its query-tick clock also times sweeps and cooldowns.
   replica::PopularityTracker heat_;
-  std::vector<double> load_;          ///< decayed EWMA, indexed by PeerId
-  std::vector<std::uint64_t> prev_;   ///< ServiceLoadMap counts at last sweep
+  /// Indexed by PeerId; covers every id that was alive at some sweep (as
+  /// a scan of every peer would size it).
+  std::vector<PeerLoad> loads_;
+  /// Peers at or above the trigger after the last sweep.
+  std::vector<fissione::PeerId> hot_;
+  /// Peers on_membership zeroed a nonzero count baseline of; the next
+  /// sweep refreshes them even if the map does not list them as touched.
+  std::vector<fissione::PeerId> forgotten_;
+  std::vector<fissione::PeerId> refreshed_;  ///< this sweep's, reused
+  const fissione::ServiceLoadMap* seen_ = nullptr;  ///< map at last sweep
+  std::uint64_t seen_drains_ = 0;  ///< its drains() after our drain
   std::vector<std::shared_ptr<Flight>> flights_;
   std::map<kautz::KautzString, std::uint64_t> cooldown_until_;
 };

@@ -38,22 +38,34 @@ void ReplicaSet::annotate(std::uint32_t flag) const {
 }
 
 std::vector<PeerId> ReplicaSet::primaries(const KautzString& prefix) const {
-  std::vector<PeerId> out;
-  for (PeerId p : net_.alive_peers()) {
-    if (is_primary(p, prefix)) {
-      out.push_back(p);
-    }
-  }
-  return out;
+  return net_.tree().cover_of_prefix(prefix);
+}
+
+void ReplicaSet::alive_order(std::vector<PeerId>& peers) const {
+  std::sort(peers.begin(), peers.end(), [this](PeerId a, PeerId b) {
+    return net_.alive_index(a) < net_.alive_index(b);
+  });
 }
 
 std::vector<StoredObject> ReplicaSet::collect_objects(
     const KautzString& prefix) const {
+  return collect(prefix, primaries(prefix));
+}
+
+std::vector<StoredObject> ReplicaSet::collect(
+    const KautzString& prefix, const std::vector<PeerId>& prims) const {
   std::vector<StoredObject> out;
-  for (PeerId p : primaries(prefix)) {
-    for (const StoredObject& obj : net_.peer(p).store) {
-      if (prefix.is_prefix_of(obj.object_id)) {
-        out.push_back(obj);
+  for (PeerId p : prims) {
+    const std::span<const StoredObject> store = net_.store_of(p);
+    if (prefix.is_prefix_of(net_.peer_id(p))) {
+      // Below the prefix: the PeerID, hence every stored ObjectID,
+      // extends it.
+      out.insert(out.end(), store.begin(), store.end());
+    } else {
+      for (const StoredObject& obj : store) {
+        if (prefix.is_prefix_of(obj.object_id)) {
+          out.push_back(obj);
+        }
       }
     }
   }
@@ -95,6 +107,7 @@ std::vector<ReplicaSet::Holder> ReplicaSet::derive_holders(
 }
 
 void ReplicaSet::sync_holder(sim::Simulator& sim, const KautzString& prefix,
+                             const std::vector<PeerId>& prims,
                              Holder& holder) {
   holder.synced = false;
   holder.pending = 0;
@@ -133,12 +146,14 @@ void ReplicaSet::sync_holder(sim::Simulator& sim, const KautzString& prefix,
         },
         0.0, net::TrafficClass::kHandoff);
   };
-  for (PeerId p : primaries(prefix)) {
-    std::uint32_t count = 0;
-    for (const StoredObject& obj : net_.peer(p).store) {
-      if (prefix.is_prefix_of(obj.object_id)) {
-        ++count;
-      }
+  for (PeerId p : prims) {
+    const std::span<const StoredObject> store = net_.store_of(p);
+    auto count = static_cast<std::uint32_t>(store.size());
+    if (!prefix.is_prefix_of(net_.peer_id(p))) {
+      count = static_cast<std::uint32_t>(std::count_if(
+          store.begin(), store.end(), [&prefix](const StoredObject& obj) {
+            return prefix.is_prefix_of(obj.object_id);
+          }));
     }
     if (count > 0) {
       send(p, count);
@@ -165,7 +180,9 @@ void ReplicaSet::replicate(sim::Simulator& sim, const KautzString& prefix) {
   if (holders.empty()) {
     return;  // nowhere to replicate to
   }
-  auto snapshot = collect_objects(prefix);
+  std::vector<PeerId> prims = primaries(prefix);
+  auto snapshot = collect(prefix, prims);
+  alive_order(prims);
   stats_.replica_objects += snapshot.size();
   const auto [it, inserted] = regions_.emplace(
       prefix,
@@ -176,7 +193,7 @@ void ReplicaSet::replicate(sim::Simulator& sim, const KautzString& prefix) {
   ++stats_.regions_replicated;
   ++stats_.active_regions;
   for (Holder& holder : it->second.holders) {
-    sync_holder(sim, prefix, holder);
+    sync_holder(sim, prefix, prims, holder);
   }
 }
 
@@ -184,7 +201,8 @@ ReplicaSet::Regions::iterator ReplicaSet::tear_down(sim::Simulator& sim,
                                                     Regions::iterator it) {
   // Release notices travel the handoff lane; the region stops serving
   // immediately (the erase below), the notices are pure accounting.
-  const std::vector<PeerId> prims = primaries(it->first);
+  std::vector<PeerId> prims = primaries(it->first);
+  alive_order(prims);
   const PeerId origin = prims.empty() ? fissione::kNoPeer : prims.front();
   net::Transport& transport = net_.transport();
   for (const Holder& holder : it->second.holders) {
@@ -211,12 +229,9 @@ std::optional<ReplicaSet::Choice> ReplicaSet::choose(
     if (!holder.synced || !net_.is_alive(holder.peer)) {
       continue;
     }
-    if (net_.owner_of(holder.name) != holder.peer) {
-      continue;  // ownership moved under churn; repair will re-sync
-    }
     fissione::RouteResult route = net_.route(issuer, holder.name);
     if (route.owner != holder.peer) {
-      continue;
+      continue;  // ownership moved under churn; repair will re-sync
     }
     // Strict < keeps the lowest holder index on latency ties.
     if (!best.has_value() || route.latency < best_latency) {
@@ -225,6 +240,28 @@ std::optional<ReplicaSet::Choice> ReplicaSet::choose(
     }
   }
   return best;
+}
+
+std::vector<std::uint64_t> ReplicaSet::scan(
+    std::span<const StoredObject> sorted, const KautzRegion& subregion,
+    const ObjectFilter& filter) {
+  const auto first = std::lower_bound(
+      sorted.begin(), sorted.end(), subregion.lo(),
+      [](const StoredObject& obj, const KautzString& lo) {
+        return obj.object_id < lo;
+      });
+  const auto last = std::upper_bound(
+      first, sorted.end(), subregion.hi(),
+      [](const KautzString& hi, const StoredObject& obj) {
+        return hi < obj.object_id;
+      });
+  std::vector<std::uint64_t> matches;
+  for (auto it = first; it != last; ++it) {
+    if (subregion.contains(it->object_id) && filter(*it)) {
+      matches.push_back(it->payload);
+    }
+  }
+  return matches;
 }
 
 void ReplicaSet::on_query(sim::Simulator& sim,
@@ -349,11 +386,7 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
           ++stats_.cache_hits;
           annotate(obs::kFlagCacheHit);
         } else {
-          for (const StoredObject& obj : *objects) {
-            if (subregion.contains(obj.object_id) && filter(obj)) {
-              matches.push_back(obj.payload);
-            }
-          }
+          matches = scan(*objects, subregion, filter);
           frag.replica_routes = 1;
           ++stats_.replica_routes;
           annotate(obs::kFlagReplicaRoute);
@@ -418,7 +451,8 @@ void ReplicaSet::on_membership(sim::Simulator& sim) {
   }
   stats_.cache_invalidated_churn += cache_.clear();
   for (auto& [prefix, region] : regions_) {
-    auto fresh = collect_objects(prefix);
+    std::vector<PeerId> prims = primaries(prefix);
+    auto fresh = collect(prefix, prims);
     const bool content_changed = fresh != *region.objects;
     if (content_changed) {
       stats_.replica_objects += fresh.size();
@@ -441,10 +475,15 @@ void ReplicaSet::on_membership(sim::Simulator& sim) {
       }
     }
     region.holders = std::move(holders);
+    bool ordered = false;
     for (Holder& holder : region.holders) {
       if (!holder.synced) {
+        if (!ordered) {
+          alive_order(prims);
+          ordered = true;
+        }
         ++stats_.repairs;
-        sync_holder(sim, prefix, holder);
+        sync_holder(sim, prefix, prims, holder);
       }
     }
   }

@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,18 @@ class ReplicaSet {
   /// PeerID and the prefix are comparable) — such peers are never holders.
   bool is_primary(fissione::PeerId peer,
                   const kautz::KautzString& prefix) const;
+  /// The region's objects from its primaries and delegation slices, in
+  /// (object_id, payload) order: the content a snapshot of `prefix` holds.
+  std::vector<fissione::StoredObject> collect_objects(
+      const kautz::KautzString& prefix) const;
+  /// The holder scan: payloads of the objects of a sorted snapshot that
+  /// pass `subregion.contains && filter`, in snapshot order. Only the run
+  /// between subregion.lo() and subregion.hi() is visited (binary search);
+  /// both tests still run on every visited object, so contains keeps
+  /// CHECKing ObjectID lengths.
+  static std::vector<std::uint64_t> scan(
+      std::span<const fissione::StoredObject> sorted,
+      const kautz::KautzRegion& subregion, const ObjectFilter& filter);
 
   /// Per-query entry point (RangeFrontEnd calls it once per PIRA/MIRA query
   /// with the common-prefix subregions of the search classes). Transfers
@@ -201,14 +214,22 @@ class ReplicaSet {
   /// overlays (where most owners are primaries) terminating with however
   /// many distinct holders exist. Holders come back unsynced.
   std::vector<Holder> derive_holders(const kautz::KautzString& prefix) const;
+  /// The peers is_primary accepts for `prefix`, read off the Kautz tree:
+  /// the leaves below the prefix, or the one leaf above it. Tree order;
+  /// callers whose order reaches the wire sort by alive_order.
   std::vector<fissione::PeerId> primaries(
       const kautz::KautzString& prefix) const;
-  /// The region's objects from its primaries and delegation slices, sorted.
-  std::vector<fissione::StoredObject> collect_objects(
-      const kautz::KautzString& prefix) const;
+  /// Sort peers by position in alive_peers(): the order transfers and
+  /// notices go on the wire.
+  void alive_order(std::vector<fissione::PeerId>& peers) const;
+  /// collect_objects with the region's primaries already in hand.
+  std::vector<fissione::StoredObject> collect(
+      const kautz::KautzString& prefix,
+      const std::vector<fissione::PeerId>& prims) const;
   /// Price the transfers of the region's objects to `holder` and mark it
-  /// synced when the last one lands.
+  /// synced when the last one lands; `prims` in alive_order.
   void sync_holder(sim::Simulator& sim, const kautz::KautzString& prefix,
+                   const std::vector<fissione::PeerId>& prims,
                    Holder& holder);
   /// Snapshot `prefix` and place its holders; no-op when none qualifies.
   void replicate(sim::Simulator& sim, const kautz::KautzString& prefix);

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <unordered_set>
 
 #include "kautz/kautz_space.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace armada::fissione {
 namespace {
@@ -223,6 +225,103 @@ TEST_P(FissioneChurnTest, InvariantsUnderRandomChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FissioneChurnTest,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 42, 1234));
+
+// The tree agrees with full scans of the alive peers after every step of a
+// seeded churn run: deepest_leaf with the lowest PeerId at the greatest
+// depth (its tie rule), and cover_of_prefix — in alive_peers() order —
+// with the alive-order scan for peers whose PeerID is comparable to the
+// prefix (what ReplicaSet calls the region's primaries).
+TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
+  auto net =
+      FissioneNetwork::build_snapshot(2000, 61, FissioneNetwork::Config{});
+  std::vector<KautzString> prefixes;
+  std::vector<KautzString> level{KautzString(net.config().base)};
+  for (int len = 1; len <= 5; ++len) {
+    std::vector<KautzString> next;
+    for (const KautzString& p : level) {
+      for (std::uint8_t s = 0; s <= p.base(); ++s) {
+        if (p.can_append(s)) {
+          KautzString child = p;
+          child.push_back(s);
+          next.push_back(std::move(child));
+        }
+      }
+    }
+    prefixes.insert(prefixes.end(), next.begin(), next.end());
+    level = std::move(next);
+  }
+  ASSERT_EQ(prefixes.size(), 3u + 6u + 12u + 24u + 48u);
+
+  const auto check = [&net, &prefixes](int step) {
+    const KautzTree& tree = net.tree();
+    PeerId deepest = kNoPeer;
+    std::size_t depth = 0;
+    for (PeerId p = 0; p < net.peer_id_bound(); ++p) {
+      if (net.is_alive(p) && tree.depth_of(p) > depth) {
+        depth = tree.depth_of(p);
+        deepest = p;
+      }
+    }
+    ASSERT_EQ(tree.deepest_leaf(), deepest) << "step " << step;
+    // One alive-order pass: a PeerID at least as long as a prefix is
+    // comparable with it iff it starts with it; a shorter one is tested.
+    std::map<KautzString, std::vector<PeerId>> scans;
+    for (PeerId p : net.alive_peers()) {
+      const KautzString& pid = net.peer_id(p);
+      for (std::size_t len = 1; len <= 5; ++len) {
+        if (len <= pid.length()) {
+          scans[pid.prefix(len)].push_back(p);
+          continue;
+        }
+        for (const KautzString& prefix : prefixes) {
+          if (prefix.length() == len && pid.is_prefix_of(prefix)) {
+            scans[prefix].push_back(p);
+          }
+        }
+      }
+    }
+    for (const KautzString& prefix : prefixes) {
+      const std::vector<PeerId>& scan = scans[prefix];
+      std::vector<PeerId> cover = tree.cover_of_prefix(prefix);
+      std::sort(cover.begin(), cover.end(), [&net](PeerId a, PeerId b) {
+        return net.alive_index(a) < net.alive_index(b);
+      });
+      ASSERT_EQ(cover, scan) << "step " << step << " prefix "
+                             << prefix.to_string();
+    }
+  };
+
+  Rng rng(4099);
+  check(-1);
+  std::size_t joins = 0;
+  std::size_t leaves = 0;
+  std::size_t crashes = 0;
+  for (int step = 0; step < 520; ++step) {
+    const double dice = rng.next_double();
+    if (dice < 0.4) {
+      net.join();
+      ++joins;
+    } else {
+      const auto& alive = net.alive_peers();
+      const PeerId victim = alive[rng.next_index(alive.size())];
+      if (dice < 0.8) {
+        net.leave(victim);
+        ++leaves;
+      } else {
+        net.crash(victim);
+        ++crashes;
+      }
+    }
+    check(step);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  net.check_invariants();
+  EXPECT_GT(joins, 100u);
+  EXPECT_GT(leaves, 100u);
+  EXPECT_GT(crashes, 50u);
+}
 
 // build_snapshot() must be bit-identical to build(): same tree, same
 // PeerIDs, same neighbor tables, same RNG position afterward — it only

@@ -328,7 +328,7 @@ TEST_P(IntegrationFuzz, RebalancingUnderChurnConservesAndStaysExact) {
           most = net.peer(p).store.size();
         }
       }
-      load[hot] += 12;
+      load.add(hot, 12);
       kautz::KautzString hot_oid = net.peer(hot).peer_id;
       while (hot_oid.length() < net.config().object_id_length) {
         for (std::uint8_t s = 0; s <= hot_oid.base(); ++s) {

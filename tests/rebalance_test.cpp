@@ -12,7 +12,9 @@
 //  * determinism — identical seeds produce identical answers, stats, and
 //    registries;
 //  * bitwise no-op when disabled — a default RebalanceConfig changes
-//    nothing about the query path.
+//    nothing about the query path;
+//  * lazy load decay — load_of equals an eager sweep of every peer, bit
+//    for bit, after every sweep.
 //
 // ARMADA_SOAK=1 stretches the trajectory tests 10x (wired into the CI
 // Release leg); ARMADA_FUZZ_SEED=<n> replays the determinism sweep on one
@@ -20,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -574,7 +578,7 @@ TEST(Rebalancer, CancelsCleanlyWhenDonorCrashesMidTransfer) {
     // on its zone — and tick until a sweep launches the migration: the
     // transfer is now on the wire with a strictly later delivery instant.
     const PeerId hot = fattest_peer(net);
-    load[hot] += 8;
+    load.add(hot, 8);
     KautzString hot_oid = net.peer(hot).peer_id;
     while (hot_oid.length() < net.config().object_id_length) {
       for (std::uint8_t s = 0; s <= hot_oid.base(); ++s) {
@@ -643,6 +647,181 @@ TEST(Rebalancer, DeterministicAcrossIdenticalRuns) {
     };
     EXPECT_EQ(run(), run()) << "seed " << seed;
   }
+}
+
+// --- lazy load decay -------------------------------------------------------
+
+/// The sweep the lazy one replaced, as a reference: every sweep sizes the
+/// columns to the largest alive PeerId and updates every peer's EWMA; the
+/// membership hook zeroes every dead peer.
+struct EagerLoads {
+  std::vector<double> load;
+  std::vector<std::uint64_t> prev;
+
+  void sweep(const FissioneNetwork& net) {
+    std::size_t hi = 0;
+    for (PeerId p : net.alive_peers()) {
+      hi = std::max(hi, static_cast<std::size_t>(p) + 1);
+    }
+    if (hi > load.size()) {
+      load.resize(hi, 0.0);
+      prev.resize(hi, 0);
+    }
+    const fissione::ServiceLoadMap* counts = net.service_load();
+    for (std::size_t p = 0; p < load.size(); ++p) {
+      const std::uint64_t cur =
+          counts != nullptr ? counts->count(static_cast<PeerId>(p)) : 0;
+      const std::uint64_t delta = cur >= prev[p] ? cur - prev[p] : cur;
+      load[p] = 0.5 * load[p] + static_cast<double>(delta);
+      prev[p] = cur;
+    }
+  }
+  void on_membership(const FissioneNetwork& net) {
+    for (std::size_t p = 0; p < load.size(); ++p) {
+      if (!net.is_alive(static_cast<PeerId>(p))) {
+        load[p] = 0.0;
+        prev[p] = 0;
+      }
+    }
+  }
+  double at(PeerId p) const { return p < load.size() ? load[p] : 0.0; }
+};
+
+// load_of equals the eager EWMA, bitwise, for every id after every sweep:
+// through service recorded on live and dead peers, ServiceLoadMap::reset
+// and clear, joins recycling departed ids (with and without the membership
+// hook), the map detached and re-attached, a second rebalancer draining the
+// same map, and an idle stretch long enough to decay every load to zero.
+TEST(RebalancerLoads, LazyDecayMatchesAnEagerSweepOfEveryPeer) {
+  auto net =
+      FissioneNetwork::build_snapshot(300, 5, FissioneNetwork::Config{});
+  fissione::ServiceLoadMap load;
+  net.set_service_load(&load);
+  rebalance::RebalanceConfig cfg;
+  cfg.trigger_load = 1e300;  // enabled but never fires: loads only
+  cfg.sweep_interval = 1;
+  rebalance::Rebalancer rb(net, cfg);
+  rebalance::Rebalancer rival(net, cfg);
+  EagerLoads model;
+  EagerLoads rival_model;
+  sim::Simulator sim;
+  Rng rng(2718);
+
+  const auto compare = [&net](const rebalance::Rebalancer& r,
+                              const EagerLoads& m, int round) {
+    for (PeerId p = 0; p < net.peer_id_bound() + 2; ++p) {
+      ASSERT_EQ(r.load_of(p), m.at(p)) << "round " << round << " peer " << p;
+    }
+  };
+  constexpr int kIdleFrom = 1200;
+  constexpr int kIdleTo = kIdleFrom + 1150;
+  std::vector<PeerId> departed;
+  bool detached = false;
+  for (int round = 0; round < kIdleTo + 300; ++round) {
+    const bool idle = round >= kIdleFrom && round < kIdleTo;
+    if (!idle) {
+      const int adds = static_cast<int>(rng.next_index(12));
+      for (int i = 0; i < adds; ++i) {
+        const auto& alive = net.alive_peers();
+        const std::uint64_t n = rng.next_bool(0.02)
+                                    ? std::uint64_t{1} << rng.next_index(40)
+                                    : 1 + rng.next_index(5);
+        load.add(alive[rng.next_index(alive.size())], n);
+      }
+      if (!departed.empty() && rng.next_bool(0.05)) {
+        // A walk decided before a departure lands on the dead id.
+        const PeerId ghost = departed[rng.next_index(departed.size())];
+        if (!net.is_alive(ghost)) {
+          load.add(ghost, 1 + rng.next_index(3));
+        }
+      }
+      if (rng.next_bool(0.03)) {
+        load.reset(static_cast<PeerId>(rng.next_index(net.peer_id_bound())));
+      }
+      if (rng.next_bool(0.004)) {
+        load.clear();
+      }
+      if (rng.next_bool(0.06)) {
+        const double dice = rng.next_double();
+        if (dice < 0.45 || net.num_peers() < 200) {
+          net.join();
+        } else {
+          const auto& alive = net.alive_peers();
+          const PeerId victim = alive[rng.next_index(alive.size())];
+          departed.push_back(victim);
+          if (dice < 0.8) {
+            net.leave(victim);
+          } else {
+            net.crash(victim);
+          }
+        }
+        if (rng.next_bool(0.8)) {  // otherwise the hook is not wired
+          rb.on_membership(sim);
+          model.on_membership(net);
+          rival.on_membership(sim);
+          rival_model.on_membership(net);
+        }
+      }
+      if (rng.next_bool(0.01)) {
+        detached = !detached;
+        net.set_service_load(detached ? nullptr : &load);
+      }
+    }
+    rb.on_query(sim, {});
+    model.sweep(net);
+    compare(rb, model, round);
+    if (rng.next_bool(0.1)) {
+      rival.on_query(sim, {});
+      rival_model.sweep(net);
+      compare(rival, rival_model, round);
+    }
+    if (HasFatalFailure()) {
+      return;
+    }
+    if (round == kIdleTo - 1) {
+      for (PeerId p = 0; p < net.peer_id_bound(); ++p) {
+        ASSERT_EQ(rb.load_of(p), 0.0) << "peer " << p;
+      }
+    }
+  }
+  EXPECT_EQ(rb.stats().sweeps, static_cast<std::uint64_t>(kIdleTo + 300));
+}
+
+// decayed(x, k) equals k rounds of the eager `0.5 * x + 0.0`, bit for bit,
+// over the whole range of positive doubles, subnormals included, and
+// especially for k landing the result near and across the normal range's
+// lower edge.
+TEST(RebalancerLoads, DecayedEqualsRepeatedHalving) {
+  Rng rng(1618);
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t exponent = rng.next_index(2047);  // 0: subnormal
+    const std::uint64_t mantissa =
+        rng.engine()() & ((std::uint64_t{1} << 52) - 1);
+    const double x = std::bit_cast<double>(exponent << 52 | mantissa);
+    std::uint64_t k = rng.next_index(1200);
+    if (i % 2 == 0 && x != 0.0) {
+      // Land near the normal/subnormal edge.
+      const int to_edge = std::ilogb(x) + 1022;
+      k = static_cast<std::uint64_t>(
+          std::max(0, to_edge + static_cast<int>(rng.next_index(70)) - 8));
+    }
+    double eager = x;
+    for (std::uint64_t s = 0; s < k && eager != 0.0; ++s) {
+      eager = 0.5 * eager + 0.0;
+    }
+    const double lazy = rebalance::Rebalancer::decayed(x, k);
+    if (std::bit_cast<std::uint64_t>(lazy) !=
+        std::bit_cast<std::uint64_t>(eager)) {
+      ++mismatches;
+      ADD_FAILURE() << std::hexfloat << x << " after " << k << ": " << lazy
+                    << " != " << eager;
+      if (mismatches > 5) {
+        return;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

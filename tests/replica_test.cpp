@@ -3,9 +3,10 @@
 // the global scan and the paper delay bound, cache TTL / publish / churn
 // invalidation, the cache's FIFO eviction order, churn repair (which
 // holders it re-syncs, and a holder hosting a migrated slice), MIRA box
-// queries with replication, caching and rebalancing all on, and
-// determinism of the placement and cache hit/miss sequences
-// (ARMADA_FUZZ_SEED overrides the seed sweep).
+// queries with replication, caching and rebalancing all on, determinism
+// of the placement and cache hit/miss sequences (ARMADA_FUZZ_SEED
+// overrides the seed sweep), and the holder scan and snapshot collection
+// against brute-force scans.
 #include "replica/replica_set.h"
 
 #include <gtest/gtest.h>
@@ -14,16 +15,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "armada/armada.h"
 #include "fissione/churn_driver.h"
+#include "kautz/kautz_space.h"
 #include "rebalance/rebalance.h"
 #include "sim/churn.h"
 #include "support/test_networks.h"
 #include "support/test_workloads.h"
+#include "util/rng.h"
 
 namespace armada::replica {
 namespace {
@@ -602,6 +606,135 @@ TEST(ReplicaDeterminism, PlacementAndCacheSequencesReplay) {
     EXPECT_EQ(final_stats[0], final_stats[1]);
     EXPECT_EQ(regions[0], regions[1]);
   }
+}
+
+// The holder scan binary-searches the sorted snapshot; it returns what the
+// linear `contains && filter` scan returns, in the same order, wherever the
+// bounds fall: before, on, between or after snapshot objects, over runs
+// holding nothing, and over an empty snapshot.
+TEST(ReplicaScan, BinarySearchedScanMatchesTheLinearScan) {
+  constexpr std::size_t kLen = 48;
+  Rng rng(31);
+  std::vector<fissione::StoredObject> snapshot;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    snapshot.push_back({kautz::random_string(rng, 2, kLen), i});
+  }
+  // Equal ObjectIDs with distinct payloads, as equal published values give.
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    snapshot.push_back({snapshot[i * 7].object_id, 1000 + i});
+  }
+  std::sort(snapshot.begin(), snapshot.end());
+  const ReplicaSet::ObjectFilter filter =
+      [](const fissione::StoredObject& obj) { return obj.payload % 3 != 0; };
+  const auto linear = [&filter](std::span<const fissione::StoredObject> objs,
+                                const kautz::KautzRegion& region) {
+    std::vector<std::uint64_t> out;
+    for (const fissione::StoredObject& obj : objs) {
+      if (region.contains(obj.object_id) && filter(obj)) {
+        out.push_back(obj.payload);
+      }
+    }
+    return out;
+  };
+
+  // Bounds on objects, one step before and after them, between them, and
+  // at both ends of the space.
+  std::vector<kautz::KautzString> bounds;
+  for (const fissione::StoredObject& obj : snapshot) {
+    bounds.push_back(obj.object_id);
+    if (!kautz::is_space_min(obj.object_id)) {
+      bounds.push_back(kautz::predecessor(obj.object_id));
+    }
+    if (!kautz::is_space_max(obj.object_id)) {
+      bounds.push_back(kautz::successor(obj.object_id));
+    }
+  }
+  for (int i = 0; i < 100; ++i) {
+    bounds.push_back(kautz::random_string(rng, 2, kLen));
+  }
+  const kautz::KautzString lowest =
+      kautz::min_extension(kautz::KautzString(2), kLen);
+  const kautz::KautzString highest =
+      kautz::max_extension(kautz::KautzString(2), kLen);
+  bounds.push_back(lowest);
+  bounds.push_back(highest);
+
+  std::size_t empty_runs = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    kautz::KautzString lo = bounds[rng.next_index(bounds.size())];
+    kautz::KautzString hi = bounds[rng.next_index(bounds.size())];
+    if (hi < lo) {
+      std::swap(lo, hi);
+    }
+    const kautz::KautzRegion region(lo, hi);
+    const std::vector<std::uint64_t> want = linear(snapshot, region);
+    ASSERT_EQ(ReplicaSet::scan(snapshot, region, filter), want)
+        << region.to_string();
+    empty_runs += want.empty() ? 1 : 0;
+  }
+  EXPECT_GT(empty_runs, 0u);
+  const kautz::KautzRegion all(lowest, highest);
+  EXPECT_EQ(ReplicaSet::scan(snapshot, all, filter), linear(snapshot, all));
+  EXPECT_TRUE(ReplicaSet::scan({}, all, filter).empty());
+}
+
+// collect_objects reads the region's primaries off the Kautz tree and
+// skips the prefix test below the prefix; with migrated zones and sub-zones
+// in the delegation registry it still equals a scan of every native store
+// and every delegation, for prefixes above, at and below peer depth.
+TEST(ReplicaScan, CollectObjectsMatchesABruteForceScanWithDelegations) {
+  auto fx = make_single_index(120, 41);
+  auto& net = fx->net;
+  publish_uniform_values(fx->index, 900, 43);
+  // Migrate three whole zones and two sub-zones to disjoint hosts.
+  std::vector<PeerId> donors = net.alive_peers();
+  std::sort(donors.begin(), donors.end(), [&net](PeerId a, PeerId b) {
+    return net.store_of(a).size() > net.store_of(b).size();
+  });
+  Rng rng(47);
+  for (std::size_t i = 0; i < 5; ++i) {
+    kautz::KautzString range = net.peer_id(donors[i]);
+    if (i >= 3) {
+      const std::uint8_t s = range.digit(range.length() - 1) == 0 ? 1 : 0;
+      range.push_back(s);
+    }
+    PeerId host = fissione::kNoPeer;
+    while (host == fissione::kNoPeer) {
+      const PeerId p = net.alive_peers()[rng.next_index(net.num_peers())];
+      const kautz::KautzString& pid = net.peer_id(p);
+      if (!pid.is_prefix_of(range) && !range.is_prefix_of(pid)) {
+        host = p;
+      }
+    }
+    net.delegate_range(range, host, net.detach_range(range));
+  }
+  ASSERT_EQ(net.delegations().size(), 5u);
+  net.check_invariants();
+  ReplicaSet& rs = fx->index.enable_replication(small_scale_config());
+
+  std::size_t checked = 0;
+  for (std::size_t len = 1; len <= 8; ++len) {
+    for (const kautz::KautzString& prefix : kautz::enumerate(2, len)) {
+      std::vector<fissione::StoredObject> want;
+      const auto take = [&](std::span<const fissione::StoredObject> objs) {
+        for (const fissione::StoredObject& obj : objs) {
+          if (prefix.is_prefix_of(obj.object_id)) {
+            want.push_back(obj);
+          }
+        }
+      };
+      for (PeerId p : net.alive_peers()) {
+        take(net.peer(p).store);
+      }
+      for (const auto& [range, d] : net.delegations()) {
+        take(d.objects);
+      }
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(rs.collect_objects(prefix), want) << prefix.to_string();
+      checked += want.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(checked, 300u);
 }
 
 }  // namespace
