@@ -172,9 +172,8 @@ void record_registry(const std::string& overlay, const std::string& model,
   obs::publish(reg, "churn", churn);
   obs::publish(reg, "net", wire);
   std::vector<std::pair<std::string, double>> metrics;
-  reg.visit([&metrics](const std::string& name, obs::Registry::Kind,
-                       double scalar, const obs::Registry::Histogram*) {
-    metrics.emplace_back(name, scalar);
+  reg.visit([&metrics](const std::string& name, double value) {
+    metrics.emplace_back(name, value);
   });
   JsonSink::instance().record(
       "churn_registry", overlay + "/" + model + "/" + rate_label(rate),

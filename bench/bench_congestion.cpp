@@ -119,8 +119,6 @@ TierResult run_tier(overlay::RoutedOverlay& overlay,
     overlay.uninstall_queueing();
   }
   net::Transport& transport = overlay.transport();
-  const net::Transport::WalkOptions options{
-      .bytes = transport.default_message_bytes()};
   TierResult r{sim::MetricSet(
                    std::log2(static_cast<double>(overlay.overlay_size()))),
                net::CongestionStats{}, 0.0};
@@ -128,7 +126,7 @@ TierResult run_tier(overlay::RoutedOverlay& overlay,
   for (std::size_t i = 0; i < walks.size(); ++i) {
     sim.schedule_at(static_cast<double>(i) * gap, [&, i] {
       transport.deliver_walk(
-          sim, walks[i], options,
+          sim, walks[i],
           [&r](const sim::QueryStats& s) { r.queries.add(s); });
     });
   }

@@ -6,11 +6,10 @@
 // observed: messages and the link departures (batches) that carried them,
 // payload bytes on the wire, the queueing delay each message accrued beyond
 // pure propagation, per-node backlog peaks, accumulated service busy time,
-// a batch-occupancy histogram, and — since the closed-loop PR — per-class
-// traffic accounting plus the flow-control counters (admission sheds,
-// hedged duplicates). Every overlay surfaces its transport's instance
-// through overlay::RoutedOverlay::congestion(), so benches read hot-node
-// and hot-link pressure in the same way for all four DHTs.
+// per-class traffic accounting, and the flow-control counters (admission
+// sheds, hedged duplicates). Every overlay surfaces its transport's
+// instance through overlay::RoutedOverlay::congestion(), so benches read
+// hot-node and hot-link pressure in the same way for all four DHTs.
 #pragma once
 
 #include <array>
@@ -38,9 +37,6 @@ inline constexpr std::size_t class_index(TrafficClass c) {
 }
 
 struct CongestionStats {
-  /// Histogram buckets for batch occupancy: sizes 1..7, last bucket >= 8.
-  static constexpr std::size_t kOccupancyBuckets = 8;
-
   // --- traffic ---------------------------------------------------------------
   /// Messages that entered the queueing path.
   std::uint64_t messages = 0;
@@ -87,15 +83,6 @@ struct CongestionStats {
   double egress_busy_total = 0.0;
   double ingress_busy_total = 0.0;
 
-  /// batch_occupancy[i] counts batches that departed (or are currently
-  /// open) with i+1 messages; the last bucket absorbs sizes >= 8. The
-  /// histogram is maintained incrementally, so it is valid at any instant.
-  std::array<std::uint64_t, kOccupancyBuckets> batch_occupancy{};
-
-  double queue_delay_mean() const {
-    return messages == 0 ? 0.0
-                         : queue_delay_total / static_cast<double>(messages);
-  }
   double class_queue_delay_mean(TrafficClass c) const {
     const std::size_t i = class_index(c);
     return class_messages[i] == 0
@@ -122,12 +109,9 @@ struct CongestionStats {
 
   /// Interval accounting: subtract an earlier snapshot of the same transport
   /// to get the delta for a round/window. Every *monotone* additive counter
-  /// participates (add new fields HERE, not at call sites). The peaks, the
-  /// max, and the occupancy histogram stay cumulative: maxima have no
-  /// per-interval difference, and histogram buckets shrink when an open
-  /// batch grows into the next bucket, so differencing them could
-  /// underflow. Use messages/batches of the delta for per-interval batch
-  /// occupancy.
+  /// participates (add new fields HERE, not at call sites). The peaks and
+  /// the max stay cumulative: maxima have no per-interval difference. Use
+  /// messages/batches of the delta for per-interval batch occupancy.
   CongestionStats& operator-=(const CongestionStats& snapshot) {
     messages -= snapshot.messages;
     batches -= snapshot.batches;

@@ -124,27 +124,17 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // (each message is its own departure).
   LinkState& wire = link(from, to);
   sim::Time departure = ready;
-  if (config_.coalesce_window > 0.0 && wire.batch_occupancy > 0 &&
+  if (config_.coalesce_window > 0.0 && wire.batch_open &&
       wire.batch_departure >= ready &&
       wire.batch_departure <= ready + config_.coalesce_window) {
     departure = wire.batch_departure;
-    // Shift this batch one occupancy bucket up (the last bucket saturates).
-    const std::uint32_t occ = ++wire.batch_occupancy;
-    const std::size_t last = CongestionStats::kOccupancyBuckets - 1;
-    const std::size_t old_bucket = std::min<std::size_t>(occ - 2, last);
-    const std::size_t new_bucket = std::min<std::size_t>(occ - 1, last);
-    if (new_bucket != old_bucket) {
-      --stats_.batch_occupancy[old_bucket];
-      ++stats_.batch_occupancy[new_bucket];
-    }
   } else {
     if (config_.coalesce_window > 0.0) {
       departure = ready + config_.coalesce_window;
     }
     wire.batch_departure = departure;
-    wire.batch_occupancy = 1;
+    wire.batch_open = true;
     ++stats_.batches;
-    ++stats_.batch_occupancy[0];
   }
 
   // Transmission: bytes serialize behind earlier traffic on this link.

@@ -30,10 +30,10 @@
 // lower-tier delays are therefore a lower bound under cross-class
 // contention (the standard price of synchronous reservations).
 //
-// Closed-loop flow control (QueueingConfig::flow): senders that opt in
-// consult the live backlog before reserving — backing off (delaying the
-// send in proportion to the excess backlog), launching a hedged duplicate
-// in the kHedge lane when the synchronously-known queueing delay crosses a
+// Closed-loop flow control (QueueingConfig::flow): query senders consult
+// the live backlog before reserving — backing off (delaying the send in
+// proportion to the excess backlog), launching a hedged duplicate in the
+// kHedge lane when the synchronously-known queueing delay crosses a
 // threshold (first arrival wins, the loser's continuation is cancelled),
 // or shedding query-class work entirely once the target's backlog reaches
 // the admission limit (partial answers with an explicit coverage
@@ -78,9 +78,9 @@ inline constexpr double kUnlimitedRate =
 /// Flow-control threshold meaning "never".
 inline constexpr double kNeverHedge = std::numeric_limits<double>::infinity();
 
-/// Sender-side closed-loop knobs. Everything defaults to off; senders that
-/// opt in (Transport::deliver_walk flow control, FrtSearch) consult these
-/// through Transport::{should_shed, backoff_delay}.
+/// Sender-side closed-loop knobs. Everything defaults to off; query senders
+/// (Transport::deliver_walk, FrtSearch) consult these through
+/// Transport::{should_shed, backoff_delay}.
 struct FlowControlConfig {
   /// Ingress-backlog depth at the target at which a sender starts backing
   /// off; 0 disables backoff.
@@ -190,7 +190,7 @@ class Queueing {
   /// target's ingress backlog is at or above the limit.
   bool should_shed(const sim::Simulator& sim, NodeId to,
                    TrafficClass cls) const;
-  /// Backoff an opted-in sender should apply before sending to `to`:
+  /// Backoff a query sender should apply before sending to `to`:
   /// flow.backoff per message of ingress backlog beyond the threshold.
   sim::Time backoff_delay(const sim::Simulator& sim, NodeId to) const;
   /// Account one admission-control shed (the message never touched the
@@ -219,7 +219,7 @@ class Queueing {
   struct LinkState {
     sim::Time wire_busy_until = 0.0;
     sim::Time batch_departure = 0.0;
-    std::uint32_t batch_occupancy = 0;  ///< 0 = no open batch
+    bool batch_open = false;  ///< batch_departure holds an opened batch
   };
   /// Delivery events outlive the state they were sent on (set aside,
   /// replaced with the engine, or uninstalled), so the delivered counter

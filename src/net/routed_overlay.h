@@ -104,9 +104,6 @@ inline void chain(sim::QueryStats& head, const sim::QueryStats& tail) {
   head.bytes_on_wire += tail.bytes_on_wire;
   head.coverage *= tail.coverage;
   head.shed += tail.shed;
-  head.hedges += tail.hedges;
-  head.replica_routes += tail.replica_routes;
-  head.cache_hits += tail.cache_hits;
 }
 
 /// Concurrent composition: fold `branch` into a fan whose branches are all
@@ -124,9 +121,6 @@ inline void fan_in(sim::QueryStats& fan, const sim::QueryStats& branch) {
   fan.bytes_on_wire += branch.bytes_on_wire;
   fan.coverage = fan.coverage < branch.coverage ? fan.coverage : branch.coverage;
   fan.shed += branch.shed;
-  fan.hedges += branch.hedges;
-  fan.replica_routes += branch.replica_routes;
-  fan.cache_hits += branch.cache_hits;
 }
 
 }  // namespace armada::overlay

@@ -87,13 +87,12 @@ Time Transport::deliver_traced(sim::Simulator& sim, NodeId from, NodeId to,
 }
 
 void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
-                             const WalkOptions& options,
                              std::function<void(const sim::QueryStats&)> done) {
   struct Walk {
     Transport* transport;
     sim::Simulator* sim;
     std::vector<NodeId> path;
-    WalkOptions options;
+    std::uint32_t bytes;
     std::function<void(const sim::QueryStats&)> done;
     sim::Time start = 0.0;
     sim::QueryStats stats;
@@ -114,8 +113,7 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
       const NodeId u = path[i];
       const NodeId v = path[i + 1];
       const Queueing* queueing = transport->queueing();
-      if (options.flow_control &&
-          transport->should_shed(*sim, v, options.cls)) {
+      if (transport->should_shed(*sim, v, TrafficClass::kQuery)) {
         // Admission refused: shed the whole walk. The hops already spent
         // stay in the stats; the answer carries zero coverage.
         transport->record_shed();
@@ -125,15 +123,13 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
         return;
       }
       Time not_before = 0.0;
-      if (options.flow_control) {
-        const Time backoff = transport->backoff_delay(*sim, v);
-        if (backoff > 0.0) {
-          not_before = sim->now() + backoff;
-        }
+      const Time backoff = transport->backoff_delay(*sim, v);
+      if (backoff > 0.0) {
+        not_before = sim->now() + backoff;
       }
       ++stats.messages;
       stats.delay += 1.0;
-      stats.bytes_on_wire += options.bytes;
+      stats.bytes_on_wire += bytes;
       // First arrival continues the walk; a cancelled (losing) copy is
       // dropped here — its reservations were consumed, its continuation
       // never runs.
@@ -148,10 +144,9 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
         self->hop(self, i + 1);
       };
       const Time send_time = std::max(sim->now(), not_before);
-      const Time primary = transport->deliver(*sim, u, v, options.bytes,
-                                              arrive, not_before, options.cls);
-      if (options.flow_control && queueing != nullptr &&
-          queueing->config().flow.hedge_enabled()) {
+      const Time primary = transport->deliver(*sim, u, v, bytes, arrive,
+                                              not_before);
+      if (queueing != nullptr && queueing->config().flow.hedge_enabled()) {
         const Time primary_delay = primary - send_time - transport->link(u, v);
         if (primary_delay > queueing->config().flow.hedge_threshold) {
           // Hedge in the kHedge lane: under priority scheduling the
@@ -160,10 +155,9 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
             transport->trace_->annotate(obs::kFlagHedge);
           }
           ++stats.messages;
-          ++stats.hedges;
-          stats.bytes_on_wire += options.bytes;
+          stats.bytes_on_wire += bytes;
           const Time hedge = transport->deliver(
-              *sim, u, v, options.bytes, arrive,
+              *sim, u, v, bytes, arrive,
               sim->now() + queueing->config().flow.hedge_delay,
               TrafficClass::kHedge);
           transport->queueing_->record_hedge(hedge < primary);
@@ -171,9 +165,9 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
       }
     }
   };
-  auto walk = std::make_shared<Walk>(Walk{this, &sim, std::move(path), options,
-                                          std::move(done), sim.now(),
-                                          sim::QueryStats{}});
+  auto walk = std::make_shared<Walk>(
+      Walk{this, &sim, std::move(path), default_message_bytes(),
+           std::move(done), sim.now(), sim::QueryStats{}});
   if (trace_ != nullptr) [[unlikely]] {
     // Root a new trace unless the walk runs under an enclosing one (e.g.
     // a replica serve inside a PIRA query), in which case its hops join

@@ -24,7 +24,7 @@
 //
 // Senders close the loop through this seam too: `should_shed` /
 // `backoff_delay` surface the installed flow-control policy (no-ops
-// without queueing), and `deliver_walk` can run a walk flow-controlled —
+// without queueing), and `deliver_walk` runs every walk under it —
 // backing off into saturated nodes, launching hedged duplicates in the
 // kHedge lane with first-arrival-wins cancellation, and shedding the walk
 // entirely (coverage 0) when the next hop is over the admission limit.
@@ -48,15 +48,6 @@ class Transport {
   /// Arrival continuation of `deliver`; receives the message's queueing
   /// delay (delivery - send - propagation; 0 without queueing).
   using QueuedArrival = std::function<void(Time queue_delay)>;
-
-  /// Knobs of one deliver_walk replay.
-  struct WalkOptions {
-    std::uint32_t bytes = 0;
-    TrafficClass cls = TrafficClass::kQuery;
-    /// Opt into the installed flow-control policy: per-hop backoff,
-    /// hedged retries, and admission shedding. Off = PR 5 behavior.
-    bool flow_control = false;
-  };
 
   /// Default transport: ConstantHop(1.0), i.e. latency == hop count.
   Transport();
@@ -86,19 +77,18 @@ class Transport {
                Time not_before = 0.0,
                TrafficClass cls = TrafficClass::kQuery);
 
-  /// Deliver a recorded walk (source..owner) hop by hop through `deliver`:
-  /// each hop departs when the previous one was delivered. `done`
-  /// receives the walk's cost fragment — messages == delay == hop count,
-  /// latency = last delivery - start, plus the accumulated queue_delay and
-  /// bytes_on_wire — when the final hop lands (immediately for an empty or
-  /// single-node path). With options.flow_control the walk obeys the
-  /// installed policy: hops back off into backlogged targets, a hop whose
-  /// reserved queueing delay crosses the hedge threshold races a kHedge
-  /// duplicate (first arrival wins, the loser is cancelled and counted),
-  /// and a hop refused admission sheds the walk — `done` then reports
-  /// coverage 0 with the hops already spent.
+  /// Deliver a recorded walk (source..owner) hop by hop through `deliver`,
+  /// as query-class messages of the default size: each hop departs when
+  /// the previous one was delivered. `done` receives the walk's cost
+  /// fragment — messages == delay == hop count, latency = last delivery -
+  /// start, plus the accumulated queue_delay and bytes_on_wire — when the
+  /// final hop lands (immediately for an empty or single-node path). The
+  /// walk obeys the installed flow-control policy: hops back off into
+  /// backlogged targets, a hop whose reserved queueing delay crosses the
+  /// hedge threshold races a kHedge duplicate (first arrival wins, the
+  /// loser is cancelled and counted), and a hop refused admission sheds the
+  /// walk — `done` then reports coverage 0 with the hops already spent.
   void deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
-                    const WalkOptions& options,
                     std::function<void(const sim::QueryStats&)> done);
 
   /// Run one synchronous operation: build a fresh simulator, let `fn`

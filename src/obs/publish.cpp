@@ -18,23 +18,6 @@ std::string dotted(std::string_view prefix, std::string_view leaf) {
 }  // namespace
 
 void publish(Registry& reg, std::string_view prefix,
-             const sim::QueryStats& stats) {
-  reg.inc(dotted(prefix, "queries"));
-  reg.observe(dotted(prefix, "latency"), stats.latency);
-  reg.observe(dotted(prefix, "delay"), stats.delay);
-  reg.observe(dotted(prefix, "queue_delay"), stats.queue_delay);
-  reg.observe(dotted(prefix, "coverage"), stats.coverage);
-  reg.observe(dotted(prefix, "messages"),
-              static_cast<double>(stats.messages));
-  reg.inc(dotted(prefix, "shed"), static_cast<double>(stats.shed));
-  reg.inc(dotted(prefix, "hedges"), static_cast<double>(stats.hedges));
-  reg.inc(dotted(prefix, "replica_routes"),
-          static_cast<double>(stats.replica_routes));
-  reg.inc(dotted(prefix, "cache_hits"),
-          static_cast<double>(stats.cache_hits));
-}
-
-void publish(Registry& reg, std::string_view prefix,
              const net::CongestionStats& stats) {
   reg.count(dotted(prefix, "messages"), static_cast<double>(stats.messages));
   reg.count(dotted(prefix, "batches"), static_cast<double>(stats.batches));

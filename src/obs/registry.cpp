@@ -1,36 +1,6 @@
 #include "obs/registry.h"
 
-#include <cmath>
-
 namespace armada::obs {
-
-void Registry::Histogram::observe(double v) {
-  ++count;
-  sum += v;
-  max = std::max(max, v);
-  std::size_t b = 0;
-  if (v > 1.0) {
-    b = static_cast<std::size_t>(std::ceil(std::log2(v)));
-    b = std::min(b, kBuckets - 1);
-  }
-  ++buckets[b];
-}
-
-double Registry::Histogram::quantile(double q) const {
-  if (count == 0) {
-    return 0.0;
-  }
-  const double rank = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets[i];
-    if (static_cast<double>(seen) >= rank) {
-      // Upper edge of bucket i; the open last bucket reports the true max.
-      return i == kBuckets - 1 ? max : std::ldexp(1.0, static_cast<int>(i));
-    }
-  }
-  return max;
-}
 
 Registry::Instrument& Registry::touch(std::string_view name, Kind kind) {
   auto it = instruments_.find(name);
@@ -43,12 +13,6 @@ Registry::Instrument& Registry::touch(std::string_view name, Kind kind) {
   return it->second;
 }
 
-void Registry::inc(std::string_view name, double delta) {
-  Instrument& ins = touch(name, Kind::kCounter);
-  ARMADA_CHECK_MSG(delta >= 0.0, "counter decremented: " << name);
-  ins.value += delta;
-}
-
 void Registry::count(std::string_view name, double total) {
   Instrument& ins = touch(name, Kind::kCounter);
   ARMADA_CHECK_MSG(total >= ins.value, "counter moved backwards: " << name);
@@ -59,25 +23,9 @@ void Registry::set(std::string_view name, double value) {
   touch(name, Kind::kGauge).value = value;
 }
 
-void Registry::observe(std::string_view name, double value) {
-  touch(name, Kind::kHistogram).hist.observe(value);
-}
-
 double Registry::value(std::string_view name) const {
   const auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    return 0.0;
-  }
-  return it->second.kind == Kind::kHistogram
-             ? static_cast<double>(it->second.hist.count)
-             : it->second.value;
-}
-
-const Registry::Histogram* Registry::histogram(std::string_view name) const {
-  const auto it = instruments_.find(name);
-  return it != instruments_.end() && it->second.kind == Kind::kHistogram
-             ? &it->second.hist
-             : nullptr;
+  return it == instruments_.end() ? 0.0 : it->second.value;
 }
 
 }  // namespace armada::obs

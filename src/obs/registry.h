@@ -1,15 +1,14 @@
-// Unified metrics registry: one namespace of named counters, gauges, and
-// histograms that the repo's five stats currencies (sim::QueryStats,
-// net::CongestionStats, sim::ChurnStats, replica::ReplicaStats,
-// rebalance::RebalanceStats) publish into (see obs/publish.h), and that
-// the periodic Sampler (obs/sampler.h) snapshots into time series.
+// Unified metrics registry: one namespace of named counters and gauges
+// that the repo's four cumulative stats currencies (net::CongestionStats,
+// sim::ChurnStats, replica::ReplicaStats, rebalance::RebalanceStats)
+// publish into (see obs/publish.h), and that the periodic Sampler
+// (obs/sampler.h) snapshots into time series.
 //
 // Instruments are created on first touch and iterate in name order, so
 // exports are deterministic. Kinds are sticky: touching an existing name
 // with a different kind is a programming error and CHECK-fails.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,38 +20,14 @@ namespace armada::obs {
 
 class Registry {
  public:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
-
-  /// Log2-bucketed histogram: bucket 0 holds values <= 1, bucket i holds
-  /// (2^(i-1), 2^i], the last bucket is open-ended.
-  struct Histogram {
-    static constexpr std::size_t kBuckets = 24;
-    std::array<std::uint64_t, kBuckets> buckets{};
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double max = 0.0;
-
-    void observe(double v);
-    double mean() const { return count == 0 ? 0.0 : sum / count; }
-    /// Upper-bound estimate of the q-quantile (q in [0,1]) from bucket
-    /// edges — coarse by design; exact tails belong to tracing.
-    double quantile(double q) const;
-  };
-
-  /// Counters are cumulative and monotone; `delta` adds.
-  void inc(std::string_view name, double delta = 1.0);
-  /// Sets a counter to an absolute cumulative value (how the existing
-  /// stats structs publish); CHECK-fails if it would move backwards.
+  /// Sets a counter to an absolute cumulative value (how the stats structs
+  /// publish); CHECK-fails if it would move backwards.
   void count(std::string_view name, double total);
   /// Gauges are point-in-time values; `set` overwrites.
   void set(std::string_view name, double value);
-  /// Records one observation into a histogram.
-  void observe(std::string_view name, double value);
 
-  /// Scalar read: counter/gauge value; histogram count. 0 for unknown
-  /// names.
+  /// Counter/gauge value; 0 for unknown names.
   double value(std::string_view name) const;
-  const Histogram* histogram(std::string_view name) const;
   bool contains(std::string_view name) const {
     return instruments_.find(name) != instruments_.end();
   }
@@ -60,24 +35,20 @@ class Registry {
   void clear() { instruments_.clear(); }
 
   /// Visits every instrument in name order:
-  /// fn(const std::string& name, Kind, double scalar, const Histogram*).
-  /// `scalar` is the counter/gauge value (histogram count for
-  /// histograms); the pointer is null for non-histograms.
+  /// fn(const std::string& name, double value).
   template <typename Fn>
   void visit(Fn&& fn) const {
     for (const auto& [name, ins] : instruments_) {
-      fn(name, ins.kind,
-         ins.kind == Kind::kHistogram ? static_cast<double>(ins.hist.count)
-                                      : ins.value,
-         ins.kind == Kind::kHistogram ? &ins.hist : nullptr);
+      fn(name, ins.value);
     }
   }
 
  private:
+  enum class Kind : std::uint8_t { kCounter, kGauge };
+
   struct Instrument {
     Kind kind = Kind::kCounter;
     double value = 0.0;
-    Histogram hist;
   };
 
   Instrument& touch(std::string_view name, Kind kind);

@@ -25,16 +25,8 @@ void Sampler::tick(sim::Time now) {
   }
   Sample s;
   s.t = now;
-  registry_.visit([&s](const std::string& name, Registry::Kind kind,
-                       double scalar, const Registry::Histogram* hist) {
-    if (hist != nullptr) {
-      s.values.emplace_back(name + ".count", scalar);
-      s.values.emplace_back(name + ".mean", hist->mean());
-      s.values.emplace_back(name + ".max", hist->max);
-    } else {
-      (void)kind;
-      s.values.emplace_back(name, scalar);
-    }
+  registry_.visit([&s](const std::string& name, double value) {
+    s.values.emplace_back(name, value);
   });
   samples_.push_back(std::move(s));
 }

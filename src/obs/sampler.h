@@ -25,8 +25,7 @@ class Sampler {
  public:
   using Collect = std::function<void(Registry&)>;
 
-  /// One snapshot: every instrument's scalar at time t (histograms
-  /// flatten to `<name>.count` / `.mean` / `.max`), in name order.
+  /// One snapshot: every instrument's value at time t, in name order.
   struct Sample {
     sim::Time t = 0.0;
     std::vector<std::pair<std::string, double>> values;

@@ -81,7 +81,7 @@ std::uint64_t TraceRecorder::begin_trace(const char* name, net::NodeId issuer,
   if (!sampled(roots_seen_)) {
     return 0;
   }
-  if (spans_.size() >= config_.max_spans) {
+  if (spans_.size() >= kMaxSpans) {
     ++spans_dropped_;
     return 0;
   }
@@ -117,7 +117,7 @@ std::uint64_t TraceRecorder::span_begin(net::NodeId from, net::NodeId to,
   if (current_ == 0) {
     return 0;
   }
-  if (spans_.size() >= config_.max_spans) {
+  if (spans_.size() >= kMaxSpans) {
     ++spans_dropped_;
     return 0;
   }
@@ -224,7 +224,7 @@ void TraceRecorder::audit(const Span& root, const sim::QueryStats& stats) {
     return;
   }
   ++violations_;
-  if (slow_queries_.size() >= config_.max_slow_queries) {
+  if (slow_queries_.size() >= kMaxSlowQueries) {
     return;
   }
 

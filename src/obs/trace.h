@@ -94,16 +94,17 @@ struct TraceConfig {
   /// Latency bound audited against query traces; infinity disables the
   /// auditor.
   double delay_bound = std::numeric_limits<double>::infinity();
-  /// Hard cap on recorded spans; past it new roots are dropped (counted)
-  /// so long bench runs cannot exhaust memory.
-  std::size_t max_spans = std::size_t(1) << 22;
-  /// Full dumps kept for the slow-query log; violations past the cap are
-  /// still counted.
-  std::size_t max_slow_queries = 64;
 };
 
 class TraceRecorder {
  public:
+  /// Hard cap on recorded spans; past it new roots are dropped (counted)
+  /// so long bench runs cannot exhaust memory.
+  static constexpr std::size_t kMaxSpans = std::size_t(1) << 22;
+  /// Full dumps kept for the slow-query log; violations past the cap are
+  /// still counted.
+  static constexpr std::size_t kMaxSlowQueries = 64;
+
   explicit TraceRecorder(TraceConfig config = {}) : config_(config) {}
 
   TraceRecorder(const TraceRecorder&) = delete;

@@ -311,9 +311,7 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
       annotate(obs::kFlagCacheHit);
       sim.schedule_at(
           sim.now(), [done = std::move(done), matches = hit->matches] {
-            sim::QueryStats frag;
-            frag.cache_hits = 1;
-            done(frag, matches, fissione::kNoPeer);
+            done(sim::QueryStats{}, matches, fissione::kNoPeer);
           });
       return true;
     }
@@ -359,13 +357,8 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
   auto objects = region->second.objects;
   const PeerId holder = choice->holder;
 
-  net::Transport::WalkOptions options;
-  options.bytes = net_.transport().default_message_bytes();
-  options.cls = net::TrafficClass::kQuery;
-  options.flow_control = true;
   net_.transport().deliver_walk(
       sim, path,
-      options,
       [this, done = std::move(done), path, subregion, filter, cache_tag,
        objects = std::move(objects), cached = std::move(cached), from_cache,
        holder, cacheable](const sim::QueryStats& walk) {
@@ -382,12 +375,10 @@ bool ReplicaSet::serve_class(sim::Simulator& sim, PeerId issuer,
         PeerId served_by = fissione::kNoPeer;
         if (from_cache) {
           matches = cached;
-          frag.cache_hits = 1;
           ++stats_.cache_hits;
           annotate(obs::kFlagCacheHit);
         } else {
           matches = scan(*objects, subregion, filter);
-          frag.replica_routes = 1;
           ++stats_.replica_routes;
           annotate(obs::kFlagReplicaRoute);
           served_by = holder;

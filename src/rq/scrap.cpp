@@ -39,7 +39,7 @@ std::uint64_t Scrap::publish(const std::vector<double>& point) {
   const std::uint64_t handle = points_.size();
   points_.push_back(point);
   const std::uint64_t idx =
-      sfc::curve_index(config_.curve, config_.order, cell_of(point));
+      sfc::curve_index(sfc::Curve::kMorton, config_.order, cell_of(point));
   store_[graph_.owner_of(static_cast<double>(idx))].emplace_back(idx, handle);
   return handle;
 }
@@ -56,8 +56,8 @@ core::RangeQueryResult Scrap::query(NodeId issuer,
   const Cell lo = cell_of({box[0].lo, box[1].lo});
   const Cell hi = cell_of({box[0].hi, box[1].hi});
   const auto segments =
-      sfc::box_ranges(config_.curve, config_.order, lo.x, hi.x, lo.y, hi.y,
-                      config_.min_side_bits);
+      sfc::box_ranges(sfc::Curve::kMorton, config_.order, lo.x, hi.x, lo.y,
+                      hi.y, config_.min_side_bits);
 
   std::vector<char> visited(graph_.num_nodes(), 0);
   auto visit = [&](NodeId node, const sfc::IndexRange& seg) {

@@ -1,6 +1,7 @@
 // SCRAP (Ganesan et al., WebDB'04): multi-attribute range queries by
-// linearizing with a space-filling curve and range-partitioning the 1-d key
-// space over a Skip Graph (paper Table 1 row; delay O(logN + n)).
+// linearizing with a space-filling curve (the Morton curve, SCRAP's classic
+// choice) and range-partitioning the 1-d key space over a Skip Graph (paper
+// Table 1 row; delay O(logN + n)).
 //
 // A query box decomposes into contiguous curve segments; each segment is a
 // skip-graph search plus a successor walk. Segments are dispatched in
@@ -22,7 +23,6 @@ class Scrap {
   struct Config {
     std::uint32_t order = 16;         ///< curve order per attribute
     std::uint32_t min_side_bits = 8;  ///< decomposition cutoff
-    sfc::Curve curve = sfc::Curve::kMorton;  ///< SCRAP's classic choice
     kautz::Box domain{{0.0, 1000.0}, {0.0, 1000.0}};
   };
 

@@ -22,14 +22,11 @@ void MetricSet::add(const QueryStats& q) {
   bytes_.add(static_cast<double>(q.bytes_on_wire));
   coverage_.add(q.coverage);
   shed_.add(static_cast<double>(q.shed));
-  hedges_.add(static_cast<double>(q.hedges));
   delay_pct_.add(q.delay);
   latency_pct_.add(q.latency);
   messages_.add(static_cast<double>(q.messages));
   dest_peers_.add(static_cast<double>(q.dest_peers));
   results_.add(static_cast<double>(q.results));
-  replica_routes_.add(static_cast<double>(q.replica_routes));
-  cache_hits_.add(static_cast<double>(q.cache_hits));
   if (q.dest_peers > 0) {
     mesg_ratio_.add(q.mesg_ratio());
   }

@@ -33,19 +33,10 @@ struct QueryStats {
   double coverage = 1.0;
   /// Branches / hops refused admission by overload control.
   std::uint64_t shed = 0;
-  /// Hedged duplicate transmissions launched by flow control (each also
-  /// counts in `messages`; the losing copy's continuation is cancelled).
-  std::uint64_t hedges = 0;
   /// Destination peers that intersect the query and scan local data.
   std::uint64_t dest_peers = 0;
   /// Matching objects found.
   std::uint64_t results = 0;
-  /// Search classes rerouted to a replica holder by the replica subsystem
-  /// instead of fanning into the region (src/replica/).
-  std::uint64_t replica_routes = 0;
-  /// Search classes answered from a path result cache without touching the
-  /// region's peers.
-  std::uint64_t cache_hits = 0;
 
   /// Messages / Destpeers (paper metric MesgRatio).
   double mesg_ratio() const;
@@ -68,17 +59,13 @@ class MetricSet {
   const OnlineStats& queue_delay() const { return queue_delay_; }
   const OnlineStats& bytes_on_wire() const { return bytes_; }
   /// Per-query coverage fraction (mean 1.0 while nothing is shed) and the
-  /// flow-control counters, aggregated alongside the paper metrics so every
-  /// bench reports partial answers uniformly.
+  /// admission sheds, aggregated alongside the paper metrics so every bench
+  /// reports partial answers uniformly.
   const OnlineStats& coverage() const { return coverage_; }
   const OnlineStats& shed() const { return shed_; }
-  const OnlineStats& hedges() const { return hedges_; }
   const OnlineStats& messages() const { return messages_; }
   const OnlineStats& dest_peers() const { return dest_peers_; }
   const OnlineStats& results() const { return results_; }
-  /// Replica-subsystem counters (zero while nothing is replicated/cached).
-  const OnlineStats& replica_routes() const { return replica_routes_; }
-  const OnlineStats& cache_hits() const { return cache_hits_; }
   const OnlineStats& mesg_ratio() const { return mesg_ratio_; }
   const OnlineStats& incre_ratio() const { return incre_ratio_; }
   /// Tail behaviour of the two delay metrics (p50/p95/p99): with
@@ -86,7 +73,6 @@ class MetricSet {
   /// bounds user-visible response time.
   const Percentiles& delay_percentiles() const { return delay_pct_; }
   const Percentiles& latency_percentiles() const { return latency_pct_; }
-  double log_n() const { return log_n_; }
 
  private:
   double log_n_;
@@ -96,14 +82,11 @@ class MetricSet {
   OnlineStats bytes_;
   OnlineStats coverage_;
   OnlineStats shed_;
-  OnlineStats hedges_;
   Percentiles delay_pct_;
   Percentiles latency_pct_;
   OnlineStats messages_;
   OnlineStats dest_peers_;
   OnlineStats results_;
-  OnlineStats replica_routes_;
-  OnlineStats cache_hits_;
   OnlineStats mesg_ratio_;
   OnlineStats incre_ratio_;
 };

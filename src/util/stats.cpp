@@ -10,31 +10,9 @@ namespace armada {
 void OnlineStats::add(double x) {
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double OnlineStats::mean() const {
@@ -45,13 +23,6 @@ double OnlineStats::mean() const {
 double OnlineStats::mean_or(double fallback) const {
   return count_ > 0 ? mean_ : fallback;
 }
-
-double OnlineStats::variance() const {
-  ARMADA_CHECK(count_ > 1);
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double OnlineStats::min() const {
   ARMADA_CHECK(count_ > 0);

@@ -8,11 +8,10 @@
 
 namespace armada {
 
-/// Welford-style online accumulator: count, mean, variance, min, max.
+/// Online accumulator: count, running mean, sum, min, max.
 class OnlineStats {
  public:
   void add(double x);
-  void merge(const OnlineStats& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const;
@@ -20,8 +19,6 @@ class OnlineStats {
   /// only defined on a subset of queries (e.g. IncreRatio needs >1 dest
   /// peer) and may legitimately be empty on small workloads.
   double mean_or(double fallback) const;
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
   double min() const;
   double max() const;
   double sum() const { return sum_; }
@@ -29,7 +26,6 @@ class OnlineStats {
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fissione/network.h"
@@ -66,12 +67,8 @@ TEST(JsonWriter, BuildsObjectsInInsertionOrder) {
 
 // --- Registry ---------------------------------------------------------------
 
-TEST(Registry, CountersGaugesAndHistograms) {
+TEST(Registry, CountersAndGauges) {
   obs::Registry reg;
-  reg.inc("c");
-  reg.inc("c", 2.5);
-  EXPECT_DOUBLE_EQ(reg.value("c"), 3.5);
-
   reg.count("mono", 10.0);
   reg.count("mono", 10.0);  // same cumulative value is fine
   reg.count("mono", 12.0);
@@ -81,56 +78,29 @@ TEST(Registry, CountersGaugesAndHistograms) {
   reg.set("g", 2.0);  // gauges overwrite, including downward
   EXPECT_DOUBLE_EQ(reg.value("g"), 2.0);
 
-  reg.observe("h", 3.0);
-  reg.observe("h", 5.0);
-  const obs::Registry::Histogram* h = reg.histogram("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
-  EXPECT_DOUBLE_EQ(h->mean(), 4.0);
-  EXPECT_DOUBLE_EQ(h->max, 5.0);
-  EXPECT_GE(h->quantile(1.0), h->max);  // bucket edges upper-bound the tail
-  EXPECT_DOUBLE_EQ(reg.value("h"), 2.0);  // scalar view = count
+  EXPECT_THROW(reg.count("mono", 11.0), CheckError);  // counters are monotone
+  EXPECT_THROW(reg.set("mono", 1.0), CheckError);     // kinds are sticky
+  EXPECT_THROW(reg.count("g", 3.0), CheckError);
 
   EXPECT_DOUBLE_EQ(reg.value("unknown"), 0.0);
   EXPECT_FALSE(reg.contains("unknown"));
-  EXPECT_EQ(reg.size(), 4u);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(Registry, VisitsInstrumentsInNameOrder) {
   obs::Registry reg;
-  reg.inc("zeta");
+  reg.count("zeta", 3.0);
   reg.set("alpha", 1.0);
-  reg.observe("mid", 2.0);
-  std::vector<std::string> names;
-  reg.visit([&names](const std::string& name, obs::Registry::Kind, double,
-                     const obs::Registry::Histogram*) {
-    names.push_back(name);
+  reg.set("mid", 2.0);
+  std::vector<std::pair<std::string, double>> seen;
+  reg.visit([&seen](const std::string& name, double value) {
+    seen.emplace_back(name, value);
   });
-  EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, double>>{
+                      {"alpha", 1.0}, {"mid", 2.0}, {"zeta", 3.0}}));
 }
 
 // --- publish adapters -------------------------------------------------------
-
-TEST(Publish, QueryStatsLandUnderThePrefix) {
-  sim::QueryStats q;
-  q.messages = 6;
-  q.latency = 4.5;
-  q.delay = 4.0;
-  q.coverage = 0.75;
-  q.shed = 2;
-  q.hedges = 1;
-  obs::Registry reg;
-  obs::publish(reg, "q", q);
-  obs::publish(reg, "q", q);
-  EXPECT_DOUBLE_EQ(reg.value("q.queries"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.value("q.shed"), 4.0);
-  EXPECT_DOUBLE_EQ(reg.value("q.hedges"), 2.0);
-  const obs::Registry::Histogram* lat = reg.histogram("q.latency");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 2u);
-  EXPECT_DOUBLE_EQ(lat->mean(), 4.5);
-  EXPECT_DOUBLE_EQ(reg.histogram("q.coverage")->mean(), 0.75);
-}
 
 TEST(Publish, CongestionStatsIncludePerClassSeries) {
   net::CongestionStats c;
@@ -184,21 +154,6 @@ TEST(Sampler, PreScheduledTicksSnapshotTheRegistry) {
   EXPECT_EQ(lines, 5u);
   EXPECT_EQ(jsonl.substr(0, 47),
             "{\"schema\":1,\"kind\":\"sample\",\"series\":\"s\",\"t\":0,");
-}
-
-TEST(Sampler, HistogramsFlattenIntoSamples) {
-  obs::Registry reg;
-  obs::Sampler sampler(reg, [](obs::Registry& r) { r.observe("h", 8.0); });
-  sampler.tick(1.0);
-  ASSERT_EQ(sampler.samples().size(), 1u);
-  const auto& values = sampler.samples()[0].values;
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[0].first, "h.count");
-  EXPECT_DOUBLE_EQ(values[0].second, 1.0);
-  EXPECT_EQ(values[1].first, "h.mean");
-  EXPECT_DOUBLE_EQ(values[1].second, 8.0);
-  EXPECT_EQ(values[2].first, "h.max");
-  EXPECT_DOUBLE_EQ(values[2].second, 8.0);
 }
 
 // --- TraceRecorder ----------------------------------------------------------
@@ -289,7 +244,6 @@ TEST(Tracing, WalkSpansChainWithExactInstantsAndAuditorAttribution) {
   sim::Simulator sim;
   sim::QueryStats out;
   transport.deliver_walk(sim, path,
-                         {.bytes = transport.default_message_bytes()},
                          [&out](const sim::QueryStats& s) { out = s; });
   sim.run();
   transport.detach_trace();
@@ -338,7 +292,6 @@ TEST(Tracing, ExportsAreWellFormedAndComplete) {
   transport.attach_trace(rec);
   sim::Simulator sim;
   transport.deliver_walk(sim, first_path(fx->net, 3),
-                         {.bytes = transport.default_message_bytes()},
                          [](const sim::QueryStats&) {});
   sim.run();
   transport.detach_trace();

@@ -5,8 +5,9 @@
 // holders it re-syncs, and a holder hosting a migrated slice), MIRA box
 // queries with replication, caching and rebalancing all on, determinism
 // of the placement and cache hit/miss sequences (ARMADA_FUZZ_SEED
-// overrides the seed sweep), and the holder scan and snapshot collection
-// against brute-force scans.
+// overrides the seed sweep), the holder scan and snapshot collection
+// against brute-force scans, and the trace root flags that are a query's
+// only record of its replica involvement.
 #include "replica/replica_set.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -23,6 +25,7 @@
 #include "armada/armada.h"
 #include "fissione/churn_driver.h"
 #include "kautz/kautz_space.h"
+#include "obs/trace.h"
 #include "rebalance/rebalance.h"
 #include "sim/churn.h"
 #include "support/test_networks.h"
@@ -59,6 +62,24 @@ std::vector<std::uint64_t> fuzz_seeds() {
     return {seed};
   }
   return {21, 22, 23};
+}
+
+/// One sync range query and how far it moved the subsystem's hit
+/// counters: ReplicaStats holds the totals, so a query's own share is the
+/// delta around it.
+struct CountedQuery {
+  RangeQueryResult result;
+  std::uint64_t replica_routes = 0;
+  std::uint64_t cache_hits = 0;
+};
+
+CountedQuery counted_query(core::ArmadaIndex& index, const ReplicaSet& rs,
+                           PeerId issuer, double lo, double hi) {
+  const ReplicaStats before = rs.stats();
+  CountedQuery q{index.range_query(issuer, lo, hi)};
+  q.replica_routes = rs.stats().replica_routes - before.replica_routes;
+  q.cache_hits = rs.stats().cache_hits - before.cache_hits;
+  return q;
 }
 
 ReplicationConfig small_scale_config() {
@@ -104,9 +125,9 @@ TEST(ReplicaDisabled, DefaultConfigKeepsQueriesBitwise) {
 }
 
 // Heating one narrow range replicates its region; subsequent queries route
-// the class to a holder (replica_routes both in the subsystem stats and the
-// per-query QueryStats), keep answering exactly what a global scan finds,
-// and stay within the paper delay bound hops <= |PeerID(issuer)|.
+// the class to a holder (replica_routes grows across them), keep answering
+// exactly what a global scan finds, and stay within the paper delay bound
+// hops <= |PeerID(issuer)|.
 TEST(ReplicaRouting, HotRegionServedByReplicaMatchesScanAndDelayBound) {
   constexpr std::uint64_t kSeed = 17;
   auto fx = make_single_index(200, kSeed);
@@ -122,12 +143,12 @@ TEST(ReplicaRouting, HotRegionServedByReplicaMatchesScanAndDelayBound) {
   std::uint64_t replica_served_queries = 0;
   for (int q = 0; q < 60; ++q) {
     const PeerId issuer = fx->random_issuer(rng);
-    const RangeQueryResult r = fx->index.range_query(issuer, kLo, kHi);
-    EXPECT_EQ(sorted(r.matches), truth);
-    EXPECT_EQ(r.stats.coverage, 1.0);
-    EXPECT_LE(r.stats.delay,
+    const CountedQuery r = counted_query(fx->index, rs, issuer, kLo, kHi);
+    EXPECT_EQ(sorted(r.result.matches), truth);
+    EXPECT_EQ(r.result.stats.coverage, 1.0);
+    EXPECT_LE(r.result.stats.delay,
               static_cast<double>(fx->net.peer(issuer).peer_id.length()));
-    replica_served_queries += r.stats.replica_routes > 0 ? 1 : 0;
+    replica_served_queries += r.replica_routes > 0 ? 1 : 0;
   }
   EXPECT_GE(rs.stats().regions_replicated, 1u);
   EXPECT_GT(rs.stats().replica_routes, 0u);
@@ -155,25 +176,27 @@ TEST(ResultCaching, RepeatQueryHitsUntilTtlExpires) {
 
   Rng rng(kSeed + 3);
   const PeerId issuer = fx->random_issuer(rng);
-  const RangeQueryResult first = fx->index.range_query(issuer, 200.0, 212.0);
-  EXPECT_GT(first.stats.messages, 0u);
-  EXPECT_EQ(first.stats.cache_hits, 0u);
+  const CountedQuery first =
+      counted_query(fx->index, rs, issuer, 200.0, 212.0);
+  EXPECT_GT(first.result.stats.messages, 0u);
+  EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_GT(rs.stats().cache_insertions, 0u);
 
-  const RangeQueryResult hit = fx->index.range_query(issuer, 200.0, 212.0);
-  EXPECT_EQ(hit.stats.messages, 0u);
-  EXPECT_GT(hit.stats.cache_hits, 0u);
-  EXPECT_EQ(hit.stats.dest_peers, 0u);
-  EXPECT_EQ(sorted(hit.matches), sorted(first.matches));
+  const CountedQuery hit = counted_query(fx->index, rs, issuer, 200.0, 212.0);
+  EXPECT_EQ(hit.result.stats.messages, 0u);
+  EXPECT_GT(hit.cache_hits, 0u);
+  EXPECT_EQ(hit.result.stats.dest_peers, 0u);
+  EXPECT_EQ(sorted(hit.result.matches), sorted(first.result.matches));
 
   // Advance the query-tick clock past the TTL with unrelated queries.
   for (int i = 0; i < 4; ++i) {
     fx->index.range_query(issuer, 700.0 + 20.0 * i, 705.0 + 20.0 * i);
   }
-  const RangeQueryResult expired = fx->index.range_query(issuer, 200.0, 212.0);
-  EXPECT_GT(expired.stats.messages, 0u);
-  EXPECT_EQ(expired.stats.cache_hits, 0u);
-  EXPECT_EQ(sorted(expired.matches), sorted(first.matches));
+  const CountedQuery expired =
+      counted_query(fx->index, rs, issuer, 200.0, 212.0);
+  EXPECT_GT(expired.result.stats.messages, 0u);
+  EXPECT_EQ(expired.cache_hits, 0u);
+  EXPECT_EQ(sorted(expired.result.matches), sorted(first.result.matches));
 }
 
 // A publish into a cached range invalidates the covering entries: the next
@@ -190,8 +213,8 @@ TEST(ResultCaching, PublishInvalidatesCoveringEntries) {
   Rng rng(kSeed + 3);
   const PeerId issuer = fx->random_issuer(rng);
   fx->index.range_query(issuer, 100.0, 110.0);
-  const RangeQueryResult warm = fx->index.range_query(issuer, 100.0, 110.0);
-  EXPECT_GT(warm.stats.cache_hits, 0u);
+  const CountedQuery warm = counted_query(fx->index, rs, issuer, 100.0, 110.0);
+  EXPECT_GT(warm.cache_hits, 0u);
 
   const std::uint64_t fresh = fx->index.publish(105.0);
   EXPECT_GT(rs.stats().cache_invalidated_publish, 0u);
@@ -224,12 +247,14 @@ TEST(ResultCaching, AggregateLeavesTheRangeQueryCacheAlone) {
   EXPECT_EQ(agg.count, truth.size());
   EXPECT_EQ(rs.stats(), ReplicaStats{});
 
-  const RangeQueryResult first = fx->index.range_query(issuer, 200.0, 260.0);
-  EXPECT_EQ(first.stats.cache_hits, 0u);
-  EXPECT_EQ(sorted(first.matches), truth);
-  const RangeQueryResult again = fx->index.range_query(issuer, 200.0, 260.0);
-  EXPECT_GT(again.stats.cache_hits, 0u);
-  EXPECT_EQ(sorted(again.matches), truth);
+  const CountedQuery first =
+      counted_query(fx->index, rs, issuer, 200.0, 260.0);
+  EXPECT_EQ(first.cache_hits, 0u);
+  EXPECT_EQ(sorted(first.result.matches), truth);
+  const CountedQuery again =
+      counted_query(fx->index, rs, issuer, 200.0, 260.0);
+  EXPECT_GT(again.cache_hits, 0u);
+  EXPECT_EQ(sorted(again.result.matches), truth);
 }
 
 // The FIFO eviction order holds exactly the live entries. An entry erased
@@ -483,14 +508,13 @@ TEST(ReplicaChurn, HolderHostingAMigratedSliceResyncsWithoutSelfTransfer) {
     }
   }
   const auto truth = sorted(fx->index.scan_matches({{300.0, 305.0}}));
-  std::uint64_t routed = 0;
+  const std::uint64_t routed = rs.stats().replica_routes;
   for (int q = 0; q < 10; ++q) {
     const RangeQueryResult r =
         fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
     EXPECT_EQ(sorted(r.matches), truth);
-    routed += r.stats.replica_routes;
   }
-  EXPECT_GT(routed, 0u);
+  EXPECT_GT(rs.stats().replica_routes, routed);
   fx->net.check_invariants();
 }
 
@@ -606,6 +630,51 @@ TEST(ReplicaDeterminism, PlacementAndCacheSequencesReplay) {
     EXPECT_EQ(final_stats[0], final_stats[1]);
     EXPECT_EQ(regions[0], regions[1]);
   }
+}
+
+// A query's replica involvement is recorded once, on its trace root; the
+// totals live in ReplicaStats. With every query traced, each root carries
+// kFlagReplicaRoute exactly when its query moved replica_routes, and
+// kFlagCacheHit exactly when it moved cache_hits.
+TEST(ReplicaTracing, RootFlagsMatchTheSubsystemCounters) {
+  constexpr std::uint64_t kSeed = 19;
+  auto fx = make_single_index(200, kSeed);
+  publish_uniform_values(fx->index, 800, kSeed * 31 + 7);
+  ReplicaSet& rs = fx->index.enable_replication(small_scale_config());
+  obs::TraceConfig tc;
+  tc.sample_period = 1;
+  auto rec = std::make_shared<obs::TraceRecorder>(tc);
+  fx->net.transport().attach_trace(rec);
+
+  Rng rng(kSeed + 9);
+  std::uint64_t routed = 0;
+  std::uint64_t cached = 0;
+  for (int q = 0; q < 80; ++q) {
+    const std::size_t first_span = rec->spans().size();
+    const CountedQuery c =
+        counted_query(fx->index, rs, fx->random_issuer(rng), 300.0, 305.0);
+    const auto& spans = rec->spans();
+    ASSERT_LT(first_span, spans.size()) << "query " << q;
+    const obs::Span& root = spans[first_span];
+    ASSERT_EQ(root.parent, 0u) << "query " << q;
+    EXPECT_EQ(std::count_if(
+                  spans.begin() + static_cast<std::ptrdiff_t>(first_span),
+                  spans.end(),
+                  [](const obs::Span& s) { return s.parent == 0; }),
+              1)
+        << "query " << q;
+    EXPECT_EQ((root.flags & obs::kFlagReplicaRoute) != 0,
+              c.replica_routes > 0)
+        << "query " << q;
+    EXPECT_EQ((root.flags & obs::kFlagCacheHit) != 0, c.cache_hits > 0)
+        << "query " << q;
+    routed += c.replica_routes > 0 ? 1 : 0;
+    cached += c.cache_hits > 0 ? 1 : 0;
+  }
+  fx->net.transport().detach_trace();
+  EXPECT_GT(routed, 0u);
+  EXPECT_GT(cached, 0u);
+  EXPECT_EQ(rec->validate(), "");
 }
 
 // The holder scan binary-searches the sorted snapshot; it returns what the

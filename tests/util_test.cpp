@@ -107,38 +107,6 @@ TEST(OnlineStats, MeanMinMax) {
   EXPECT_DOUBLE_EQ(s.sum(), 20.0);
 }
 
-TEST(OnlineStats, VarianceMatchesDirectFormula) {
-  OnlineStats s;
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-  double mean = 3.0;
-  double var = 0;
-  for (double x : xs) {
-    s.add(x);
-    var += (x - mean) * (x - mean);
-  }
-  var /= static_cast<double>(xs.size() - 1);
-  EXPECT_NEAR(s.variance(), var, 1e-12);
-  EXPECT_NEAR(s.stddev(), std::sqrt(var), 1e-12);
-}
-
-TEST(OnlineStats, MergeEqualsSingleStream) {
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  Rng rng(9);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.next_double(0, 100);
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
 TEST(Percentiles, NearestRankOnKnownDistributions) {
   // 1..100: the q-th percentile is exactly ceil(100q).
   Percentiles p;

@@ -1,26 +1,35 @@
 #!/usr/bin/env python3
-"""Byte-compare the deterministic outputs of two builds.
+"""Byte-compare a build's deterministic outputs against goldens/.
 
-Usage: golden_diff.py <build_a> <build_b>
+Usage: golden_diff.py <build>            compare <build> against goldens/
+       golden_diff.py --write <build>    regenerate goldens/ from <build>
 
-Each argument is a CMake build directory of this repository (for example
-one built from the parent commit and one from the change).  In each build
-the script runs every bench/bench_* program except bench_micro and
-bench_scale, which print wall-clock numbers, with ARMADA_BENCH_SCALE=0.2
-and ARMADA_BENCH_JSON pointing at a fresh temporary file, and every
-examples/* program with no arguments.  Other ARMADA_* variables are
-cleared, and each program runs in its own temporary directory.
+<build> is a CMake build directory of this repository.  The script runs
+every bench/bench_* program except bench_micro and bench_scale, which print
+wall-clock numbers, with ARMADA_BENCH_SCALE=0.2 and ARMADA_BENCH_JSON
+pointing at a fresh temporary file, and every examples/* program with no
+arguments.  Other ARMADA_* variables are cleared, and each program runs in
+its own temporary directory.  Every program must exit 0.
 
-For every program, the JSON records and stdout of the two builds must be
-byte-identical and both runs must exit 0.  For stdout the script prints how
-many lines differ and the first differing line.  For the JSON stream it
-prints how many records differ and the dotted keys of those records that
-are only in a, only in b, or hold different values.  Exits 1 on any
-difference, 0 when every output matches.  Stdlib only.
+goldens/ (at the repository root) holds one <subdir>/<program>.stdout per
+program and, for programs that write JSON records, <subdir>/<program>.jsonl.
+In compare mode the stdout and JSON records of every program must be
+byte-identical to those files.  For stdout the script prints how many lines
+differ and the first differing line (a = golden, b = build).  For the JSON
+stream it prints how many records differ and the dotted keys of those
+records that are only in a, only in b, or hold different values.  Exits 1
+on any difference, 0 when every output matches.
+
+--write replaces goldens/ with the build's outputs; it writes nothing when
+a program exits non-zero.  A change that moves a result regenerates
+goldens/ in the same diff, so the moved numbers show up in review.
+Stdlib only.
 """
 
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,6 +37,8 @@ import tempfile
 SCALE = '0.2'
 # Benches whose output carries wall-clock measurements.
 WALL_CLOCK = {'bench_micro', 'bench_scale'}
+GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       'goldens')
 
 
 def programs(build):
@@ -43,6 +54,20 @@ def programs(build):
                     and os.path.isfile(path) and os.access(path, os.X_OK)):
                 found.append(os.path.join(subdir, name))
     return found
+
+
+def golden_programs():
+    """Relative paths of the programs goldens/ holds outputs for."""
+    found = set()
+    for subdir in ('bench', 'examples'):
+        directory = os.path.join(GOLDENS, subdir)
+        if not os.path.isdir(directory):
+            continue
+        for name in os.listdir(directory):
+            stem, ext = os.path.splitext(name)
+            if ext in ('.stdout', '.jsonl'):
+                found.add(os.path.join(subdir, stem))
+    return sorted(found)
 
 
 def run(build, program):
@@ -61,6 +86,15 @@ def run(build, program):
             with open(records, 'rb') as f:
                 json_bytes = f.read()
     return proc.returncode, proc.stdout, json_bytes
+
+
+def read_golden(program, ext):
+    """Bytes of one golden file; empty when it does not exist."""
+    path = os.path.join(GOLDENS, program + ext)
+    if not os.path.exists(path):
+        return b''
+    with open(path, 'rb') as f:
+        return f.read()
 
 
 def line_pairs(a, b):
@@ -133,30 +167,59 @@ def json_summary(a, b):
     return '; '.join(parts)
 
 
-def main(argv):
-    if len(argv) != 3:
-        sys.stderr.write(__doc__)
+def write(build):
+    progs = programs(build)
+    if not progs:
+        print(f'no bench or example programs in {build}')
         return 2
-    build_a, build_b = argv[1], argv[2]
-    progs_a = programs(build_a)
-    progs_b = programs(build_b)
-    if not progs_a and not progs_b:
-        print(f'no bench or example programs in {build_a} or {build_b}')
+    outputs = {}
+    for program in progs:
+        rc, out, records = run(build, program)
+        if rc != 0:
+            print(f'{program}: exit code {rc}; goldens left unchanged')
+            return 1
+        outputs[program] = (out, records)
+    shutil.rmtree(GOLDENS, ignore_errors=True)
+    for program, (out, records) in outputs.items():
+        os.makedirs(os.path.dirname(os.path.join(GOLDENS, program)),
+                    exist_ok=True)
+        with open(os.path.join(GOLDENS, program + '.stdout'), 'wb') as f:
+            f.write(out)
+        if records:
+            with open(os.path.join(GOLDENS, program + '.jsonl'), 'wb') as f:
+                f.write(records)
+        count = records.count(b'\n')
+        print(f'{program}: wrote {len(out)} stdout bytes, {count} JSON '
+              f'records')
+    print(f'{len(outputs)} programs written to {os.path.normpath(GOLDENS)}')
+    return 0
+
+
+def compare(build):
+    progs = programs(build)
+    goldens = golden_programs()
+    if not progs:
+        print(f'no bench or example programs in {build}')
         return 2
     differing = 0
-    for program in sorted(set(progs_a) | set(progs_b)):
-        if program not in progs_a or program not in progs_b:
-            missing = build_a if program not in progs_a else build_b
-            print(f'{program}: missing from {missing}')
+    for program in sorted(set(progs) | set(goldens)):
+        if program not in progs:
+            print(f'{program}: missing from {build}')
             differing += 1
             continue
-        rc_a, out_a, json_a = run(build_a, program)
-        rc_b, out_b, json_b = run(build_b, program)
+        if program not in goldens:
+            print(f'{program}: no golden (run with --write)')
+            differing += 1
+            continue
+        rc, out, records = run(build, program)
         problems = []
-        if rc_a != 0 or rc_b != 0:
-            problems.append(f'exit codes {rc_a} vs {rc_b}')
-        for stream, summary in (('stdout', stdout_summary(out_a, out_b)),
-                                ('json', json_summary(json_a, json_b))):
+        if rc != 0:
+            problems.append(f'exit code {rc}')
+        for stream, summary in (
+                ('stdout', stdout_summary(read_golden(program, '.stdout'),
+                                          out)),
+                ('json', json_summary(read_golden(program, '.jsonl'),
+                                      records))):
             if summary is not None:
                 problems.append(f'{stream}: {summary}')
         if problems:
@@ -164,12 +227,22 @@ def main(argv):
             for p in problems:
                 print(f'{program}: {p}')
         else:
-            records = json_a.count(b'\n')
-            print(f'{program}: identical ({len(out_a)} stdout bytes, '
-                  f'{records} JSON records)')
-    total = len(set(progs_a) | set(progs_b))
+            count = records.count(b'\n')
+            print(f'{program}: identical ({len(out)} stdout bytes, '
+                  f'{count} JSON records)')
+    total = len(set(progs) | set(goldens))
     print(f'{total} programs compared, {differing} differ')
     return 1 if differing else 0
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(
+        description='Compare a build against goldens/, or regenerate them.')
+    parser.add_argument('build', help='CMake build directory')
+    parser.add_argument('--write', action='store_true',
+                        help='replace goldens/ with this build\'s outputs')
+    args = parser.parse_args(argv[1:])
+    return write(args.build) if args.write else compare(args.build)
 
 
 if __name__ == '__main__':
