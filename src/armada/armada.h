@@ -1,11 +1,27 @@
-// ArmadaIndex: the public facade of the Armada range-query layer.
+// ArmadaIndex: the Armada range-query layer, one engine for every query.
 //
 // Armada is *layered over* FISSIONE: it only uses the DHT's publish/route
 // interfaces and the peers' neighbor tables — the overlay is never modified
 // (the paper's "general range query scheme" property). An index names
 // objects with Single_hash / Multiple_hash so attribute-close objects land
-// on related peers, and answers range queries with PIRA (one attribute) or
-// MIRA (many attributes).
+// on related peers, and answers:
+//
+//  * range queries with PIRA (one attribute, paper §4.2) and box queries
+//    with MIRA (many attributes, §5). Both are one FRT pruning search over
+//    a Kautz region (FrtSearch), reaching every destination exactly once
+//    within |PeerID(issuer)| hops; they differ only in naming. Single_hash
+//    gives PIRA the exact region <LowT, HighT>; Multiple_hash gives MIRA a
+//    bounding region whose classes, branches and destination scans are
+//    pruned against the query box;
+//  * top-k queries (§6 names them as future work) and k-nearest-neighbor
+//    queries. Interval preservation makes the peers' zones partition the
+//    value axis in PeerID order, so both are sequential zone walks: top-k
+//    from the top of the range downward until k objects are in hand, k-NN
+//    outward from the query value until the k-th candidate is closer than
+//    anything unexplored;
+//  * range aggregates (COUNT/SUM/MIN/MAX), which run PIRA's search but fold
+//    each destination's objects into one scalar, so no record leaves its
+//    peer.
 //
 // Usage:
 //   auto net = fissione::FissioneNetwork::build(2000, seed);
@@ -16,20 +32,17 @@
 //   // r.matches -> handles; index.attributes(h)[0] -> value
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
-#include "armada/aggregate.h"
-#include "armada/knn.h"
-#include "armada/mira.h"
-#include "armada/pira.h"
 #include "armada/range_query.h"
-#include "armada/topk.h"
 #include "fissione/network.h"
 #include "kautz/partition_tree.h"
 #include "rebalance/rebalance.h"
 #include "replica/replica_set.h"
+#include "sim/event_queue.h"
 
 namespace armada::core {
 
@@ -60,7 +73,9 @@ class ArmadaIndex {
   /// messages share the transport queues with every concurrent flow and
   /// obey the installed flow-control policy — under overload admission
   /// control the answer may be partial, with stats.coverage carrying the
-  /// served fraction. `done` fires when the last branch lands.
+  /// served fraction. `done` fires when the last branch lands. The index
+  /// must outlive the query, and neither subsystem may be replaced while
+  /// it is in flight.
   void range_query_async(sim::Simulator& sim, fissione::PeerId issuer,
                          double lo, double hi,
                          std::function<void(RangeQueryResult)> done) const;
@@ -70,14 +85,20 @@ class ArmadaIndex {
                              const kautz::Box& box) const;
 
   /// Top-k query (paper §6 future work): the k largest values within
-  /// [lo, hi]. Requires a single-attribute index.
+  /// [lo, hi], walking zones from the top. Requires a single-attribute
+  /// index.
   TopKResult top_k(fissione::PeerId issuer, double lo, double hi,
                    std::size_t k) const;
 
-  /// k-nearest-neighbor query around `q` (extension). Single-attribute.
+  /// k-nearest-neighbor query around `q` (extension), annexing the nearest
+  /// unexplored zone below or above until nothing outside can beat the
+  /// k-th candidate. Single-attribute.
   KnnResult nearest(fissione::PeerId issuer, double q, std::size_t k) const;
 
-  /// In-network COUNT/SUM/MIN/MAX over [lo, hi] (extension).
+  /// In-network COUNT/SUM/MIN/MAX over [lo, hi] (extension): PIRA's search
+  /// with every destination folding its objects into one reply. It never
+  /// touches the replica set or the rebalancer: its folding filter answers
+  /// no record, so a result cache it filled would serve empty answers.
   AggregateResult range_aggregate(fissione::PeerId issuer, double lo,
                                   double hi) const;
 
@@ -85,14 +106,11 @@ class ArmadaIndex {
   /// objects, sorted.
   std::vector<std::uint64_t> scan_matches(const kautz::Box& box) const;
 
-  const Pira& pira() const;
-  const Mira& mira() const;
-
   /// Attach the popularity-aware replication / result-cache subsystem
   /// (src/replica/) with the given knobs. Queries issued afterwards may be
   /// served from caches or replica holders; a *disabled* config (the
-  /// default) changes nothing — queries stay bitwise identical to the plain
-  /// engines. Calling again replaces the subsystem (placement and caches
+  /// default) changes nothing — queries stay bitwise identical to an index
+  /// without it. Calling again replaces the subsystem (placement and caches
   /// reset). Wire churn through it with the drivers' set_membership_hook:
   ///   driver.set_membership_hook([&] { index.replicas()->on_membership(sim); });
   replica::ReplicaSet& enable_replication(replica::ReplicationConfig config);
@@ -104,8 +122,9 @@ class ArmadaIndex {
   /// Attach the online key-space rebalancer (src/rebalance/) with the given
   /// knobs. Queries issued afterwards feed its load/heat observations and
   /// drive its migration sweeps; a *disabled* config (the default) changes
-  /// nothing — queries stay bitwise identical to the plain engines. Calling
-  /// again replaces the subsystem (flights and load history reset). Wire
+  /// nothing — queries stay bitwise identical to an index without it.
+  /// Calling again replaces the subsystem (flights and load history
+  /// reset). Wire
   /// churn through it with the drivers' set_membership_hook, alongside the
   /// replica hook when both subsystems are enabled.
   rebalance::Rebalancer& enable_rebalancing(rebalance::RebalanceConfig config);
@@ -115,20 +134,47 @@ class ArmadaIndex {
   const rebalance::Rebalancer* rebalancer() const { return rebalancer_.get(); }
 
  private:
+  /// Predicate applied to the stored objects at each serving peer.
+  using ObjectFilter = std::function<bool(const fissione::StoredObject&)>;
+
+  /// What one PIRA or MIRA query asks of the search.
+  struct Spec {
+    /// Trace-root name and cache-tag prefix; static storage ("pira").
+    const char* name;
+    /// PIRA's exact region or MIRA's bounding region.
+    kautz::KautzRegion region;
+    /// Value bounds, one interval per attribute: the query's cache
+    /// identity (its filter is a pure function of them).
+    std::span<const kautz::Interval> bounds;
+    /// MIRA's query box, which its bounding region over-approximates:
+    /// classes, branches and destination scans are pruned against it.
+    /// Null for PIRA, whose region is exact.
+    const kautz::Box* box = nullptr;
+    /// Whether the replica set and the rebalancer take part (when enabled).
+    bool subsystems = true;
+  };
+
   ArmadaIndex(fissione::FissioneNetwork& net, kautz::PartitionTree tree);
 
   bool point_in_box(const std::vector<double>& p, const kautz::Box& box) const;
-  /// Point PIRA and MIRA at the current replica set and rebalancer.
-  void attach_subsystems();
+
+  /// Runs `spec` to completion on its own simulator
+  /// (net::Transport::run_sync).
+  RangeQueryResult search(const Spec& spec, fissione::PeerId issuer,
+                          const ObjectFilter& matches) const;
+  /// The range-query front end: opens the trace root, splits the region
+  /// into common-prefix subregions and feeds them to the rebalancer, then
+  /// runs one combined FrtSearch over the kept classes — or, with the
+  /// replica set on, serves each class from a cache or the cheapest live
+  /// holder and falls back to a per-class search. An object answers iff
+  /// its ObjectID lies in the query and `matches` accepts it.
+  void search_async(sim::Simulator& sim, const Spec& spec,
+                    fissione::PeerId issuer, const ObjectFilter& matches,
+                    std::function<void(RangeQueryResult)> done) const;
 
   fissione::FissioneNetwork& net_;
   kautz::PartitionTree tree_;
   std::vector<std::vector<double>> objects_;
-  std::optional<Pira> pira_;
-  std::optional<Mira> mira_;
-  std::optional<TopK> topk_;
-  std::optional<Knn> knn_;
-  std::optional<Aggregate> aggregate_;
   std::unique_ptr<replica::ReplicaSet> replicas_;  ///< null until enabled
   std::unique_ptr<rebalance::Rebalancer> rebalancer_;  ///< null until enabled
 };

@@ -1,6 +1,6 @@
 // ChurnHarness: Armada range queries racing FISSIONE repair.
 //
-// Armada's query engines are layered strictly over the DHT's routing
+// Armada's queries are layered strictly over the DHT's routing
 // interfaces, so they see the post-surgery overlay the instant a membership
 // event executes. This harness reintroduces what a real deployment would
 // observe between the event and the end of its repair exchange (see

@@ -4,9 +4,8 @@
 // whose PeerID starts with the length-(b-i) suffix of P, level b holds every
 // peer whose PeerID does not start with ub. Children of a node are its
 // FISSIONE out-neighbors sorted by PeerID. PIRA never materializes this
-// tree; this model exists to validate the paper's structural claims (level
-// membership, height = |PeerID|, destination level b-f) and to compute
-// delay bounds in the analysis bench.
+// tree; this model exists so tests can check the paper's structural claims
+// (level membership, height = |PeerID|, destination level b-f).
 #pragma once
 
 #include <vector>

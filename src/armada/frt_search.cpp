@@ -47,7 +47,7 @@ struct Search {
   // Trace context captured at run_async: the class-start events below are
   // scheduled directly (not through a Transport delivery), so they re-enter
   // the enclosing query's span themselves. The search never begins traces —
-  // roots belong to the range front end and the drivers.
+  // roots belong to ArmadaIndex and the drivers.
   obs::TraceRecorder* trace = nullptr;
   std::uint64_t ctx = 0;
 
@@ -215,39 +215,27 @@ struct Search {
     on_destination(host, view, result);
   }
 
-  // Send one query-lane message of the search, honoring the installed
-  // flow-control policy. `lost_if_shed()` counts the destinations this
-  // branch gives up under admission shedding; it runs only when the branch
-  // is shed, since the count can walk a whole subtree. `on_arrival` runs at
-  // the receiver. Returns false when the message was shed.
+  // Send one query-lane message of the search through the transport's
+  // sender policy. `lost_if_shed()` counts the destinations this branch
+  // gives up under admission shedding; it runs only when the branch is
+  // shed, since the count can walk a whole subtree. `on_arrival` runs at
+  // the receiver.
   template <typename Lost, typename Fn>
-  bool send(const std::shared_ptr<Search>& self, PeerId from, PeerId to,
+  void send(const std::shared_ptr<Search>& self, PeerId from, PeerId to,
             Lost&& lost_if_shed, Fn&& on_arrival) {
-    net::Transport& transport = net->transport();
-    if (transport.should_shed(*sim, to, net::TrafficClass::kQuery)) {
-      transport.record_shed();
-      ++result.stats.shed;
-      shed_destinations += lost_if_shed();
-      return false;
-    }
-    sim::Time not_before = 0.0;
-    const sim::Time backoff = transport.backoff_delay(*sim, to);
-    if (backoff > 0.0) {
-      not_before = sim->now() + backoff;
-    }
-    ++result.stats.messages;
-    result.stats.bytes_on_wire += transport.default_message_bytes();
-    ++pending;
-    transport.deliver(
-        *sim, from, to, transport.default_message_bytes(),
+    const auto sent = net->transport().send_query(
+        *sim, from, to, result.stats,
         [self, to, fn = std::forward<Fn>(on_arrival)](sim::Time qd) {
           self->net->record_service(to);
           self->result.stats.queue_delay += qd;
           fn();
           self->complete();
-        },
-        not_before, net::TrafficClass::kQuery);
-    return true;
+        });
+    if (sent) {
+      ++pending;
+    } else {
+      shed_destinations += lost_if_shed();
+    }
   }
 
   void step(const std::shared_ptr<Search>& self, std::size_t cls_idx, PeerId b,

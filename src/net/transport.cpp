@@ -92,7 +92,6 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
     Transport* transport;
     sim::Simulator* sim;
     std::vector<NodeId> path;
-    std::uint32_t bytes;
     std::function<void(const sim::QueryStats&)> done;
     sim::Time start = 0.0;
     sim::QueryStats stats;
@@ -112,24 +111,6 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
       }
       const NodeId u = path[i];
       const NodeId v = path[i + 1];
-      const Queueing* queueing = transport->queueing();
-      if (transport->should_shed(*sim, v, TrafficClass::kQuery)) {
-        // Admission refused: shed the whole walk. The hops already spent
-        // stay in the stats; the answer carries zero coverage.
-        transport->record_shed();
-        ++stats.shed;
-        stats.coverage = 0.0;
-        finish();
-        return;
-      }
-      Time not_before = 0.0;
-      const Time backoff = transport->backoff_delay(*sim, v);
-      if (backoff > 0.0) {
-        not_before = sim->now() + backoff;
-      }
-      ++stats.messages;
-      stats.delay += 1.0;
-      stats.bytes_on_wire += bytes;
       // First arrival continues the walk; a cancelled (losing) copy is
       // dropped here — its reservations were consumed, its continuation
       // never runs.
@@ -143,31 +124,41 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
         self->stats.latency = self->sim->now() - self->start;
         self->hop(self, i + 1);
       };
-      const Time send_time = std::max(sim->now(), not_before);
-      const Time primary = transport->deliver(*sim, u, v, bytes, arrive,
-                                              not_before);
+      const std::optional<Sent> primary =
+          transport->send_query(*sim, u, v, stats, arrive);
+      if (!primary) {
+        // Admission refused: shed the whole walk. The hops already spent
+        // stay in the stats; the answer carries zero coverage.
+        stats.coverage = 0.0;
+        finish();
+        return;
+      }
+      stats.delay += 1.0;
+      const Queueing* queueing = transport->queueing();
       if (queueing != nullptr && queueing->config().flow.hedge_enabled()) {
-        const Time primary_delay = primary - send_time - transport->link(u, v);
+        const Time primary_delay =
+            primary->delivery - primary->enqueue - transport->link(u, v);
         if (primary_delay > queueing->config().flow.hedge_threshold) {
           // Hedge in the kHedge lane: under priority scheduling the
           // duplicate jumps the query backlog and can land first.
           if (transport->trace_ != nullptr) {
             transport->trace_->annotate(obs::kFlagHedge);
           }
+          const std::uint32_t bytes = transport->default_message_bytes();
           ++stats.messages;
           stats.bytes_on_wire += bytes;
           const Time hedge = transport->deliver(
               *sim, u, v, bytes, arrive,
               sim->now() + queueing->config().flow.hedge_delay,
               TrafficClass::kHedge);
-          transport->queueing_->record_hedge(hedge < primary);
+          transport->queueing_->record_hedge(hedge < primary->delivery);
         }
       }
     }
   };
-  auto walk = std::make_shared<Walk>(
-      Walk{this, &sim, std::move(path), default_message_bytes(),
-           std::move(done), sim.now(), sim::QueryStats{}});
+  auto walk = std::make_shared<Walk>(Walk{this, &sim, std::move(path),
+                                          std::move(done), sim.now(),
+                                          sim::QueryStats{}});
   if (trace_ != nullptr) [[unlikely]] {
     // Root a new trace unless the walk runs under an enclosing one (e.g.
     // a replica serve inside a PIRA query), in which case its hops join

@@ -81,6 +81,9 @@ struct RebalanceStats {
   std::uint64_t rehosted = 0;  ///< completed migrations of hosted ranges
   std::uint64_t cutover_messages = 0;
   std::uint64_t bytes_on_wire = 0;
+
+  friend bool operator==(const RebalanceStats&,
+                         const RebalanceStats&) = default;
 };
 
 class Rebalancer {
@@ -122,7 +125,7 @@ class Rebalancer {
   std::vector<std::pair<fissione::PeerId, fissione::PeerId>> flight_endpoints()
       const;
 
-  /// Per-query entry point (RangeFrontEnd calls it once per PIRA/MIRA query
+  /// Per-query entry point (ArmadaIndex calls it once per PIRA/MIRA query
   /// with every common-prefix subregion of the region): advances the query
   /// tick, charges heat, and every `sweep_interval` ticks runs a rebalance
   /// sweep whose transfers are priced on `sim` as kHandoff traffic.

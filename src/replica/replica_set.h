@@ -58,7 +58,7 @@ namespace armada::replica {
 
 /// Knobs of the replication / result-cache subsystem. The default
 /// configuration disables every mechanism: attaching it to an index keeps
-/// all queries bitwise identical to the plain engines.
+/// all queries bitwise identical to an index without it.
 struct ReplicationConfig {
   // --- replication ----------------------------------------------------------
   /// Replica holders per hot region; 0 disables replication entirely.
@@ -167,7 +167,7 @@ class ReplicaSet {
       std::span<const fissione::StoredObject> sorted,
       const kautz::KautzRegion& subregion, const ObjectFilter& filter);
 
-  /// Per-query entry point (RangeFrontEnd calls it once per PIRA/MIRA query
+  /// Per-query entry point (ArmadaIndex calls it once per PIRA/MIRA query
   /// with the common-prefix subregions of the search classes). Transfers
   /// are priced on `sim` as kHandoff traffic.
   void on_query(sim::Simulator& sim,

@@ -48,8 +48,8 @@ TEST_P(PiraExactnessTest, DestinationsAndResultsMatchBruteForce) {
     const RangeQueryResult r = fx->index.range_query(issuer, q.lo, q.hi);
 
     // Destinations are exactly the peers whose PeerID prefixes the region.
-    const auto expected = fx->index.pira().expected_destinations(
-        fx->index.naming_tree().region_for(q.lo, q.hi));
+    const auto expected = testsupport::expected_destinations(
+        fx->net, fx->index.naming_tree().region_for(q.lo, q.hi));
     EXPECT_EQ(sorted(r.destinations), sorted(expected));
     EXPECT_EQ(r.stats.dest_peers, expected.size());
 
@@ -145,7 +145,8 @@ TEST_P(MiraExactnessTest, DestinationsAndResultsMatchBruteForce) {
     const RangeQueryResult r = fx->index.box_query(issuer, q);
 
     EXPECT_EQ(sorted(r.destinations),
-              sorted(fx->index.mira().expected_destinations(q)));
+              sorted(testsupport::expected_destinations(
+                  fx->net, fx->index.naming_tree(), q)));
     EXPECT_EQ(sorted(r.matches), fx->index.scan_matches(q));
 
     std::unordered_set<PeerId> unique(r.destinations.begin(),
@@ -168,7 +169,8 @@ TEST(Mira, ThreeAttributesWork) {
   const RangeQueryResult r = fx->index.box_query(fx->net.random_peer(), q);
   EXPECT_EQ(sorted(r.matches), fx->index.scan_matches(q));
   EXPECT_EQ(sorted(r.destinations),
-            sorted(fx->index.mira().expected_destinations(q)));
+            sorted(testsupport::expected_destinations(
+                fx->net, fx->index.naming_tree(), q)));
 }
 
 TEST(Mira, NarrowBoxVisitsFewPeers) {
@@ -179,7 +181,8 @@ TEST(Mira, NarrowBoxVisitsFewPeers) {
   const RangeQueryResult r = fx->index.box_query(fx->net.random_peer(), q);
   EXPECT_LT(r.stats.dest_peers, fx->net.num_peers() / 2);
   EXPECT_EQ(sorted(r.destinations),
-            sorted(fx->index.mira().expected_destinations(q)));
+            sorted(testsupport::expected_destinations(
+                fx->net, fx->index.naming_tree(), q)));
 }
 
 TEST(ArmadaIndex, PublishAttributesRoundTrip) {

@@ -81,7 +81,7 @@ TEST(ForwardRoutingTree, DestinationsLiveAtLevelBMinusF) {
     const ForwardRoutingTree frt(net, issuer);
     const std::size_t dest_level = frt.destination_level(region);
 
-    const auto expected = index.pira().expected_destinations(region);
+    const auto expected = testsupport::expected_destinations(net, region);
     const auto& level = frt.level(dest_level);
     for (PeerId d : expected) {
       EXPECT_NE(std::find(level.begin(), level.end(), d), level.end())

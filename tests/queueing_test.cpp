@@ -739,9 +739,9 @@ TEST(FlowControl, AdmissionDegradesRangeQueriesIntoPartialCoverage) {
     // Coverage is exact: reached destinations over the structural
     // destination set of the query's region, computed bitwise the same way.
     const std::size_t structural =
-        fx->index.pira()
-            .expected_destinations(fx->index.naming_tree().region_for(
-                queries[q].lo, queries[q].hi))
+        testsupport::expected_destinations(
+            fx->net, fx->index.naming_tree().region_for(queries[q].lo,
+                                                        queries[q].hi))
             .size();
     ASSERT_GT(structural, 0u);
     EXPECT_EQ(r.stats.coverage, static_cast<double>(r.stats.dest_peers) /

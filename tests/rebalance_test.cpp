@@ -36,6 +36,7 @@
 #include "net/queueing.h"
 #include "net/transport.h"
 #include "rebalance/rebalance.h"
+#include "replica/replica_set.h"
 #include "sim/event_queue.h"
 #include "sim/workload.h"
 #include "support/test_networks.h"
@@ -647,6 +648,125 @@ TEST(Rebalancer, DeterministicAcrossIdenticalRuns) {
     };
     EXPECT_EQ(run(), run()) << "seed " << seed;
   }
+}
+
+// Top-k, k-NN and range aggregates while migrated ranges are live. The two
+// zone walks scan each visited owner's logical store, delegated slices
+// included; the aggregate runs PIRA's search with the replica set and the
+// rebalancer left out, so it must not move either subsystem's counters.
+TEST(Rebalancer, ComplexQueriesUnderDelegationsMatchTheOwnedScan) {
+  auto fx = testsupport::make_single_index(150, 33);
+  auto& net = fx->net;
+  auto& index = fx->index;
+  testsupport::publish_uniform_values(index, 600, 71);
+  fissione::ServiceLoadMap load;
+  net.set_service_load(&load);
+  const rebalance::Rebalancer& rb = index.enable_rebalancing(skew_config());
+
+  sim::ZipfValues zipf(testsupport::kPaperDomain, 150, 1.0, Rng(91));
+  Rng rng(17);
+  const auto hot_queries = [&](int n) {
+    for (int q = 0; q < n; ++q) {
+      const double c = zipf.next();
+      index.range_query(fx->random_issuer(rng), std::max(0.0, c - 2.5),
+                        std::min(1000.0, c + 2.5));
+    }
+  };
+  for (int q = 0; q < 2000 && !net.has_delegations(); ++q) {
+    hot_queries(1);
+  }
+  ASSERT_TRUE(net.has_delegations());
+  // Replicas and caches would take the hot load the migrations need, so
+  // the replica set joins only now.
+  replica::ReplicationConfig rcfg;
+  rcfg.max_replicas = 4;
+  rcfg.hot_threshold = 4.0;
+  rcfg.cool_threshold = 0.5;
+  rcfg.cache_ttl = 8;
+  const replica::ReplicaSet& rs = index.enable_replication(rcfg);
+  hot_queries(100);
+  ASSERT_TRUE(net.has_delegations());
+  ASSERT_EQ(rb.inflight(), 0u);
+
+  // Brute force: (value, handle) of every object the alive peers own.
+  std::vector<std::pair<double, std::uint64_t>> owned;
+  for (PeerId p : net.alive_peers()) {
+    net.for_each_owned(p, [&](const StoredObject& obj) {
+      owned.emplace_back(index.attributes(obj.payload)[0], obj.payload);
+    });
+  }
+  std::vector<std::uint64_t> migrated;
+  for (const auto& [range, d] : net.delegations()) {
+    for (const StoredObject& obj : d.objects) {
+      migrated.push_back(obj.payload);
+    }
+  }
+  const auto is_migrated = [&migrated](std::uint64_t h) {
+    return std::find(migrated.begin(), migrated.end(), h) != migrated.end();
+  };
+  // Handles of the k least (key, handle) pairs.
+  const auto least = [](std::vector<std::pair<double, std::uint64_t>> v,
+                        std::size_t k) {
+    std::sort(v.begin(), v.end());
+    v.resize(std::min(v.size(), k));
+    std::vector<std::uint64_t> handles;
+    for (const auto& [key, h] : v) {
+      handles.push_back(h);
+    }
+    return handles;
+  };
+
+  std::size_t tops_with_migrated = 0;
+  std::size_t nearest_with_migrated = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    // Anchored at a migrated object: it tops the range and is its own
+    // nearest neighbour, so both walks must reach its delegated slice.
+    const double c = index.attributes(
+        migrated[static_cast<std::size_t>(trial * 7) % migrated.size()])[0];
+    const double lo = std::max(0.0, c - 20.0);
+    const double hi = c;
+    const std::size_t k = 1 + static_cast<std::size_t>(trial % 12);
+    const PeerId issuer = fx->random_issuer(rng);
+
+    std::vector<std::pair<double, std::uint64_t>> by_rank;
+    std::vector<std::pair<double, std::uint64_t>> by_distance;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    for (const auto& [v, h] : owned) {
+      by_distance.emplace_back(std::abs(v - c), h);
+      if (v < lo || v > hi) {
+        continue;
+      }
+      by_rank.emplace_back(-v, h);
+      min = count == 0 ? v : std::min(min, v);
+      max = count == 0 ? v : std::max(max, v);
+      sum += v;
+      ++count;
+    }
+
+    const auto top = index.top_k(issuer, lo, hi, k).handles;
+    EXPECT_EQ(top, least(by_rank, k)) << "trial " << trial;
+    const auto near = index.nearest(issuer, c, k).handles;
+    EXPECT_EQ(near, least(by_distance, k)) << "trial " << trial;
+    tops_with_migrated += std::any_of(top.begin(), top.end(), is_migrated);
+    nearest_with_migrated +=
+        std::any_of(near.begin(), near.end(), is_migrated);
+
+    const rebalance::RebalanceStats rb_before = rb.stats();
+    const replica::ReplicaStats rs_before = rs.stats();
+    const AggregateResult agg = index.range_aggregate(issuer, lo, hi);
+    EXPECT_EQ(rb.stats(), rb_before) << "trial " << trial;
+    EXPECT_EQ(rs.stats(), rs_before) << "trial " << trial;
+    ASSERT_EQ(agg.count, count) << "trial " << trial;  // c itself counts
+    EXPECT_EQ(agg.min, min);
+    EXPECT_EQ(agg.max, max);
+    EXPECT_NEAR(agg.sum, sum, 1e-9 * std::abs(sum));
+  }
+  // The walks really crossed migrated ranges.
+  EXPECT_GT(tops_with_migrated, 0u);
+  EXPECT_GT(nearest_with_migrated, 0u);
 }
 
 // --- lazy load decay -------------------------------------------------------

@@ -33,6 +33,29 @@ fissione::PeerId MultiIndexFixture::random_issuer(Rng& rng) const {
   return net.alive_peers()[rng.next_index(net.alive_peers().size())];
 }
 
+std::vector<fissione::PeerId> expected_destinations(
+    const fissione::FissioneNetwork& net, const kautz::KautzRegion& region) {
+  std::vector<fissione::PeerId> out;
+  for (fissione::PeerId p : net.alive_peers()) {
+    if (region.intersects_prefix(net.peer(p).peer_id)) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+std::vector<fissione::PeerId> expected_destinations(
+    const fissione::FissioneNetwork& net, const kautz::PartitionTree& tree,
+    const kautz::Box& box) {
+  std::vector<fissione::PeerId> out;
+  for (fissione::PeerId p : net.alive_peers()) {
+    if (tree.box_intersects(net.peer(p).peer_id, box)) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
 std::unique_ptr<SingleIndexFixture> make_single_index(std::size_t n,
                                                       std::uint64_t seed,
                                                       kautz::Interval domain) {

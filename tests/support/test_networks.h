@@ -65,6 +65,17 @@ std::unique_ptr<MultiIndexFixture> make_multi_index(std::size_t n,
                                                     std::uint64_t seed,
                                                     kautz::Box domain);
 
+/// PIRA's ground truth: the alive peers in charge of `region`, i.e. those
+/// whose PeerID prefixes some string of it.
+std::vector<fissione::PeerId> expected_destinations(
+    const fissione::FissioneNetwork& net, const kautz::KautzRegion& region);
+
+/// MIRA's ground truth: the alive peers whose zone subspace under `tree`
+/// intersects `box`.
+std::vector<fissione::PeerId> expected_destinations(
+    const fissione::FissioneNetwork& net, const kautz::PartitionTree& tree,
+    const kautz::Box& box);
+
 /// One instance of every transport latency model, seeded deterministically —
 /// the sweep the latency regression/determinism suites iterate over. Note:
 /// each seeded model takes `seed` verbatim here, whereas the bench-side

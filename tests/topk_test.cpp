@@ -1,5 +1,3 @@
-#include "armada/topk.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
