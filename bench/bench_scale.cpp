@@ -58,14 +58,14 @@ struct RouteSample {
 RouteSample sample_routes(const fissione::FissioneNetwork& net, Rng& rng,
                           int routes) {
   const auto& alive = net.alive_peers();
-  const std::uint8_t base = net.config().base;
-  const std::size_t len = net.config().object_id_length;
   // Draw the whole workload first so the timed section is routing only.
   std::vector<std::pair<fissione::PeerId, kautz::KautzString>> work;
   work.reserve(static_cast<std::size_t>(routes));
   for (int i = 0; i < routes; ++i) {
-    work.emplace_back(alive[rng.next_index(alive.size())],
-                      kautz::random_string(rng, base, len));
+    work.emplace_back(
+        alive[rng.next_index(alive.size())],
+        kautz::random_string(rng, fissione::FissioneNetwork::kBase,
+                             fissione::FissioneNetwork::kObjectIdLength));
   }
   std::uint64_t hops = 0;
   const Clock::time_point t0 = Clock::now();

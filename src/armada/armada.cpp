@@ -14,6 +14,7 @@
 
 namespace armada::core {
 
+using fissione::FissioneNetwork;
 using fissione::PeerId;
 using kautz::Box;
 using kautz::Interval;
@@ -101,17 +102,16 @@ ArmadaIndex::ArmadaIndex(fissione::FissioneNetwork& net,
 
 ArmadaIndex ArmadaIndex::single(fissione::FissioneNetwork& net,
                                 kautz::Interval domain) {
-  return ArmadaIndex(net,
-                     kautz::PartitionTree::single(
-                         net.config().base, net.config().object_id_length,
-                         domain));
+  return ArmadaIndex(net, kautz::PartitionTree::single(
+                              FissioneNetwork::kBase,
+                              FissioneNetwork::kObjectIdLength, domain));
 }
 
 ArmadaIndex ArmadaIndex::multi(fissione::FissioneNetwork& net,
                                Box domain) {
   return ArmadaIndex(
-      net, kautz::PartitionTree(net.config().base,
-                                net.config().object_id_length,
+      net, kautz::PartitionTree(FissioneNetwork::kBase,
+                                FissioneNetwork::kObjectIdLength,
                                 std::move(domain)));
 }
 
@@ -243,8 +243,8 @@ KnnResult ArmadaIndex::nearest(PeerId issuer, double q, std::size_t k) const {
   // Explored value interval (grows zone by zone) and its frontier strings.
   double explored_lo = q;
   double explored_hi = q;
-  KautzString below{net_.config().base};
-  KautzString above{net_.config().base};
+  KautzString below{FissioneNetwork::kBase};
+  KautzString above{FissioneNetwork::kBase};
   bool below_done = false;
   bool above_done = false;
 

@@ -4,16 +4,14 @@
 #include <iterator>
 #include <utility>
 
-#include "util/check.h"
-
 namespace armada::fissione {
+
+static_assert(ChurnDriver::kMinSize > FissioneNetwork::kBase + 1u,
+              "floor must stay above the bootstrap size");
 
 ChurnDriver::ChurnDriver(FissioneNetwork& net, sim::Simulator& sim,
                          Config config)
-    : ChurnCore(net, sim, config), net_(net) {
-  ARMADA_CHECK_MSG(kMinSize > net_.config().base + 1u,
-                   "floor must stay above the bootstrap size");
-}
+    : ChurnCore(net, sim, config), net_(net) {}
 
 void ChurnDriver::change(sim::ChurnEventKind kind) {
   FissioneNetwork::MembershipReport report;

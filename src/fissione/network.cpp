@@ -25,18 +25,15 @@ std::vector<PeerId> bootstrap_ids(std::uint8_t base) {
 FissioneNetwork::FissioneNetwork(Config config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      tree_(config.base, bootstrap_ids(config.base)) {
-  ARMADA_CHECK(config_.base >= 1);
-  ARMADA_CHECK_MSG(config_.object_id_length >= 8,
-                   "ObjectIDs must be much longer than PeerIDs");
-  const std::size_t n = config_.base + 1u;
+      tree_(kBase, bootstrap_ids(kBase)) {
+  const std::size_t n = kBase + 1u;
   ids_.resize(n);
   alive_flags_.resize(n, 0);
   out_refs_.resize(n);
   in_refs_.resize(n);
   store_refs_.resize(n);
   alive_pos_.resize(n);
-  for (std::uint8_t c = 0; c <= config_.base; ++c) {
+  for (std::uint8_t c = 0; c <= kBase; ++c) {
     ids_[c] = tree_.label_of(c);
     alive_flags_[c] = 1;
     alive_pos_[c] = alive_.size();
@@ -46,24 +43,14 @@ FissioneNetwork::FissioneNetwork(Config config, std::uint64_t seed)
   refresh_neighbors(std::move(all));
 }
 
-FissioneNetwork FissioneNetwork::build(std::size_t n, std::uint64_t seed,
-                                       Config config) {
-  ARMADA_CHECK(n >= config.base + 1u);
-  FissioneNetwork net(config, seed);
-  while (net.num_peers() < n) {
-    net.join();
-  }
-  return net;
-}
-
 FissioneNetwork FissioneNetwork::build(std::size_t n, std::uint64_t seed) {
-  return build(n, seed, Config{});
+  return build_snapshot(n, seed, Config{});
 }
 
 FissioneNetwork FissioneNetwork::build_snapshot(std::size_t n,
                                                 std::uint64_t seed,
                                                 Config config) {
-  ARMADA_CHECK(n >= config.base + 1u);
+  ARMADA_CHECK(n >= kBase + 1u);
   FissioneNetwork net(config, seed);
   net.grow_snapshot(n);
   return net;
@@ -106,7 +93,7 @@ PeerId FissioneNetwork::allocate_peer() {
 }
 
 void FissioneNetwork::release_peer(PeerId id) {
-  ids_[id] = KautzString{config_.base};
+  ids_[id] = KautzString{kBase};
   alive_flags_[id] = 0;
   edges_.release(out_refs_[id]);
   edges_.release(in_refs_[id]);
@@ -135,11 +122,11 @@ std::vector<PeerId> FissioneNetwork::compute_out_neighbors(PeerId id) const {
   std::vector<PeerId> out;
   if (u.length() == 1) {
     // K(d,1) edges: U = u1 -> beta for every beta != u1.
-    for (std::uint8_t beta = 0; beta <= config_.base; ++beta) {
+    for (std::uint8_t beta = 0; beta <= kBase; ++beta) {
       if (beta == u.digit(0)) {
         continue;
       }
-      KautzString prefix{config_.base};
+      KautzString prefix{kBase};
       prefix.push_back(beta);
       for (PeerId p : tree_.cover_of_prefix(prefix)) {
         out.push_back(p);
@@ -289,7 +276,7 @@ std::vector<std::uint64_t> store_payloads(
 std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
                                          MembershipReport* report) {
   ARMADA_CHECK(leaving < ids_.size() && alive(leaving));
-  ARMADA_CHECK_MSG(num_peers() > config_.base + 1u,
+  ARMADA_CHECK_MSG(num_peers() > kBase + 1u,
                    "cannot drop below the bootstrap size");
 
   std::size_t dropped = 0;
@@ -472,7 +459,7 @@ PeerId FissioneNetwork::owner_of(const KautzString& object_id) const {
 
 void FissioneNetwork::publish(const KautzString& object_id,
                               std::uint64_t payload) {
-  ARMADA_CHECK(object_id.length() == config_.object_id_length);
+  ARMADA_CHECK(object_id.length() == kObjectIdLength);
   if (!delegations_.empty()) {
     // A publish into a migrated range lands at the host, keeping native
     // stores empty inside delegated ranges (the registry invariant).
@@ -533,7 +520,7 @@ std::span<const StoredObject> FissioneNetwork::delegation_segment(
 
 std::vector<StoredObject> FissioneNetwork::detach_range(
     const KautzString& range) {
-  ARMADA_CHECK(!range.empty() && range.length() < config_.object_id_length);
+  ARMADA_CHECK(!range.empty() && range.length() < kObjectIdLength);
   std::vector<StoredObject> out;
   for (PeerId p : tree_.cover_of_prefix(range)) {
     // A short range covers whole zones; a deep one carves one zone. Either
@@ -555,7 +542,7 @@ std::vector<StoredObject> FissioneNetwork::detach_range(
 
 void FissioneNetwork::delegate_range(const KautzString& range, PeerId host,
                                      std::vector<StoredObject> objects) {
-  ARMADA_CHECK(!range.empty() && range.length() < config_.object_id_length);
+  ARMADA_CHECK(!range.empty() && range.length() < kObjectIdLength);
   ARMADA_CHECK_MSG(is_alive(host), "delegation host must be alive");
   const KautzString& host_id = ids_[host];
   ARMADA_CHECK_MSG(
@@ -646,12 +633,12 @@ PeerId FissioneNetwork::proximity_next_hop(PeerId cur,
 RouteResult FissioneNetwork::route(PeerId from,
                                    const KautzString& object_id) const {
   ARMADA_CHECK(from < ids_.size() && alive(from));
-  ARMADA_CHECK(object_id.length() == config_.object_id_length);
+  ARMADA_CHECK(object_id.length() == kObjectIdLength);
 
   RouteResult result;
   result.path.push_back(from);
   PeerId cur = from;
-  const std::size_t hop_limit = 4 * config_.object_id_length;
+  const std::size_t hop_limit = 4 * kObjectIdLength;
   while (!ids_[cur].is_prefix_of(object_id)) {
     const KautzString& id = ids_[cur];
     const std::size_t j = id.longest_suffix_prefix(object_id);
@@ -707,22 +694,21 @@ std::vector<std::uint64_t> FissioneNetwork::lookup(
 KautzString FissioneNetwork::kautz_hash(std::string_view key) const {
   // FNV-1a to seed, then an LCG stream picks one allowed symbol per step.
   std::uint64_t h = fnv1a64(key);
-  KautzString out{config_.base};
-  for (std::size_t i = 0; i < config_.object_id_length; ++i) {
+  KautzString out{kBase};
+  for (std::size_t i = 0; i < kObjectIdLength; ++i) {
     h = h * 6364136223846793005ull + 1442695040888963407ull;
     const std::uint64_t draw = h >> 33;
     if (i == 0) {
-      out.push_back(static_cast<std::uint8_t>(draw % (config_.base + 1u)));
+      out.push_back(static_cast<std::uint8_t>(draw % (kBase + 1u)));
     } else {
-      out.push_back(
-          kautz::index_symbol(draw % config_.base, out.back()));
+      out.push_back(kautz::index_symbol(draw % kBase, out.back()));
     }
   }
   return out;
 }
 
 KautzString FissioneNetwork::random_object_id() {
-  return kautz::random_string(rng_, config_.base, config_.object_id_length);
+  return kautz::random_string(rng_, kBase, kObjectIdLength);
 }
 
 void FissioneNetwork::check_invariants() const {
@@ -777,7 +763,7 @@ void FissioneNetwork::check_invariants() const {
   const KautzString* prev_range = nullptr;
   for (const auto& [range, d] : delegations_) {
     ARMADA_CHECK(range == d.range);
-    ARMADA_CHECK(!range.empty() && range.length() < config_.object_id_length);
+    ARMADA_CHECK(!range.empty() && range.length() < kObjectIdLength);
     ARMADA_CHECK_MSG(is_alive(d.host), "dead delegation host");
     ARMADA_CHECK(!ids_[d.host].is_prefix_of(range) &&
                  !range.is_prefix_of(ids_[d.host]));
@@ -788,8 +774,7 @@ void FissioneNetwork::check_invariants() const {
     prev_range = &range;
     for (std::size_t i = 0; i < d.objects.size(); ++i) {
       ARMADA_CHECK(range.is_prefix_of(d.objects[i].object_id));
-      ARMADA_CHECK(d.objects[i].object_id.length() ==
-                   config_.object_id_length);
+      ARMADA_CHECK(d.objects[i].object_id.length() == kObjectIdLength);
       if (i > 0) {
         ARMADA_CHECK_MSG(d.objects[i - 1] <= d.objects[i],
                          "delegation contents out of canonical order");

@@ -37,11 +37,16 @@ namespace armada::fissione {
 /// on demand.
 class FissioneNetwork final : public overlay::RoutedOverlay {
  public:
+  /// Kautz base of every PeerID and ObjectID.
+  static constexpr std::uint8_t kBase = 2;
+  /// Length of ObjectIDs (the paper uses k = 100; any k comfortably above
+  /// the deepest PeerID behaves identically).
+  static constexpr std::size_t kObjectIdLength = 48;
+  // The longest shift-routing target is a PeerID tail plus an ObjectID
+  // suffix; with PeerIDs no longer than ObjectIDs it fits inline.
+  static_assert(2 * kObjectIdLength <= kautz::KautzString::kMaxLength);
+
   struct Config {
-    std::uint8_t base = 2;
-    /// Length of ObjectIDs (the paper uses k = 100; any k comfortably above
-    /// the deepest PeerID behaves identically).
-    std::size_t object_id_length = 48;
     /// Proximity-aware next-hop tie-breaking in exact-match routing: among
     /// the neighbor links (out or in) making maximal shift-routing progress
     /// — structurally equivalent candidates, same remaining-distance bound —
@@ -105,17 +110,16 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
 
   FissioneNetwork(Config config, std::uint64_t seed);
 
-  /// Convenience: build a network of `n` peers (n >= base+1).
-  static FissioneNetwork build(std::size_t n, std::uint64_t seed,
-                               Config config);
+  /// Convenience: build_snapshot(n, seed, Config{}).
   static FissioneNetwork build(std::size_t n, std::uint64_t seed);
 
-  /// build(), minus the routed placement walk: the join site is located by
-  /// direct tree descent plus the same local-minimum walk, consuming the
-  /// exact RNG draws of build() — the resulting overlay (tree, PeerIDs,
-  /// neighbor tables) is bit-identical to build(n, seed, config) while
-  /// skipping the per-join shift-routing cost. This is what lets bench_scale
-  /// stand up million-peer overlays in seconds.
+  /// A network of `n` peers (n >= kBase+1) grown from FissioneNetwork(config,
+  /// seed) as if by join() until num_peers() == n, minus the routed
+  /// placement walk: the join site is located by direct tree descent plus
+  /// the same local-minimum walk, consuming the exact RNG draws of join() —
+  /// the resulting overlay (tree, PeerIDs, neighbor tables) and RNG position
+  /// are bit-identical while skipping the per-join shift-routing cost. This
+  /// is what lets bench_scale stand up million-peer overlays in seconds.
   static FissioneNetwork build_snapshot(std::size_t n, std::uint64_t seed,
                                         Config config);
 
@@ -158,7 +162,6 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   const std::vector<PeerId>& free_peers() const { return free_ids_; }
   PeerId random_peer();
   const KautzTree& tree() const { return tree_; }
-  const Config& config() const { return config_; }
   std::size_t overlay_size() const override { return alive_.size(); }
 
   /// Toggle proximity-aware next-hop tie-breaking (see Config) at runtime;

@@ -10,11 +10,12 @@ namespace armada::kautz {
 KautzString::KautzString(std::uint8_t base,
                          const std::vector<std::uint8_t>& digits)
     : KautzString(Raw{}, base, digits.size()) {
-  // Validate before packing: a digit wider than bits() would be truncated
-  // silently and then pass the packed-representation check. Two passes — the
-  // validation loop vectorizes (byte compares against base and against the
-  // shifted-by-one sequence), the packing loop stores one word per 32/16
-  // digits.
+  ARMADA_CHECK_MSG(digits.size() <= kMaxLength,
+                   digits.size() << " digits exceed " << kMaxLength);
+  // Validate before packing: a digit wider than kBits would be truncated
+  // silently. Two passes — the validation loop vectorizes (byte compares
+  // against base and against the shifted-by-one sequence), the packing loop
+  // stores one word per 32 digits.
   const std::size_t n = digits.size();
   for (std::size_t i = 0; i < n; ++i) {
     ARMADA_CHECK_MSG(digits[i] <= base_, "digit " << int(digits[i])
@@ -25,21 +26,20 @@ KautzString::KautzString(std::uint8_t base,
                        "repeated symbol at position " << i);
     }
   }
-  std::uint64_t* ws = words();
   std::uint64_t cur = 0;
   std::size_t w = 0;
   std::size_t off = 0;
   for (std::size_t i = 0; i < n; ++i) {
     cur |= static_cast<std::uint64_t>(digits[i]) << off;
-    off += bits_;
+    off += kBits;
     if (off == 64) {
-      ws[w++] = cur;
+      words_[w++] = cur;
       cur = 0;
       off = 0;
     }
   }
   if (off != 0) {
-    ws[w] = cur;
+    words_[w] = cur;
   }
 }
 
@@ -54,11 +54,10 @@ KautzString KautzString::parse(std::string_view text, std::uint8_t base) {
 }
 
 void KautzString::set_digit(std::size_t i, std::uint8_t symbol) {
-  const std::size_t w = (i << lg()) >> 6u;
-  const std::size_t r = (i << lg()) & 63u;
-  std::uint64_t* ws = words();
-  ws[w] = (ws[w] & ~(low_mask(bits_) << r)) |
-          (static_cast<std::uint64_t>(symbol) << r);
+  const std::size_t w = i / kDigitsPerWord;
+  const std::size_t r = i % kDigitsPerWord * kBits;
+  words_[w] = (words_[w] & ~(low_mask(kBits) << r)) |
+              (static_cast<std::uint64_t>(symbol) << r);
 }
 
 std::vector<std::uint8_t> KautzString::digits() const {
@@ -72,12 +71,6 @@ std::vector<std::uint8_t> KautzString::digits() const {
 void KautzString::push_back(std::uint8_t symbol) {
   ARMADA_CHECK_MSG(can_append(symbol),
                    "cannot append " << int(symbol) << " to " << to_string());
-  if (spill_.empty() && len_ + 1 > inline_capacity()) {
-    spill_.assign(inline_.begin(), inline_.end());
-  }
-  if (!spill_.empty() && (len_ / dpw()) + 1 > spill_.size()) {
-    spill_.push_back(0);
-  }
   ++len_;
   set_digit(len_ - 1, symbol);
 }
@@ -98,29 +91,6 @@ std::string KautzString::to_string() const {
     out.push_back(static_cast<char>('0' + chunk(i, 1)));
   }
   return out;
-}
-
-void KautzString::check_valid() const {
-  for (std::size_t i = 0; i < len_; ++i) {
-    const auto d = static_cast<std::uint8_t>(chunk(i, 1));
-    ARMADA_CHECK_MSG(d <= base_,
-                     "digit " << int(d) << " exceeds base " << int(base_));
-    if (i > 0) {
-      ARMADA_CHECK_MSG(d != chunk(i - 1, 1),
-                       "repeated symbol at position " << i);
-    }
-  }
-}
-
-std::size_t KautzStringHash::operator()(const KautzString& s) const {
-  // FNV-1a over the digit bytes (bit-identical to hashing the old
-  // digit-vector storage), with the base mixed into the top byte.
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < s.length(); ++i) {
-    h ^= s.digit(i);
-    h *= 1099511628211ull;
-  }
-  return h ^ (static_cast<std::size_t>(s.base()) << 56);
 }
 
 std::ostream& operator<<(std::ostream& os, const KautzString& s) {

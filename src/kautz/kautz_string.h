@@ -5,14 +5,13 @@
 // is the set of all such strings of length k; FISSIONE PeerIDs are
 // variable-length base-2 Kautz strings and ObjectIDs are fixed-length ones.
 //
-// Representation: digits are bit-packed — 2 bits each for base <= 3, 4 bits
-// each for base <= 15 — into a small inline array of 64-bit words, so the
+// Representation: digits are bit-packed, 2 bits each, into three inline
+// 64-bit words, so a string is a trivially copyable 32-byte value: the
 // strings on the routing hot path (PeerIDs, ObjectIDs, and their
 // shift-routing concatenations) never touch the heap and all slicing,
-// alignment, and ordering operations are word-sized shift/mask loops.
-// Strings longer than the inline capacity (96 digits at base <= 3) spill to
-// a heap word array with identical semantics — the escape hatch for code
-// that builds unusually deep labels.
+// alignment, and ordering operations are word-sized shift/mask loops. That
+// caps the base at 3 and the length at kMaxLength = 96 digits; FISSIONE and
+// Armada use base 2, 48-digit ObjectIDs and PeerIDs under 2 log2 N digits.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -33,17 +33,21 @@ namespace armada::kautz {
 /// the root label of the partition tree and a neutral prefix).
 class KautzString {
  public:
+  /// Longest string the inline words hold (32 digits per word).
+  static constexpr std::size_t kMaxLength = 96;
+
   /// Empty base-2 string — non-explicit so aggregate members ({} init of
   /// StoredObject and friends) default cleanly.
   KautzString() : KautzString(std::uint8_t{2}) {}
-  /// Empty string of the given base. Base must be in [1, 15] (alphabet
-  /// size 2..16; the digit alphabet is '0'..'9' so practical bases are <= 9).
+  /// Empty string of the given base. Base must be in [1, 3] (alphabet size
+  /// 2..4, what a 2-bit digit holds).
   explicit KautzString(std::uint8_t base);
 
-  /// Build from digits; throws CheckError if not a valid Kautz string.
+  /// Build from digits; throws CheckError if not a valid Kautz string or
+  /// longer than kMaxLength.
   KautzString(std::uint8_t base, const std::vector<std::uint8_t>& digits);
 
-  /// Parse a textual form such as "0120" (digits '0'..'9'). Throws on
+  /// Parse a textual form such as "0120" (digits '0'..'3'). Throws on
   /// malformed input or Kautz-invariant violation.
   static KautzString parse(std::string_view text, std::uint8_t base = 2);
 
@@ -56,7 +60,8 @@ class KautzString {
   /// Unpacked digit bytes (materialized; the packed words are the storage).
   std::vector<std::uint8_t> digits() const;
 
-  /// Append one symbol; it must differ from back() and be <= base().
+  /// Append one symbol; it must differ from back() and be <= base(), and
+  /// the string must be shorter than kMaxLength.
   void push_back(std::uint8_t symbol);
   void pop_back();
 
@@ -66,9 +71,11 @@ class KautzString {
   /// Drop the first symbol (the left-shift used by Kautz-graph edges).
   KautzString drop_front() const;
 
-  /// Concatenation; the junction symbols must differ.
+  /// Concatenation; the junction symbols must differ and the result must
+  /// fit in kMaxLength digits.
   KautzString concat(const KautzString& tail) const;
-  /// True when appending `symbol` keeps the string valid.
+  /// True when appending `symbol` keeps the string valid (false at
+  /// kMaxLength).
   bool can_append(std::uint8_t symbol) const;
 
   bool is_prefix_of(const KautzString& other) const;
@@ -80,12 +87,18 @@ class KautzString {
   /// Lexicographic order (the paper's relation "preceq"); a proper prefix
   /// sorts before its extensions.
   std::strong_ordering operator<=>(const KautzString& other) const;
-  bool operator==(const KautzString& other) const;
+  /// Zero tails make the stored words exact, so equal strings have equal
+  /// members.
+  bool operator==(const KautzString& other) const = default;
 
   std::string to_string() const;
 
  private:
-  struct Raw {};  // tag: allocate zeroed storage for `len` digits, no checks
+  static constexpr std::size_t kBits = 2;  ///< bits per digit
+  static constexpr std::size_t kDigitsPerWord = 64 / kBits;
+  static constexpr std::size_t kWords = kMaxLength / kDigitsPerWord;
+
+  struct Raw {};  // tag: zeroed storage for `len` digits, no checks
 
   KautzString(Raw, std::uint8_t base, std::size_t len);
 
@@ -94,45 +107,27 @@ class KautzString {
     return nbits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nbits) - 1;
   }
 
-  std::size_t bits() const { return bits_; }
-  /// log2 of bits per digit (1 at 2 bits, 2 at 4 bits): bits_ is always a
-  /// power of two, so every digit<->bit index conversion is a shift, never a
-  /// division — this is load-bearing for the routing hot path.
-  std::size_t lg() const { return bits_ >> 1u; }
-  /// Digits per 64-bit word (32 at 2 bits, 16 at 4 bits).
-  std::size_t dpw() const { return 64u >> lg(); }
-  std::size_t words_used() const {
-    return ((std::size_t{len_} << lg()) + 63u) >> 6u;
-  }
-  std::size_t inline_capacity() const { return kInlineWords * dpw(); }
-  const std::uint64_t* words() const {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-  std::uint64_t* words() {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
+  std::size_t words_used() const { return (len_ * kBits + 63u) / 64u; }
   /// Low `count` digits starting at digit `pos`, as the low bits of a word.
-  /// Requires count <= dpw() and pos + count <= length().
+  /// Requires count <= kDigitsPerWord and pos + count <= length().
   std::uint64_t chunk(std::size_t pos, std::size_t count) const;
   void set_digit(std::size_t i, std::uint8_t symbol);
   /// Digit-range equality: this[ai .. ai+n) == other[bi .. bi+n).
   static bool equal_slices(const KautzString& a, std::size_t ai,
                            const KautzString& b, std::size_t bi,
                            std::size_t n);
-  void check_valid() const;
-
-  static constexpr std::size_t kInlineWords = 3;
 
   std::uint8_t base_ = 2;
-  std::uint8_t bits_ = 2;  ///< bits per digit: 2 (base <= 3) or 4
   std::uint32_t len_ = 0;
-  /// Digit i lives in word i / dpw() at bit offset (i % dpw()) * bits(); the
-  /// unused tail of the last word is kept zero so word compares are exact.
-  std::array<std::uint64_t, kInlineWords> inline_{};
-  /// Heap escape hatch: non-empty iff the string outgrew the inline words;
-  /// then it holds *all* words and inline_ is ignored.
-  std::vector<std::uint64_t> spill_;
+  /// Digit i lives in word i / kDigitsPerWord at bit offset
+  /// (i % kDigitsPerWord) * kBits; every bit past the last digit is zero,
+  /// so word compares are exact.
+  std::array<std::uint64_t, kWords> words_{};
 };
+
+static_assert(std::is_trivially_copyable_v<KautzString> &&
+                  sizeof(KautzString) == 32,
+              "KautzString is a plain 32-byte value");
 
 // --- inline hot path --------------------------------------------------------
 //
@@ -141,30 +136,25 @@ class KautzString {
 // register-level shift/mask sequences with no out-of-line call.
 
 inline KautzString::KautzString(std::uint8_t base) : base_(base) {
-  ARMADA_CHECK_MSG(base_ >= 1 && base_ <= 15,
+  ARMADA_CHECK_MSG(base_ >= 1 && base_ <= 3,
                    "base " << int(base_) << " outside the packable range");
-  bits_ = base_ <= 3 ? 2 : 4;
 }
 
 inline KautzString::KautzString(Raw, std::uint8_t base, std::size_t len)
     : KautzString(base) {
   len_ = static_cast<std::uint32_t>(len);
-  if (len > inline_capacity()) {
-    spill_.assign((len + dpw() - 1) / dpw(), 0);
-  }
 }
 
 inline std::uint64_t KautzString::chunk(std::size_t pos,
                                         std::size_t count) const {
-  const std::size_t bitpos = pos << lg();
-  const std::size_t w = bitpos >> 6;
-  const std::size_t r = bitpos & 63u;
-  const std::uint64_t* ws = words();
-  std::uint64_t v = ws[w] >> r;
-  if (r != 0 && w + 1 < words_used()) {
-    v |= ws[w + 1] << (64 - r);
+  const std::size_t bitpos = pos * kBits;
+  const std::size_t w = bitpos / 64u;
+  const std::size_t r = bitpos % 64u;
+  std::uint64_t v = words_[w] >> r;
+  if (r != 0 && w + 1 < kWords) {
+    v |= words_[w + 1] << (64 - r);
   }
-  return v & low_mask(count << lg());
+  return v & low_mask(count * kBits);
 }
 
 inline std::uint8_t KautzString::digit(std::size_t i) const {
@@ -183,7 +173,7 @@ inline std::uint8_t KautzString::back() const {
 }
 
 inline bool KautzString::can_append(std::uint8_t symbol) const {
-  if (symbol > base_) {
+  if (symbol > base_ || len_ == kMaxLength) {
     return false;
   }
   return len_ == 0 || back() != symbol;
@@ -192,10 +182,9 @@ inline bool KautzString::can_append(std::uint8_t symbol) const {
 inline bool KautzString::equal_slices(const KautzString& a, std::size_t ai,
                                       const KautzString& b, std::size_t bi,
                                       std::size_t n) {
-  const std::size_t step = a.dpw();
   std::size_t i = 0;
   while (i < n) {
-    const std::size_t count = std::min(step, n - i);
+    const std::size_t count = std::min(kDigitsPerWord, n - i);
     if (a.chunk(ai + i, count) != b.chunk(bi + i, count)) {
       return false;
     }
@@ -224,7 +213,10 @@ inline std::size_t KautzString::longest_suffix_prefix(
     const KautzString& other) const {
   ARMADA_CHECK(base_ == other.base_);
   const std::size_t max_len = std::min<std::size_t>(len_, other.len_);
-  if (max_len <= dpw()) {
+  if (max_len == 0) {
+    return 0;  // chunk(len_, 0) would index past a full string's words
+  }
+  if (max_len <= kDigitsPerWord) {
     // Single-word fast path (every base-2 PeerID: <= 32 digits per word).
     // `tail` holds this string's last max_len digits LSB-first, so candidate
     // t's suffix is tail >> ((max_len - t) digits) — already exactly t
@@ -232,7 +224,7 @@ inline std::size_t KautzString::longest_suffix_prefix(
     const std::uint64_t tail = chunk(len_ - max_len, max_len);
     const std::uint64_t head = other.chunk(0, max_len);
     for (std::size_t t = max_len; t > 0; --t) {
-      if ((tail >> ((max_len - t) << lg())) == (head & low_mask(t << lg()))) {
+      if ((tail >> ((max_len - t) * kBits)) == (head & low_mask(t * kBits))) {
         return t;
       }
     }
@@ -255,17 +247,17 @@ inline std::strong_ordering KautzString::operator<=>(
   // index past the shorter string's end is that zero tail against the longer
   // string's real digits — the common prefix matched, length decides.
   const std::size_t common = std::min<std::size_t>(len_, other.len_);
-  const std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
-  if ((std::uint32_t{len_} | other.len_) <= dpw()) {
+  const std::uint64_t* a = words_.data();
+  const std::uint64_t* b = other.words_.data();
+  if ((std::uint32_t{len_} | other.len_) <= kDigitsPerWord) {
     // Single-word fast path (every base-2 PeerID): one xor decides.
     const std::uint64_t x = a[0] ^ b[0];
     if (x != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(x));
-      const std::size_t shift = (bit >> lg()) << lg();
-      if ((bit >> lg()) < common) {
-        return ((a[0] >> shift) & low_mask(bits_)) <=>
-               ((b[0] >> shift) & low_mask(bits_));
+      const std::size_t shift = bit / kBits * kBits;
+      if (bit / kBits < common) {
+        return ((a[0] >> shift) & low_mask(kBits)) <=>
+               ((b[0] >> shift) & low_mask(kBits));
       }
     }
     return std::uint32_t{len_} <=> std::uint32_t{other.len_};
@@ -275,42 +267,29 @@ inline std::strong_ordering KautzString::operator<=>(
     if (a[i] != b[i]) {
       const auto bit =
           static_cast<std::size_t>(std::countr_zero(a[i] ^ b[i]));
-      const std::size_t shift = (bit >> lg()) << lg();
-      const std::size_t d = (i << (6u - lg())) + (bit >> lg());
+      const std::size_t shift = bit / kBits * kBits;
+      const std::size_t d = i * kDigitsPerWord + bit / kBits;
       if (d >= common) {
         break;
       }
-      const std::uint64_t da = (a[i] >> shift) & low_mask(bits_);
-      const std::uint64_t db = (b[i] >> shift) & low_mask(bits_);
+      const std::uint64_t da = (a[i] >> shift) & low_mask(kBits);
+      const std::uint64_t db = (b[i] >> shift) & low_mask(kBits);
       return da <=> db;
     }
   }
   return std::uint32_t{len_} <=> std::uint32_t{other.len_};
 }
 
-inline bool KautzString::operator==(const KautzString& other) const {
-  // Storage-independent (an inline string equals a once-spilled one):
-  // compare the used words only.
-  if (base_ != other.base_ || len_ != other.len_) {
-    return false;
-  }
-  const std::uint64_t* a = words();
-  const std::uint64_t* b = other.words();
-  return std::equal(a, a + words_used(), b);
-}
-
 inline KautzString KautzString::prefix(std::size_t len) const {
   ARMADA_CHECK(len <= len_);
   KautzString out(Raw{}, base_, len);
   const std::size_t nw = out.words_used();
-  const std::uint64_t* src = words();
-  std::uint64_t* dst = out.words();
   for (std::size_t i = 0; i < nw; ++i) {
-    dst[i] = src[i];
+    out.words_[i] = words_[i];
   }
   if (nw > 0) {
-    const std::size_t tail = len - (nw - 1) * dpw();
-    dst[nw - 1] &= low_mask(tail << lg());
+    const std::size_t tail = len - (nw - 1) * kDigitsPerWord;
+    out.words_[nw - 1] &= low_mask(tail * kBits);
   }
   return out;
 }
@@ -318,23 +297,20 @@ inline KautzString KautzString::prefix(std::size_t len) const {
 inline KautzString KautzString::suffix(std::size_t len) const {
   ARMADA_CHECK(len <= len_);
   KautzString out(Raw{}, base_, len);
-  const std::size_t shift = (len_ - len) << lg();
-  const std::size_t ws = shift >> 6;
-  const std::size_t rs = shift & 63u;
-  const std::size_t src_words = words_used();
-  const std::uint64_t* src = words();
-  std::uint64_t* dst = out.words();
+  const std::size_t shift = (len_ - len) * kBits;
+  const std::size_t ws = shift / 64u;
+  const std::size_t rs = shift % 64u;
   const std::size_t nw = out.words_used();
   for (std::size_t i = 0; i < nw; ++i) {
-    std::uint64_t v = src[i + ws] >> rs;
-    if (rs != 0 && i + ws + 1 < src_words) {
-      v |= src[i + ws + 1] << (64 - rs);
+    std::uint64_t v = words_[i + ws] >> rs;
+    if (rs != 0 && i + ws + 1 < kWords) {
+      v |= words_[i + ws + 1] << (64 - rs);
     }
-    dst[i] = v;
+    out.words_[i] = v;
   }
   if (nw > 0) {
-    const std::size_t tail = len - (nw - 1) * dpw();
-    dst[nw - 1] &= low_mask(tail << lg());
+    const std::size_t tail = len - (nw - 1) * kDigitsPerWord;
+    out.words_[nw - 1] &= low_mask(tail * kBits);
   }
   return out;
 }
@@ -350,31 +326,22 @@ inline KautzString KautzString::concat(const KautzString& tail) const {
     ARMADA_CHECK_MSG(back() != tail.front(),
                      "repeated symbol at the concat junction");
   }
-  KautzString out(Raw{}, base_, len_ + tail.len_);
-  const std::size_t my_words = words_used();
-  const std::uint64_t* src = words();
-  std::uint64_t* dst = out.words();
-  const std::size_t dst_words = out.words_used();
-  for (std::size_t i = 0; i < my_words; ++i) {
-    dst[i] = src[i];
-  }
-  const std::size_t shift = std::size_t{len_} << lg();
-  const std::size_t ws = shift >> 6;
-  const std::size_t rs = shift & 63u;
-  const std::uint64_t* ts = tail.words();
+  ARMADA_CHECK_MSG(len_ + tail.len_ <= kMaxLength,
+                   "concat of " << len_ << " and " << tail.len_
+                                << " digits exceeds " << kMaxLength);
+  KautzString out = *this;
+  out.len_ = len_ + tail.len_;
+  const std::size_t shift = std::size_t{len_} * kBits;
+  const std::size_t ws = shift / 64u;
+  const std::size_t rs = shift % 64u;
   for (std::size_t i = 0; i < tail.words_used(); ++i) {
-    dst[i + ws] |= ts[i] << rs;
-    if (rs != 0 && i + ws + 1 < dst_words) {
-      dst[i + ws + 1] |= ts[i] >> (64 - rs);
+    out.words_[i + ws] |= tail.words_[i] << rs;
+    if (rs != 0 && i + ws + 1 < kWords) {
+      out.words_[i + ws + 1] |= tail.words_[i] >> (64 - rs);
     }
   }
   return out;
 }
-
-/// FNV-1a over digits, for unordered containers.
-struct KautzStringHash {
-  std::size_t operator()(const KautzString& s) const;
-};
 
 std::ostream& operator<<(std::ostream& os, const KautzString& s);
 

@@ -228,7 +228,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
     const auto consider_native = [&](const KautzString& range,
                                      bool whole_zone) {
       if (range.empty() ||
-          range.length() >= net_.config().object_id_length) {
+          range.length() >= fissione::FissioneNetwork::kObjectIdLength) {
         return;
       }
       const auto cooled = cooldown_until_.find(range);

@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,10 @@ namespace armada::util {
 
 template <typename T>
 class ArenaPool {
+  // Elements own no resource, so slots past a list's size and blocks on the
+  // free lists keep stale values and are simply overwritten on reuse.
+  static_assert(std::is_trivially_copyable_v<T>);
+
  public:
   struct Ref {
     std::uint32_t off = 0;
@@ -40,20 +45,14 @@ class ArenaPool {
 
   void push_back(Ref& r, T v) {
     reserve(r, static_cast<std::size_t>(r.size) + 1);
-    data_[r.off + r.size] = std::move(v);
+    data_[r.off + r.size] = v;
     ++r.size;
   }
 
   /// Replace the contents (order preserved); reuses the block when it fits.
   void assign(Ref& r, std::vector<T> src) {
     reserve(r, src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      data_[r.off + i] = std::move(src[i]);
-    }
-    // Drop payloads beyond the new size so freed elements release resources.
-    for (std::size_t i = src.size(); i < r.size; ++i) {
-      data_[r.off + i] = T{};
-    }
+    std::copy(src.begin(), src.end(), data_.begin() + r.off);
     r.size = static_cast<std::uint32_t>(src.size());
   }
 
@@ -61,23 +60,14 @@ class ArenaPool {
   void erase_value(Ref& r, const T& v) {
     T* b = data_.data() + r.off;
     T* w = std::remove(b, b + r.size, v);
-    for (T* p = w; p != b + r.size; ++p) {
-      *p = T{};
-    }
     r.size = static_cast<std::uint32_t>(w - b);
   }
 
-  void clear(Ref& r) {
-    for (std::size_t i = 0; i < r.size; ++i) {
-      data_[r.off + i] = T{};
-    }
-    r.size = 0;
-  }
+  void clear(Ref& r) { r.size = 0; }
 
   /// Return the block to its free list; the Ref becomes unallocated.
   void release(Ref& r) {
     if (r.cap_log2 != kUnallocated) {
-      clear(r);
       free_[r.cap_log2].push_back(r.off);
     }
     r = Ref{};
@@ -91,13 +81,8 @@ class ArenaPool {
     const auto log2 = static_cast<std::uint8_t>(std::max<int>(
         kMinCapLog2, std::bit_width(std::max<std::size_t>(need, 1) - 1)));
     const std::uint32_t off = allocate(log2);
-    for (std::size_t i = 0; i < r.size; ++i) {
-      data_[off + i] = std::move(data_[r.off + i]);
-    }
+    std::copy_n(data_.begin() + r.off, r.size, data_.begin() + off);
     if (r.cap_log2 != kUnallocated) {
-      for (std::size_t i = 0; i < r.size; ++i) {
-        data_[r.off + i] = T{};
-      }
       free_[r.cap_log2].push_back(r.off);
     }
     r.off = off;

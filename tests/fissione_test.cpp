@@ -174,7 +174,7 @@ TEST(FissioneHash, KautzHashDeterministicAndValid) {
   const auto c = net.kautz_hash("world");
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(a.length(), net.config().object_id_length);
+  EXPECT_EQ(a.length(), FissioneNetwork::kObjectIdLength);
 }
 
 TEST(FissioneJoin, PlacementHopsBounded) {
@@ -235,7 +235,7 @@ TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
   auto net =
       FissioneNetwork::build_snapshot(2000, 61, FissioneNetwork::Config{});
   std::vector<KautzString> prefixes;
-  std::vector<KautzString> level{KautzString(net.config().base)};
+  std::vector<KautzString> level{KautzString(FissioneNetwork::kBase)};
   for (int len = 1; len <= 5; ++len) {
     std::vector<KautzString> next;
     for (const KautzString& p : level) {
@@ -323,13 +323,16 @@ TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
   EXPECT_GT(crashes, 50u);
 }
 
-// build_snapshot() must be bit-identical to build(): same tree, same
+// build_snapshot() must be bit-identical to routed joins: same tree, same
 // PeerIDs, same neighbor tables, same RNG position afterward — it only
 // skips the routed placement walk (pure measurement). Structure AND the
 // subsequent evolution must match.
 TEST(FissioneSnapshot, MatchesRoutedBuildExactly) {
   for (std::uint64_t seed : {7u, 99u}) {
-    FissioneNetwork a = FissioneNetwork::build(120, seed);
+    FissioneNetwork a(FissioneNetwork::Config{}, seed);
+    while (a.num_peers() < 120) {
+      a.join();
+    }
     FissioneNetwork b = FissioneNetwork::build_snapshot(
         120, seed, FissioneNetwork::Config{});
     auto expect_identical = [](FissioneNetwork& x, FissioneNetwork& y) {

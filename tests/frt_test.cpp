@@ -1,4 +1,4 @@
-#include "armada/frt.h"
+#include "support/frt.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "kautz/kautz_graph.h"
+#include "support/kautz_graph.h"
 
 #include <gtest/gtest.h>
 

@@ -92,14 +92,15 @@ TEST(KautzRegion, IntersectsPrefixBruteForce) {
 
   // Sampled regions too long to enumerate, against the extension-based
   // definition: the production ObjectID length (two packed words at base 2)
-  // and base 4, whose 4-bit digits fill a word every 16 digits. Bounds
-  // share a random-length prefix, and probes branch off a bound at a random
-  // digit, so every prefix length sees both verdicts.
+  // and base 3 within one word and across all three. Bounds share a
+  // random-length prefix, and probes branch off a bound at a random digit,
+  // so every prefix length sees both verdicts.
   struct Space {
     std::uint8_t base;
     std::size_t k;
   };
-  for (const Space space : {Space{2, 48}, Space{4, 20}, Space{4, 48}}) {
+  for (const Space space : {Space{2, 48}, Space{3, 20},
+                            Space{3, KautzString::kMaxLength}}) {
     std::size_t viable = 0;
     std::size_t missed = 0;
     for (int trial = 0; trial < 40; ++trial) {

@@ -113,7 +113,8 @@ TEST(KautzSpace, SymbolIndexRoundTrip) {
 
 TEST(KautzSpace, RandomStringValidAndLongLengthsWork) {
   Rng rng(42);
-  for (std::size_t len : {1u, 5u, 24u, 100u}) {
+  for (std::size_t len : {std::size_t{1}, std::size_t{5}, std::size_t{24},
+                          KautzString::kMaxLength}) {
     const auto s = random_string(rng, 2, len);
     EXPECT_EQ(s.length(), len);  // constructor enforces validity
   }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "util/check.h"
@@ -89,30 +88,47 @@ TEST(KautzString, LexicographicOrder) {
   EXPECT_GT(KautzString::parse("2"), KautzString::parse("1210"));
 }
 
-TEST(KautzString, HashDistinguishesStrings) {
-  std::unordered_set<KautzString, KautzStringHash> set;
-  set.insert(KautzString::parse("010"));
-  set.insert(KautzString::parse("012"));
-  set.insert(KautzString::parse("010"));
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.contains(KautzString::parse("012")));
-  EXPECT_FALSE(set.contains(KautzString::parse("021")));
-}
-
 TEST(KautzString, CrossBaseComparisonRejected) {
   const auto a = KautzString::parse("01", 2);
   const auto b = KautzString::parse("01", 3);
   EXPECT_THROW((void)(a < b), CheckError);
 }
 
+// Every string is three inline words of 2-bit digits: base 4 and a 97th
+// digit have nowhere to go, whichever way a string is built.
+TEST(KautzString, RejectsBasesAndLengthsPastTheInlineWords) {
+  EXPECT_THROW(KautzString{4}, CheckError);
+  EXPECT_THROW(KautzString::parse("0123", 4), CheckError);
+
+  std::vector<std::uint8_t> digits;
+  for (std::size_t i = 0; i <= KautzString::kMaxLength; ++i) {
+    digits.push_back(static_cast<std::uint8_t>(i % 2));
+  }
+  EXPECT_THROW(KautzString(2, digits), CheckError);
+  digits.pop_back();
+  KautzString full(2, digits);  // 0101...01, exactly kMaxLength digits
+  ASSERT_EQ(full.length(), KautzString::kMaxLength);
+  for (std::uint8_t s = 0; s <= 2; ++s) {
+    EXPECT_FALSE(full.can_append(s));
+  }
+  EXPECT_THROW(full.push_back(2), CheckError);
+  EXPECT_EQ(full.length(), KautzString::kMaxLength);
+
+  const KautzString head = full.prefix(KautzString::kMaxLength - 1);
+  EXPECT_EQ(head.concat(KautzString::parse("1")), full);
+  EXPECT_THROW(head.concat(KautzString::parse("12")), CheckError);
+  EXPECT_THROW(full.concat(KautzString::parse("2")), CheckError);
+}
+
 // --- packed-vs-reference fuzz ---------------------------------------------
 //
 // The packed word representation must be observationally identical to the
 // obvious digit-vector implementation. Every operation is replayed against
-// a naive reference on plain std::vector<uint8_t>; lengths run past the
-// inline capacity so the heap-spill path is exercised too. Seeds follow the
-// repo-wide fuzz contract: fixed CI seeds, or one ARMADA_FUZZ_SEED override
-// to replay a failure exactly.
+// a naive reference on plain std::vector<uint8_t>; lengths run up to the
+// full three words. Built strings are also compared with the string the
+// reference digits make: equality compares the words, so this checks their
+// zero tails. Seeds follow the repo-wide fuzz contract: fixed CI seeds, or
+// one ARMADA_FUZZ_SEED override to replay a failure exactly.
 
 using Digits = std::vector<std::uint8_t>;
 
@@ -194,11 +210,10 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
   for (std::uint64_t seed : fuzz_seeds()) {
     Rng rng(seed);
     for (int iter = 0; iter < 400; ++iter) {
-      // Base 2/3 exercises 2-bit packing, base 5/9 the 4-bit path; lengths
-      // past 96 (the 2-bit inline capacity) reach the spill vector.
-      const std::uint8_t bases[] = {2, 3, 5, 9};
-      const std::uint8_t base = bases[rng.next_index(4)];
-      const std::size_t len = rng.next_index(140);
+      // Draws past kMaxLength are cut to it, so full strings are common.
+      const auto base = static_cast<std::uint8_t>(2 + rng.next_index(2));
+      const std::size_t len =
+          std::min<std::size_t>(rng.next_index(140), KautzString::kMaxLength);
       const Digits ra = random_digits(rng, base, len);
       const KautzString a(base, ra);
 
@@ -213,13 +228,17 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
         ASSERT_EQ(a.back(), ra.back());
       }
 
-      // Slices at random cut points (and the exact inline/spill boundary).
+      // Slices at random cut points and at the word boundaries.
       const std::size_t cuts[] = {rng.next_index(len + 1), 0, len,
-                                  std::min<std::size_t>(96, len)};
+                                  std::min<std::size_t>(32, len),
+                                  std::min<std::size_t>(64, len)};
       for (std::size_t cut : cuts) {
         ASSERT_EQ(a.prefix(cut).digits(), ref_slice(ra, 0, cut));
+        ASSERT_EQ(a.prefix(cut), KautzString(base, ref_slice(ra, 0, cut)));
         ASSERT_EQ(a.suffix(cut).digits(),
                   ref_slice(ra, len - cut, cut));
+        ASSERT_EQ(a.suffix(cut),
+                  KautzString(base, ref_slice(ra, len - cut, cut)));
       }
       if (!ra.empty()) {
         ASSERT_EQ(a.drop_front().digits(), ref_slice(ra, 1, len - 1));
@@ -240,10 +259,13 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
         grown.pop_back();
         ref_grown.pop_back();
         ASSERT_EQ(grown.digits(), ref_grown);
+        ASSERT_EQ(grown, KautzString(base, ref_grown));
       }
 
       // Binary relations against an independently drawn second string.
-      const Digits rb = random_digits(rng, base, rng.next_index(140));
+      const Digits rb = random_digits(
+          rng, base,
+          std::min<std::size_t>(rng.next_index(140), KautzString::kMaxLength));
       const KautzString b(base, rb);
       ASSERT_EQ(a.is_prefix_of(b), ref_is_prefix(ra, rb));
       ASSERT_EQ(a.is_suffix_of(b), ref_is_suffix(ra, rb));
@@ -267,28 +289,29 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
         ASSERT_EQ(a.is_prefix_of(c), ref_is_prefix(ra, rc));
       }
 
-      // Concat through a junction-respecting bridge.
+      // Concat through a junction-respecting bridge, cut to fit.
       if (!ra.empty() && !rb.empty()) {
         Digits bridge = rb;
         if (bridge.front() == ra.back()) {
           bridge.erase(bridge.begin());
         }
+        bridge.resize(std::min(bridge.size(),
+                               KautzString::kMaxLength - ra.size()));
         if (!bridge.empty()) {
           const KautzString joined = a.concat(KautzString(base, bridge));
           Digits ref_joined = ra;
           ref_joined.insert(ref_joined.end(), bridge.begin(), bridge.end());
           ASSERT_EQ(joined.digits(), ref_joined);
           ASSERT_EQ(joined.length(), ra.size() + bridge.size());
+          ASSERT_EQ(joined, KautzString(base, ref_joined));
         }
       }
 
-      // Equal strings hash equally (storage-independent: build one copy
-      // through a different construction path).
+      // Equal strings compare equal whichever way they were built.
       KautzString rebuilt(base);
       for (std::uint8_t x : ra) {
         rebuilt.push_back(x);
       }
-      ASSERT_EQ(KautzStringHash{}(a), KautzStringHash{}(rebuilt));
       ASSERT_TRUE(a == rebuilt);
     }
   }

@@ -215,7 +215,7 @@ TEST(DelegationRegistry, PublishRoutesIntoHostedRange) {
   // A fresh publish whose ObjectID extends the hosted range must land in
   // the registry, not in the (structural) owner's native store.
   KautzString oid = range;
-  while (oid.length() < net.config().object_id_length) {
+  while (oid.length() < FissioneNetwork::kObjectIdLength) {
     for (std::uint8_t s = 0; s <= oid.base(); ++s) {
       if (oid.can_append(s)) {
         oid.push_back(s);
@@ -581,7 +581,7 @@ TEST(Rebalancer, CancelsCleanlyWhenDonorCrashesMidTransfer) {
     const PeerId hot = fattest_peer(net);
     load.add(hot, 8);
     KautzString hot_oid = net.peer(hot).peer_id;
-    while (hot_oid.length() < net.config().object_id_length) {
+    while (hot_oid.length() < FissioneNetwork::kObjectIdLength) {
       for (std::uint8_t s = 0; s <= hot_oid.base(); ++s) {
         if (hot_oid.can_append(s)) {
           hot_oid.push_back(s);

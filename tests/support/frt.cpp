@@ -1,4 +1,4 @@
-#include "armada/frt.h"
+#include "support/frt.h"
 
 #include <algorithm>
 
@@ -21,11 +21,11 @@ ForwardRoutingTree::ForwardRoutingTree(const fissione::FissioneNetwork& net,
     levels_[i] = net_.tree().cover_of_prefix(id.suffix(b - i));
   }
   // Level b: peers whose PeerID does not start with ub.
-  for (std::uint8_t c = 0; c <= net_.config().base; ++c) {
+  for (std::uint8_t c = 0; c <= fissione::FissioneNetwork::kBase; ++c) {
     if (c == id.back()) {
       continue;
     }
-    KautzString prefix{net_.config().base};
+    KautzString prefix{fissione::FissioneNetwork::kBase};
     prefix.push_back(c);
     for (PeerId p : net_.tree().cover_of_prefix(prefix)) {
       levels_[b].push_back(p);

@@ -1,8 +1,9 @@
-// Static Kautz graph K(d,k) (paper §3, Figure 1).
+// Static Kautz graph K(d,k) (paper §3, Figure 1), a test oracle.
 //
-// Used to validate FISSIONE's approximate-Kautz topology and the FRT model
-// against the exact graph on small instances: optimal diameter (= k),
-// uniform out-degree d, and shift-edge structure U = u1..uk -> u2..uk b.
+// kautz_graph_test checks the paper's claims about the exact graph on small
+// instances: Figure 1's K(2,3) (12 nodes, in- and out-degree 2, its sample
+// edges), in/out-edge transposition, optimal diameter (= k), and that BFS
+// distance never exceeds k minus the shift-routing overlap.
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,8 @@ BENCH_congestion.json, BENCH_load_balance.json and BENCH_scale.json.
 Checks the cross-scheme table1 feed (every scheme under all four latency
 models, ConstantHop latency == hop-count delay), the timed-churn cells, the
 congestion tiers and closed-loop goodput plateau, the load-balance and
-rebalancing claims, the scale trajectory against the 2*log2(N) hop bound,
-and the packed-KautzString microbench; the committed snapshots must satisfy
+rebalancing claims, the scale trajectory against the 2*log2(N) hop bound
+and the inline KautzString capacity, and the packed-KautzString microbench; the committed snapshots must satisfy
 the same invariants at full scale.  Exits nonzero on the first failed
 assertion.  Stdlib only.
 """
@@ -21,6 +21,16 @@ import json
 import math
 import os
 import sys
+
+# FissioneNetwork::kObjectIdLength and KautzString::kMaxLength.
+OBJECT_ID_LENGTH = 48
+KAUTZ_MAX_LENGTH = 96
+
+
+def fits_inline(max_peer_id_len):
+    """The deepest PeerID's shift-routing target, its tail after the first
+    digit plus an ObjectID suffix, fits in a KautzString."""
+    return max_peer_id_len - 1 + OBJECT_ID_LENGTH <= KAUTZ_MAX_LENGTH
 
 
 def check(records_path, root):
@@ -245,6 +255,7 @@ def check(records_path, root):
         assert m['events_per_second'] > 0, r
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(peers), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(peers), r
+        assert fits_inline(m['max_peer_id_len']), r
 
     # Committed full-scale trajectory snapshot: same invariants at
     # the real tier sizes, 1M peers included.
@@ -265,6 +276,7 @@ def check(records_path, root):
         assert m['events_per_second'] > 0, r
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(n), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(n), r
+        assert fits_inline(m['max_peer_id_len']), r
 
     # Packed-ID microbench: the packed KautzString must beat the
     # digit-vector reference on the shift-routing composite op
