@@ -60,7 +60,6 @@ net::QueueingConfig repair_batching_config() {
 /// (alpha 1.2, minimum 3 time units) over a Poisson session-start stream.
 std::vector<sim::ChurnEvent> heavy_round(double start, std::uint64_t seed) {
   sim::ChurnProcess::LifetimeConfig cfg;
-  cfg.tail = sim::ChurnProcess::LifetimeConfig::Tail::kPareto;
   cfg.shape = 1.2;
   cfg.scale = 3.0;
   cfg.arrival_rate = 1.0;

@@ -68,16 +68,8 @@ std::vector<ChurnEvent> ChurnProcess::lifetimes(const LifetimeConfig& config,
     out.push_back(ChurnEvent{t, ChurnEventKind::kJoin});
     // Inverse-transform sample of the session lifetime.
     const double v = rng.next_double();
-    double lifetime = 0.0;
-    switch (config.tail) {
-      case LifetimeConfig::Tail::kPareto:
-        lifetime = config.scale * std::pow(1.0 - v, -1.0 / config.shape);
-        break;
-      case LifetimeConfig::Tail::kWeibull:
-        lifetime =
-            config.scale * std::pow(-std::log1p(-v), 1.0 / config.shape);
-        break;
-    }
+    const double lifetime =
+        config.scale * std::pow(1.0 - v, -1.0 / config.shape);
     const Time end = t + lifetime;
     // Keep the RNG stream independent of whether the departure lands inside
     // the horizon: the crash draw always happens.
@@ -92,17 +84,6 @@ std::vector<ChurnEvent> ChurnProcess::lifetimes(const LifetimeConfig& config,
                      return a.at < b.at;
                    });
   return out;
-}
-
-std::vector<ChurnEvent> ChurnProcess::from_trace(std::vector<ChurnEvent> trace) {
-  for (const ChurnEvent& e : trace) {
-    ARMADA_CHECK_MSG(e.at >= 0.0, "churn trace has a negative timestamp");
-  }
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const ChurnEvent& a, const ChurnEvent& b) {
-                     return a.at < b.at;
-                   });
-  return trace;
 }
 
 }  // namespace armada::sim

@@ -6,7 +6,7 @@
 //
 //  * ChurnProcess — a deterministic schedule of join/leave/crash events,
 //    either Poisson (merged arrival process, seeded exponential gaps) or
-//    trace-driven (an explicit, validated event list).
+//    heavy-tailed sessions (Poisson session starts, Pareto lifetimes).
 //  * ChurnStats — the repair-side result currency, the membership analogue
 //    of QueryStats: repair messages and latency, objects handed off /
 //    dropped / in flight, and the outcomes of queries launched inside
@@ -34,7 +34,7 @@ enum class ChurnEventKind : std::uint8_t { kJoin, kLeave, kCrash };
 
 /// One scheduled membership change. The affected peer is chosen by the
 /// overlay's churn driver when the event executes (uniformly over the peers
-/// alive *at that simulated instant*), so traces stay overlay-agnostic.
+/// alive *at that simulated instant*), so schedules stay overlay-agnostic.
 struct ChurnEvent {
   Time at = 0.0;
   ChurnEventKind kind = ChurnEventKind::kJoin;
@@ -210,16 +210,13 @@ class ChurnProcess {
   /// instant and departs one drawn lifetime later. Measured P2P session
   /// times are heavy-tailed — most sessions are short, a few last orders of
   /// magnitude longer — which Poisson event mixes cannot express; the
-  /// lifetime is drawn from a Pareto or Weibull distribution by
-  /// inverse-transform sampling.
+  /// lifetime is drawn from a Pareto distribution by inverse-transform
+  /// sampling.
   struct LifetimeConfig {
-    enum class Tail : std::uint8_t { kPareto, kWeibull };
-    Tail tail = Tail::kPareto;
-    /// Pareto alpha / Weibull k. Pareto needs shape > 0 (alpha <= 1 has an
-    /// infinite mean — allowed, the horizon truncates it); Weibull k < 1
-    /// gives the heavy (stretched-exponential) tail.
+    /// Pareto alpha, > 0 (alpha <= 1 has an infinite mean — allowed, the
+    /// horizon truncates it).
     double shape = 1.5;
-    /// Pareto x_m (minimum lifetime) / Weibull lambda.
+    /// Pareto x_m: the minimum lifetime.
     double scale = 4.0;
     /// Session starts per unit simulated time.
     double arrival_rate = 1.0;
@@ -238,11 +235,6 @@ class ChurnProcess {
   /// The full schedule, sorted by time. Pure function of (config, seed):
   /// repeated calls and equal-seeded instances return identical traces.
   std::vector<ChurnEvent> events() const;
-
-  /// Trace-driven schedule: sorts a hand-written or replayed event list by
-  /// time (stable, so equal-time events keep their relative order) and
-  /// validates that every timestamp is non-negative.
-  static std::vector<ChurnEvent> from_trace(std::vector<ChurnEvent> trace);
 
   /// Heavy-tailed session-lifetime schedule, sorted by time: one kJoin per
   /// session start, one kLeave/kCrash at start + lifetime when that falls

@@ -4,12 +4,11 @@
 // time unit by default, so arrival time equals hop count and "query delay"
 // (the paper's metric) is the latest arrival at any destination peer.
 //
-// The pending-event set is an indexed calendar (bucket) queue: events hash
-// into time-windowed buckets, so scheduling and dispatch are O(1) amortized
-// instead of the O(log n) of a binary heap — the difference between heap
-// churn and straight-line dispatch on million-event runs. Event callbacks
-// are stored in a small-buffer EventFn, so scheduling a typical closure
-// performs no heap allocation at all.
+// The pending-event set is a binary min-heap of 24-byte keys (when, seq,
+// slot); each event's callback waits in a slot of its own, so a sift step
+// moves a key, never a closure. Event callbacks are stored in a
+// small-buffer EventFn, so scheduling a typical closure performs no heap
+// allocation at all.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +25,7 @@ using Time = double;
 
 /// Move-only callable of signature void() with small-buffer storage:
 /// closures up to kInlineSize bytes (every callback the kernel and the
-/// transport schedule today) live inline in the event record; larger or
+/// transport schedule today) live inline in the event's slot; larger or
 /// throwing-move callables fall back to a single heap cell.
 class EventFn {
  public:
@@ -115,12 +114,9 @@ class EventFn {
 
 /// Minimal deterministic event loop. Events at equal times run in
 /// scheduling (FIFO) order, which keeps runs reproducible for a fixed seed:
-/// dispatch order is the strict total order (when, seq), exactly the order
-/// the previous binary-heap kernel produced.
+/// dispatch order is the strict total order (when, seq).
 class Simulator {
  public:
-  Simulator();
-
   void schedule_at(Time when, EventFn action);
   void schedule_after(Time delay, EventFn action);
 
@@ -132,36 +128,23 @@ class Simulator {
 
   Time now() const { return now_; }
   std::uint64_t events_processed() const { return processed_; }
-  bool idle() const { return count_ == 0; }
+  bool idle() const { return heap_.empty(); }
 
  private:
-  struct Event {
+  /// A pending event's dispatch key and the slot its callback waits in.
+  struct Key {
     Time when;
     std::uint64_t seq;
-    EventFn fn;
+    std::size_t slot;
   };
 
-  std::uint64_t window_of(Time when) const {
-    return static_cast<std::uint64_t>(when / width_);
-  }
-  void insert(Event e);
-  /// Remove and return the earliest event by (when, seq). Requires
-  /// count_ > 0. `peeked_when`, when already known via min_when(), skips
-  /// the second scan.
-  Event pop_min();
-  /// Earliest pending timestamp; requires count_ > 0. Positions the cursor
-  /// (window_) at that event's window as a side effect.
-  Time min_when();
-  void rebuild(std::size_t new_bucket_count);
+  /// Pop the earliest key, advance now_ to it and run its callback.
+  /// Requires a pending event.
+  void dispatch();
 
-  std::vector<std::vector<Event>> buckets_;
-  std::size_t bucket_mask_ = 0;  ///< buckets_.size() - 1 (power of two)
-  double width_ = 1.0;           ///< seconds of simulated time per bucket
-  std::uint64_t window_ = 0;     ///< cursor: current time window index
-  std::size_t count_ = 0;
-  /// Bucket currently kept sorted descending by (when, seq) — the
-  /// equal-time-batch fast path; SIZE_MAX when none.
-  std::size_t sorted_bucket_ = static_cast<std::size_t>(-1);
+  std::vector<Key> heap_;  ///< min-heap by (when, seq)
+  std::vector<EventFn> slots_;
+  std::vector<std::size_t> free_slots_;  ///< slots_ entries not in use
 
   Time now_ = 0.0;
   std::uint64_t seq_ = 0;

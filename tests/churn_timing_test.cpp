@@ -123,68 +123,51 @@ std::vector<std::uint64_t> lifetime_seeds() {
 }
 
 TEST(ChurnProcess, HeavyTailedLifetimesAreDeterministicAndValid) {
-  for (const auto tail : {ChurnProcess::LifetimeConfig::Tail::kPareto,
-                          ChurnProcess::LifetimeConfig::Tail::kWeibull}) {
-    for (const std::uint64_t seed : lifetime_seeds()) {
-      ChurnProcess::LifetimeConfig cfg;
-      cfg.tail = tail;
-      cfg.shape = 1.2;
-      cfg.scale = 2.0;
-      cfg.arrival_rate = 2.0;
-      cfg.crash_fraction = 0.2;
-      cfg.horizon = 60.0;
-      const auto a = ChurnProcess::lifetimes(cfg, seed);
-      const auto b = ChurnProcess::lifetimes(cfg, seed);
-      ASSERT_FALSE(a.empty());
-      // Pure function of (config, seed): bit-identical on every call.
-      ASSERT_EQ(a.size(), b.size());
-      std::size_t joins = 0;
-      std::size_t departures = 0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].at, b[i].at);
-        EXPECT_EQ(a[i].kind, b[i].kind);
-        if (i > 0) {
-          EXPECT_GE(a[i].at, a[i - 1].at);
-        }
-        EXPECT_GE(a[i].at, 0.0);
-        EXPECT_LT(a[i].at, cfg.horizon);
-        if (a[i].kind == ChurnEventKind::kJoin) {
-          ++joins;
-        } else {
-          ++departures;
-        }
+  for (const std::uint64_t seed : lifetime_seeds()) {
+    ChurnProcess::LifetimeConfig cfg;
+    cfg.shape = 1.2;
+    cfg.scale = 2.0;
+    cfg.arrival_rate = 2.0;
+    cfg.crash_fraction = 0.2;
+    cfg.horizon = 60.0;
+    const auto a = ChurnProcess::lifetimes(cfg, seed);
+    const auto b = ChurnProcess::lifetimes(cfg, seed);
+    ASSERT_FALSE(a.empty());
+    // Pure function of (config, seed): bit-identical on every call.
+    ASSERT_EQ(a.size(), b.size());
+    std::size_t joins = 0;
+    std::size_t departures = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].at, b[i].at);
+      EXPECT_EQ(a[i].kind, b[i].kind);
+      if (i > 0) {
+        EXPECT_GE(a[i].at, a[i - 1].at);
       }
-      // Every departure belongs to some session that joined earlier; a few
-      // long-lived sessions outrun the horizon and never depart.
-      EXPECT_GE(joins, departures);
-      // A Pareto lifetime is at least the scale parameter, so no departure
-      // can precede the first join by less than it.
-      if (tail == ChurnProcess::LifetimeConfig::Tail::kPareto) {
-        const auto first_departure = std::find_if(
-            a.begin(), a.end(), [](const ChurnEvent& e) {
-              return e.kind != ChurnEventKind::kJoin;
-            });
-        if (first_departure != a.end()) {
-          EXPECT_GE(first_departure->at, a.front().at + cfg.scale);
-        }
+      EXPECT_GE(a[i].at, 0.0);
+      EXPECT_LT(a[i].at, cfg.horizon);
+      if (a[i].kind == ChurnEventKind::kJoin) {
+        ++joins;
+      } else {
+        ++departures;
       }
-      // A different seed draws a different session stream.
-      const auto c = ChurnProcess::lifetimes(cfg, seed + 1);
-      ASSERT_FALSE(c.empty());
-      EXPECT_NE(a.front().at, c.front().at);
     }
+    // Every departure belongs to some session that joined earlier; a few
+    // long-lived sessions outrun the horizon and never depart.
+    EXPECT_GE(joins, departures);
+    // A Pareto lifetime is at least the scale parameter, so no departure
+    // can precede the first join by less than it.
+    const auto first_departure =
+        std::find_if(a.begin(), a.end(), [](const ChurnEvent& e) {
+          return e.kind != ChurnEventKind::kJoin;
+        });
+    if (first_departure != a.end()) {
+      EXPECT_GE(first_departure->at, a.front().at + cfg.scale);
+    }
+    // A different seed draws a different session stream.
+    const auto c = ChurnProcess::lifetimes(cfg, seed + 1);
+    ASSERT_FALSE(c.empty());
+    EXPECT_NE(a.front().at, c.front().at);
   }
-}
-
-TEST(ChurnProcess, TraceIsSortedAndValidated) {
-  auto trace = ChurnProcess::from_trace({{5.0, ChurnEventKind::kLeave},
-                                         {1.0, ChurnEventKind::kJoin},
-                                         {5.0, ChurnEventKind::kCrash}});
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[0].at, 1.0);
-  // Stable: equal-time events keep their relative order.
-  EXPECT_EQ(trace[1].kind, ChurnEventKind::kLeave);
-  EXPECT_EQ(trace[2].kind, ChurnEventKind::kCrash);
 }
 
 // --- invariants at event boundaries ----------------------------------------

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "kautz/kautz_space.h"
+#include "support/kautz_graph.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -51,6 +54,56 @@ TEST(FissioneJoin, BalancedIdLengths) {
 TEST(FissioneJoin, AverageDegreeAboutFour) {
   auto net = FissioneNetwork::build(1000, 4);
   EXPECT_NEAR(net.average_degree(), 4.0, 0.8);
+}
+
+// Paper §3: once every PeerID has one length k, the overlay is the Kautz
+// graph K(2, k). Each peer's out- and in-neighbors carry exactly the labels
+// of its node's out- and in-neighbors in the static graph.
+TEST(FissioneJoin, UniformLengthOverlaysAreKautzGraphs) {
+  // The labels of `ids` under `label_of`, sorted.
+  auto labels = [](const auto& ids, auto label_of) {
+    std::vector<std::string> out;
+    for (const auto id : ids) {
+      out.push_back(label_of(id).to_string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::size_t checked = 0;
+  std::size_t checked_k3_or_more = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    FissioneNetwork net(FissioneNetwork::Config{}, seed);
+    auto peer_label = [&net](PeerId q) { return net.peer_id(q); };
+    while (net.num_peers() < 200) {
+      net.join();
+      const std::size_t k = net.peer_id(net.alive_peers().front()).length();
+      if (!std::all_of(net.alive_peers().begin(), net.alive_peers().end(),
+                       [&](PeerId p) { return net.peer_id(p).length() == k; })) {
+        continue;
+      }
+      const kautz::KautzGraph graph(FissioneNetwork::kBase, k);
+      auto node_label = [&graph](std::uint64_t v) { return graph.label(v); };
+      ASSERT_EQ(net.num_peers(), graph.num_nodes()) << "seed " << seed;
+      for (PeerId p : net.alive_peers()) {
+        const Peer peer = net.peer(p);
+        const std::uint64_t node = graph.node(peer.peer_id);
+        ASSERT_EQ(labels(peer.out_neighbors, peer_label),
+                  labels(graph.out_neighbors(node), node_label))
+            << "out-list of " << peer.peer_id.to_string() << ", seed "
+            << seed;
+        ASSERT_EQ(labels(peer.in_neighbors, peer_label),
+                  labels(graph.in_neighbors(node), node_label))
+            << "in-list of " << peer.peer_id.to_string() << ", seed " << seed;
+      }
+      ++checked;
+      if (k >= 3) {
+        ++checked_k3_or_more;
+      }
+    }
+  }
+  EXPECT_GE(checked, 40u);
+  // Not vacuous: some seed passes through a uniform length of 3 or more.
+  EXPECT_GE(checked_k3_or_more, 1u);
 }
 
 TEST(FissioneRouting, ReachesOwnerWithinIdLengthHops) {

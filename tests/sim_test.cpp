@@ -142,13 +142,12 @@ TEST(Simulator, RejectsSchedulingIntoThePast) {
 }
 
 // The dispatch contract: events run in the strict total order (when, seq),
-// i.e. time order with FIFO ties — exactly what the old binary-heap kernel
-// produced. The calendar-queue implementation is checked against a plain
+// i.e. time order with FIFO ties. The simulator is checked against a plain
 // reference model on two inputs dominated by equal-time batches (the FRT
-// fan-out shape): randomized schedules, including batches larger than the
-// sorted-bucket threshold and events injected into the current instant
-// mid-dispatch; and lockstep waves at integer instants, which grow and then
-// shrink the calendar.
+// fan-out shape): randomized schedules, with batches of 30+ events at one
+// instant and callbacks that schedule into their own instant mid-dispatch;
+// and lockstep waves at integer instants, whose callbacks schedule every
+// next wave, up to 2,048 events wide, from inside the dispatch loop.
 //
 // Reference: stable order by time — scheduling (insertion) order breaks
 // ties. `scheduled` is appended in insertion order, so a stable sort by
@@ -190,8 +189,9 @@ TEST(Simulator, DispatchOrderMatchesReferenceOnEqualTimeBatches) {
       scheduled.emplace_back(when, id);
       sim.schedule_at(when, [&dispatched, id] { dispatched.push_back(id); });
     }
-    // Mid-run injections: some events add work at their own timestamp (the
-    // sorted-bucket insertion path) and slightly later.
+    // Mid-run injections: some events add work at their own timestamp,
+    // which must run after everything already queued there, and slightly
+    // later.
     for (int i = 0; i < 30; ++i) {
       const double when = slots[rng.next_index(slots.size())];
       const int id = next_id++;
@@ -218,9 +218,9 @@ TEST(Simulator, DispatchOrderMatchesReferenceOnEqualTimeBatches) {
   // Lockstep waves, the FRT's shape under ConstantHop: every event
   // schedules its children at +1.0, so each wave is one equal-time batch at
   // an integer instant. Two lineages of 64 start at t = 0 and t = 2; waves
-  // double to 2048 (grow rebuilds), hold, then halve (shrink rebuilds). A
-  // batch's events are created back to back while the previous batch
-  // dispatches, so id parity halves it exactly.
+  // double to 2048, hold, then halve, so the pending set grows and shrinks
+  // while callbacks run. A batch's events are created back to back while
+  // the previous batch dispatches, so id parity halves it exactly.
   {
     constexpr int kGenerations = 15;
     Simulator sim;
@@ -261,11 +261,11 @@ TEST(Simulator, DispatchOrderMatchesReferenceOnEqualTimeBatches) {
   }
 }
 
-TEST(Simulator, CursorRewindsForEarlierEventsAfterIdlePeriods) {
+TEST(Simulator, EarlierEventsScheduledMidRunOvertakeFarFutureOnes) {
   Simulator sim;
   std::vector<double> times;
-  // A far-future event first (the cursor jumps ahead to find it), then an
-  // earlier one scheduled mid-run must still dispatch in time order.
+  // A far-future event is queued first; an earlier one scheduled mid-run
+  // must still dispatch before it.
   sim.schedule_at(1000.0, [&] { times.push_back(sim.now()); });
   sim.schedule_at(1.0, [&] {
     times.push_back(sim.now());

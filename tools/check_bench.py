@@ -11,8 +11,9 @@ Checks the cross-scheme table1 feed (every scheme under all four latency
 models, ConstantHop latency == hop-count delay), the timed-churn cells, the
 congestion tiers and closed-loop goodput plateau, the load-balance and
 rebalancing claims, the scale trajectory against the 2*log2(N) hop bound
-and the inline KautzString capacity, and the packed-KautzString microbench; the committed snapshots must satisfy
-the same invariants at full scale.  Exits nonzero on the first failed
+and the inline KautzString capacity, the event-dispatch row, and the
+packed-KautzString microbench; the committed snapshots must satisfy the
+same invariants at full scale.  Exits nonzero on the first failed
 assertion.  Stdlib only.
 """
 
@@ -237,8 +238,11 @@ def check(records_path, root):
     # all three tiers (their scaled sizes stay distinct even at
     # smoke scale) with strictly positive throughputs, and the mean
     # route length must respect the paper's 2*log2(N) hop bound.
+    # Event dispatch is network-free and timed once per run, in its
+    # own row.
     scale_rows = {r['series']: r for r in records
                   if r['bench'] == 'scale'}
+    dispatch_series = 'sim/dispatch'
     expected_tiers = {f'fissione/{t}'
                       for t in ('tier10k', 'tier100k', 'tier1m')}
     missing = expected_tiers - set(scale_rows)
@@ -252,17 +256,21 @@ def check(records_path, root):
         assert m['build_seconds'] > 0, r
         assert m['joins_per_second'] > 0, r
         assert m['routes_per_second'] > 0, r
-        assert m['events_per_second'] > 0, r
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(peers), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(peers), r
         assert fits_inline(m['max_peer_id_len']), r
+    assert dispatch_series in scale_rows, 'scale feed missing dispatch row'
+    assert scale_rows[dispatch_series]['metrics']['events_per_second'] > 0
 
     # Committed full-scale trajectory snapshot: same invariants at
     # the real tier sizes, 1M peers included.
     scale_snap = {json.loads(line)['series']: json.loads(line)
                   for line in open(os.path.join(root, 'BENCH_scale.json'))}
-    missing = expected_tiers - set(scale_snap)
-    assert not missing, f'BENCH_scale.json missing tiers: {missing}'
+    missing = (expected_tiers | {dispatch_series}) - set(scale_snap)
+    assert not missing, f'BENCH_scale.json missing rows: {missing}'
+    assert all(r['scale'] == 1.0 for r in scale_snap.values()), \
+        'BENCH_scale.json must be captured at full scale'
+    assert scale_snap[dispatch_series]['metrics']['events_per_second'] > 0
     full_sizes = {'tier10k': 10_000, 'tier100k': 100_000,
                   'tier1m': 1_000_000}
     for tier, n in full_sizes.items():
@@ -273,7 +281,6 @@ def check(records_path, root):
         m = r['metrics']
         assert m['joins_per_second'] > 0, r
         assert m['routes_per_second'] > 0, r
-        assert m['events_per_second'] > 0, r
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(n), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(n), r
         assert fits_inline(m['max_peer_id_len']), r
@@ -296,7 +303,7 @@ def check(records_path, root):
           f'({len(table1)} table1 rows, {len(models_by_scheme)} schemes, '
           f'{len(churn)} churn rows, {len(cong)} congestion rows, '
           f'{goodput_rows} goodput tiers, {len(lb)} load-balance rows, '
-          f'{len(scale_rows)} scale tiers, micro shift speedup '
+          f'{len(expected_tiers)} scale tiers, micro shift speedup '
           f'{km["shift_target_speedup"]:.2f}x)')
 
 
