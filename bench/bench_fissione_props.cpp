@@ -23,7 +23,7 @@ int main() {
     Rng rng(kSeed + 1);
     OnlineStats hops;
     for (int i = 0; i < scaled_queries(); ++i) {
-      const auto target = kautz::random_string(rng, 2, 48);
+      const auto target = kautz::random_string(rng, 48);
       const auto route = net.route(net.random_peer(), target);
       hops.add(route.hops);
     }

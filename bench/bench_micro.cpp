@@ -25,7 +25,7 @@ namespace {
 using namespace armada;
 
 void BM_SingleHash(benchmark::State& state) {
-  const auto tree = kautz::PartitionTree::single(2, 48, {0.0, 1000.0});
+  const auto tree = kautz::PartitionTree::single(48, {0.0, 1000.0});
   Rng rng(1);
   double v = rng.next_double(0.0, 1000.0);
   for (auto _ : state) {
@@ -37,7 +37,7 @@ BENCHMARK(BM_SingleHash);
 
 void BM_MultipleHash3Attr(benchmark::State& state) {
   const kautz::PartitionTree tree(
-      2, 48, kautz::Box{{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}});
+      48, kautz::Box{{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}});
   const std::vector<double> p{0.3, 0.7, 0.1};
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.multiple_hash(p));
@@ -47,9 +47,9 @@ BENCHMARK(BM_MultipleHash3Attr);
 
 void BM_RankUnrank(benchmark::State& state) {
   std::uint64_t r = 12345;
-  const std::uint64_t n = kautz::space_size(2, 24);
+  const std::uint64_t n = kautz::space_size(24);
   for (auto _ : state) {
-    const auto s = kautz::unrank(2, 24, r % n);
+    const auto s = kautz::unrank(24, r % n);
     benchmark::DoNotOptimize(kautz::rank(s));
     r = r * 2862933555777941757ull + 3037000493ull;
   }
@@ -57,7 +57,7 @@ void BM_RankUnrank(benchmark::State& state) {
 BENCHMARK(BM_RankUnrank);
 
 void BM_RegionIntersectsPrefix(benchmark::State& state) {
-  const auto tree = kautz::PartitionTree::single(2, 48, {0.0, 1000.0});
+  const auto tree = kautz::PartitionTree::single(48, {0.0, 1000.0});
   const auto region = tree.region_for(123.0, 456.0);
   const auto prefix = kautz::KautzString::parse("0120102");
   for (auto _ : state) {
@@ -81,7 +81,7 @@ void BM_FissioneRoute(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)), 7);
   Rng rng(9);
   for (auto _ : state) {
-    const auto target = kautz::random_string(rng, 2, 48);
+    const auto target = kautz::random_string(rng, 48);
     benchmark::DoNotOptimize(net.route(net.random_peer(), target));
   }
 }
@@ -106,8 +106,8 @@ BENCHMARK(BM_PiraQuery)->Arg(20)->Arg(300);
 void BM_KautzShiftTarget(benchmark::State& state) {
   // The inner op of shift routing: align, then id[1..] ++ oid[j..].
   Rng rng(3);
-  const auto id = kautz::random_string(rng, 2, 20);
-  const auto oid = kautz::random_string(rng, 2, 48);
+  const auto id = kautz::random_string(rng, 20);
+  const auto oid = kautz::random_string(rng, 48);
   for (auto _ : state) {
     const std::size_t j = id.longest_suffix_prefix(oid);
     benchmark::DoNotOptimize(
@@ -133,17 +133,16 @@ BENCHMARK(BM_FissioneJoin)->Iterations(4000);
 // words buy; the measurements land in the ARMADA_BENCH_JSON feed (bench
 // "micro", series "kautz_string") and CI checks the speedups stay >= 1.
 struct RefString {
-  std::uint8_t base = 2;
   std::vector<std::uint8_t> d;
 
   RefString suffix(std::size_t len) const {
-    return {base, {d.end() - static_cast<std::ptrdiff_t>(len), d.end()}};
+    return {{d.end() - static_cast<std::ptrdiff_t>(len), d.end()}};
   }
   RefString drop_front() const {
-    return {base, {d.begin() + 1, d.end()}};
+    return {{d.begin() + 1, d.end()}};
   }
   RefString concat(const RefString& tail) const {
-    RefString out{base, d};
+    RefString out{d};
     out.d.insert(out.d.end(), tail.d.begin(), tail.d.end());
     return out;
   }
@@ -161,15 +160,15 @@ struct RefString {
 
   // The pre-packing ctor validated the Kautz invariants too; a copy-only
   // reference would undercount the old construction cost.
-  static RefString make(std::uint8_t base, std::vector<std::uint8_t> digits) {
+  static RefString make(std::vector<std::uint8_t> digits) {
     int prev = -1;
     for (std::uint8_t x : digits) {
-      if (x > base || static_cast<int>(x) == prev) {
+      if (x > kautz::kBase || static_cast<int>(x) == prev) {
         std::abort();
       }
       prev = x;
     }
-    return RefString{base, std::move(digits)};
+    return RefString{std::move(digits)};
   }
 };
 
@@ -204,10 +203,10 @@ void record_kautz_micro() {
   std::vector<RefString> ref_oids;
   constexpr std::size_t kPool = 512;
   for (std::size_t i = 0; i < kPool; ++i) {
-    ids.push_back(kautz::random_string(rng, 2, 20));
-    oids.push_back(kautz::random_string(rng, 2, 48));
-    ref_ids.push_back(RefString{2, ids.back().digits()});
-    ref_oids.push_back(RefString{2, oids.back().digits()});
+    ids.push_back(kautz::random_string(rng, 20));
+    oids.push_back(kautz::random_string(rng, 48));
+    ref_ids.push_back(RefString{ids.back().digits()});
+    ref_oids.push_back(RefString{oids.back().digits()});
   }
 
   // Shift-routing target construction: align + drop_front + concat.
@@ -251,12 +250,12 @@ void record_kautz_micro() {
   const double packed_ctor = seconds_of([&] {
     for (std::size_t i = 0; i < ops; ++i) {
       benchmark::DoNotOptimize(
-          kautz::KautzString(2, digit_sets[i % kPool]));
+          kautz::KautzString(digit_sets[i % kPool]));
     }
   });
   const double ref_ctor = seconds_of([&] {
     for (std::size_t i = 0; i < ops; ++i) {
-      benchmark::DoNotOptimize(RefString::make(2, digit_sets[i % kPool]));
+      benchmark::DoNotOptimize(RefString::make(digit_sets[i % kPool]));
     }
   });
 

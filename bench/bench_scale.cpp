@@ -10,12 +10,14 @@
 //   - routing: exact-match shift routes from random issuers to uniform
 //     ObjectIDs (workload RNG separate from the network's stream, so the
 //     trajectory stays the canonical build-path overlay), the median of
-//     kRepeats timed passes over the same routes.
+//     kRepeats timed repeats. One pass over the 2,000 routes takes about
+//     2 ms at 10k peers and 25 ms at 1M, too short for one timing to mean
+//     anything, so each repeat reruns the pass until it has run for
+//     kRepeatSeconds (scaled by ARMADA_BENCH_SCALE).
 //
 // Once per run, network-free: event dispatch, the simulation kernel's hot
 // loop, under a self-rescheduling event population; also the median of
-// kRepeats runs. One pass of the 10k tier's 2,000 routes takes about 2 ms,
-// too short for a single timing to mean anything.
+// kRepeats runs.
 //
 // The committed BENCH_scale.json at the repo root is this bench's
 // ARMADA_BENCH_JSON output at full scale; CI re-runs the bench at smoke
@@ -43,6 +45,8 @@ double seconds_since(Clock::time_point t0) {
 
 /// Timed repeats behind every wall-clock throughput this bench reports.
 constexpr int kRepeats = 5;
+/// Least wall time of one routing repeat at full scale.
+constexpr double kRepeatSeconds = 0.1;
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -64,8 +68,9 @@ constexpr Tier kTiers[] = {
 /// random issuers to uniform random ObjectIDs. The workload draws from its
 /// own RNG so the network's join stream is untouched between tiers.
 struct RouteSample {
-  double routes_per_second = 0.0;  ///< median over kRepeats passes
+  double routes_per_second = 0.0;  ///< median over kRepeats repeats
   double hops_mean = 0.0;
+  int passes = 0;  ///< passes over the routes, summed over the repeats
 };
 
 RouteSample sample_routes(const fissione::FissioneNetwork& net, Rng& rng,
@@ -77,21 +82,28 @@ RouteSample sample_routes(const fissione::FissioneNetwork& net, Rng& rng,
   for (int i = 0; i < routes; ++i) {
     work.emplace_back(
         alive[rng.next_index(alive.size())],
-        kautz::random_string(rng, fissione::FissioneNetwork::kBase,
-                             fissione::FissioneNetwork::kObjectIdLength));
+        kautz::random_string(rng, fissione::FissioneNetwork::kObjectIdLength));
   }
   // route() is const: every pass walks the same paths.
+  const double budget = kRepeatSeconds * scale();
   std::uint64_t hops = 0;
   std::vector<double> rates;
-  for (int r = 0; r < kRepeats; ++r) {
-    hops = 0;
-    const Clock::time_point t0 = Clock::now();
-    for (const auto& [issuer, oid] : work) {
-      hops += net.route(issuer, oid).hops;
-    }
-    rates.push_back(static_cast<double>(routes) / seconds_since(t0));
-  }
   RouteSample s;
+  for (int r = 0; r < kRepeats; ++r) {
+    int passes = 0;
+    double secs = 0.0;
+    const Clock::time_point t0 = Clock::now();
+    do {
+      hops = 0;
+      for (const auto& [issuer, oid] : work) {
+        hops += net.route(issuer, oid).hops;
+      }
+      ++passes;
+      secs = seconds_since(t0);
+    } while (secs < budget);
+    s.passes += passes;
+    rates.push_back(static_cast<double>(routes) * passes / secs);
+  }
   s.routes_per_second = median(std::move(rates));
   s.hops_mean = static_cast<double>(hops) / static_cast<double>(routes);
   return s;
@@ -172,7 +184,8 @@ int run() {
         "scale", std::string("fissione/") + tier.name,
         {{"peers", static_cast<double>(n)},
          {"routes", static_cast<double>(routes)},
-         {"repeats", static_cast<double>(kRepeats)}},
+         {"repeats", static_cast<double>(kRepeats)},
+         {"passes", static_cast<double>(rs.passes)}},
         {{"build_seconds", grow_seconds},
          {"build_seconds_total", build_total},
          {"joins_per_second", joins_per_second},

@@ -103,15 +103,13 @@ ArmadaIndex::ArmadaIndex(fissione::FissioneNetwork& net,
 ArmadaIndex ArmadaIndex::single(fissione::FissioneNetwork& net,
                                 kautz::Interval domain) {
   return ArmadaIndex(net, kautz::PartitionTree::single(
-                              FissioneNetwork::kBase,
                               FissioneNetwork::kObjectIdLength, domain));
 }
 
 ArmadaIndex ArmadaIndex::multi(fissione::FissioneNetwork& net,
                                Box domain) {
   return ArmadaIndex(
-      net, kautz::PartitionTree(FissioneNetwork::kBase,
-                                FissioneNetwork::kObjectIdLength,
+      net, kautz::PartitionTree(FissioneNetwork::kObjectIdLength,
                                 std::move(domain)));
 }
 
@@ -243,8 +241,8 @@ KnnResult ArmadaIndex::nearest(PeerId issuer, double q, std::size_t k) const {
   // Explored value interval (grows zone by zone) and its frontier strings.
   double explored_lo = q;
   double explored_hi = q;
-  KautzString below{FissioneNetwork::kBase};
-  KautzString above{FissioneNetwork::kBase};
+  KautzString below;
+  KautzString above;
   bool below_done = false;
   bool above_done = false;
 

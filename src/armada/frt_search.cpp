@@ -87,7 +87,7 @@ struct Search {
     if (!deeper) {
       return true;
     }
-    for (std::uint8_t s = 0; s <= p.base(); ++s) {
+    for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
       if (!p.can_append(s)) {
         continue;
       }

@@ -24,7 +24,7 @@ namespace armada::core {
 
 /// One class of an FRT search: all target leaves share the common prefix
 /// `com_t` ("ComT"). Queries whose bounds share no prefix are split into at
-/// most base+1 classes by the callers.
+/// most kautz::kBase+1 classes by the callers.
 struct FrtSearchClass {
   /// Common prefix of every target leaf label in this class (nonempty).
   kautz::KautzString com_t;

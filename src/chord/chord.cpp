@@ -275,15 +275,4 @@ double ChordNetwork::average_degree() const {
   return static_cast<double>(total) / static_cast<double>(ring_.size());
 }
 
-double ChordNetwork::average_route_hops(int samples,
-                                        std::uint64_t seed) const {
-  Rng rng(seed);
-  double total = 0.0;
-  for (int i = 0; i < samples; ++i) {
-    const NodeId from = ring_[rng.next_index(ring_.size())];
-    total += route(from, rng.engine()()).stats.delay;
-  }
-  return total / samples;
-}
-
 }  // namespace armada::chord

@@ -101,7 +101,6 @@ class ChordNetwork final : public overlay::RoutedOverlay {
 
   /// Finger-table correctness, ring ordering, successor consistency.
   void check_invariants() const;
-  double average_route_hops(int samples, std::uint64_t seed) const;
   /// Average number of distinct finger targets per node (~log2 N).
   double average_degree() const;
 

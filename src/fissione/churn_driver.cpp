@@ -6,7 +6,7 @@
 
 namespace armada::fissione {
 
-static_assert(ChurnDriver::kMinSize > FissioneNetwork::kBase + 1u,
+static_assert(ChurnDriver::kMinSize > kautz::kBase + 1u,
               "floor must stay above the bootstrap size");
 
 ChurnDriver::ChurnDriver(FissioneNetwork& net, sim::Simulator& sim,

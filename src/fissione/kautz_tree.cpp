@@ -7,13 +7,14 @@
 
 namespace armada::fissione {
 
+using kautz::kBase;
 using kautz::KautzString;
 
-KautzTree::KautzTree(std::uint8_t base, const std::vector<PeerId>& first_peers)
-    : base_(base), root_(std::make_unique<Node>()) {
-  ARMADA_CHECK(first_peers.size() == static_cast<std::size_t>(base_) + 1);
-  root_->children.resize(base_ + 1u);
-  for (std::uint8_t c = 0; c <= base_; ++c) {
+KautzTree::KautzTree(const std::vector<PeerId>& first_peers)
+    : root_(std::make_unique<Node>()) {
+  ARMADA_CHECK(first_peers.size() == kBase + 1u);
+  root_->children.resize(kBase + 1u);
+  for (std::uint8_t c = 0; c <= kBase; ++c) {
     auto child = std::make_unique<Node>();
     child->parent = root_.get();
     child->edge = c;
@@ -21,21 +22,20 @@ KautzTree::KautzTree(std::uint8_t base, const std::vector<PeerId>& first_peers)
     root_->children[c] = std::move(child);
     set_leaf_peer(root_->children[c].get(), first_peers[c]);
   }
-  num_leaves_ = base_ + 1u;
+  num_leaves_ = kBase + 1u;
 }
 
 KautzTree::Node* KautzTree::child_by_symbol(const Node* node,
                                             std::uint8_t symbol) const {
   if (node == root_.get()) {
-    ARMADA_CHECK(symbol <= base_);
+    ARMADA_CHECK(symbol <= kBase);
     return node->children[symbol].get();
   }
-  ARMADA_CHECK(symbol != node->edge && symbol <= base_);
+  ARMADA_CHECK(symbol != node->edge && symbol <= kBase);
   return node->children[kautz::symbol_index(symbol, node->edge)].get();
 }
 
 PeerId KautzTree::owner_of(const KautzString& s) const {
-  ARMADA_CHECK(s.base() == base_);
   const Node* node = root_.get();
   std::size_t i = 0;
   while (!node->is_leaf()) {
@@ -63,7 +63,7 @@ KautzString KautzTree::label_of(PeerId peer) const {
   for (const Node* n = node; n->parent != nullptr; n = n->parent) {
     digits[n->depth - 1] = n->edge;
   }
-  return KautzString(base_, std::move(digits));
+  return KautzString(digits);
 }
 
 std::size_t KautzTree::depth_of(PeerId peer) const {
@@ -90,9 +90,9 @@ void KautzTree::split(PeerId peer, PeerId joiner) {
   peer_nodes_[peer] = nullptr;
   node->peer = kNoPeer;
 
-  node->children.resize(base_);
+  node->children.resize(kBase);
   std::size_t idx = 0;
-  for (std::uint8_t c = 0; c <= base_; ++c) {
+  for (std::uint8_t c = 0; c <= kBase; ++c) {
     if (c == node->edge) {
       continue;
     }
@@ -202,7 +202,7 @@ void KautzTree::check_node(const Node* node, const KautzString& label,
   }
   ARMADA_CHECK(node->peer == kNoPeer);
   const std::size_t expected =
-      node == root_.get() ? base_ + 1u : static_cast<std::size_t>(base_);
+      node == root_.get() ? kBase + 1u : std::size_t{kBase};
   ARMADA_CHECK_MSG(node->children.size() == expected,
                    "internal node " << label.to_string() << " has "
                                     << node->children.size() << " children");
@@ -218,7 +218,7 @@ void KautzTree::check_node(const Node* node, const KautzString& label,
 
 void KautzTree::check_structure() const {
   std::size_t leaves_seen = 0;
-  check_node(root_.get(), KautzString(base_), leaves_seen);
+  check_node(root_.get(), KautzString{}, leaves_seen);
   ARMADA_CHECK(leaves_seen == num_leaves_);
   std::size_t hosted = 0;
   for (const Node* node : peer_nodes_) {

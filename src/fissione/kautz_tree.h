@@ -2,13 +2,14 @@
 //
 // FISSIONE peers partition the Kautz namespace by PeerID prefix: every
 // sufficiently long Kautz string has exactly one peer whose PeerID prefixes
-// it. That partition is exactly a tree in which the root has base+1 children
-// (first symbols 0..base), every other internal node has `base` children
-// (symbols differing from the in-edge), and leaves are peers. Splitting a
-// leaf is the paper's "fission" (a peer join); merging a leaf pair is
-// "fusion" (a departure). A real deployment maintains this structure
-// implicitly through the peers' neighbor tables; the simulator keeps it
-// explicit and derives/validates neighbor tables from it.
+// it. That partition is exactly a tree in which the root has kautz::kBase+1
+// = 3 children (first symbols 0, 1, 2), every other internal node has
+// kautz::kBase = 2 children (the symbols differing from the in-edge), and
+// leaves are peers. Splitting a leaf is the paper's "fission" (a peer
+// join); merging a leaf pair is "fusion" (a departure). A real deployment
+// maintains this structure implicitly through the peers' neighbor tables;
+// the simulator keeps it explicit and derives/validates neighbor tables
+// from it.
 #pragma once
 
 #include <memory>
@@ -21,11 +22,11 @@ namespace armada::fissione {
 
 class KautzTree {
  public:
-  /// Creates the root with base+1 leaf children hosting `first_peers`
-  /// (PeerIDs "0", "1", ..., in order). Requires first_peers.size() == base+1.
-  KautzTree(std::uint8_t base, const std::vector<PeerId>& first_peers);
+  /// Creates the root with kBase+1 leaf children hosting `first_peers`
+  /// (PeerIDs "0", "1", "2", in order). Requires first_peers.size() ==
+  /// kBase+1.
+  explicit KautzTree(const std::vector<PeerId>& first_peers);
 
-  std::uint8_t base() const { return base_; }
   std::size_t num_leaves() const { return num_leaves_; }
 
   /// The unique peer whose PeerID prefixes `s`. Requires s longer than the
@@ -88,7 +89,6 @@ class KautzTree {
   void check_node(const Node* node, const kautz::KautzString& label,
                   std::size_t& leaves_seen) const;
 
-  std::uint8_t base_;
   std::unique_ptr<Node> root_;
   std::vector<Node*> peer_nodes_;  ///< indexed by PeerId; nullptr when absent
   std::size_t num_leaves_ = 0;

@@ -8,13 +8,14 @@
 
 namespace armada::fissione {
 
+using kautz::kBase;
 using kautz::KautzString;
 
 namespace {
 
-std::vector<PeerId> bootstrap_ids(std::uint8_t base) {
-  std::vector<PeerId> ids(base + 1u);
-  for (std::uint8_t c = 0; c <= base; ++c) {
+std::vector<PeerId> bootstrap_ids() {
+  std::vector<PeerId> ids(kBase + 1u);
+  for (std::uint8_t c = 0; c <= kBase; ++c) {
     ids[c] = c;
   }
   return ids;
@@ -25,7 +26,7 @@ std::vector<PeerId> bootstrap_ids(std::uint8_t base) {
 FissioneNetwork::FissioneNetwork(Config config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      tree_(kBase, bootstrap_ids(kBase)) {
+      tree_(bootstrap_ids()) {
   const std::size_t n = kBase + 1u;
   ids_.resize(n);
   alive_flags_.resize(n, 0);
@@ -93,7 +94,7 @@ PeerId FissioneNetwork::allocate_peer() {
 }
 
 void FissioneNetwork::release_peer(PeerId id) {
-  ids_[id] = KautzString{kBase};
+  ids_[id] = KautzString{};
   alive_flags_[id] = 0;
   edges_.release(out_refs_[id]);
   edges_.release(in_refs_[id]);
@@ -121,12 +122,12 @@ std::vector<PeerId> FissioneNetwork::compute_out_neighbors(PeerId id) const {
   const KautzString& u = ids_[id];
   std::vector<PeerId> out;
   if (u.length() == 1) {
-    // K(d,1) edges: U = u1 -> beta for every beta != u1.
+    // K(2,1) edges: U = u1 -> beta for every beta != u1.
     for (std::uint8_t beta = 0; beta <= kBase; ++beta) {
       if (beta == u.digit(0)) {
         continue;
       }
-      KautzString prefix{kBase};
+      KautzString prefix;
       prefix.push_back(beta);
       for (PeerId p : tree_.cover_of_prefix(prefix)) {
         out.push_back(p);
@@ -694,7 +695,7 @@ std::vector<std::uint64_t> FissioneNetwork::lookup(
 KautzString FissioneNetwork::kautz_hash(std::string_view key) const {
   // FNV-1a to seed, then an LCG stream picks one allowed symbol per step.
   std::uint64_t h = fnv1a64(key);
-  KautzString out{kBase};
+  KautzString out;
   for (std::size_t i = 0; i < kObjectIdLength; ++i) {
     h = h * 6364136223846793005ull + 1442695040888963407ull;
     const std::uint64_t draw = h >> 33;
@@ -708,7 +709,7 @@ KautzString FissioneNetwork::kautz_hash(std::string_view key) const {
 }
 
 KautzString FissioneNetwork::random_object_id() {
-  return kautz::random_string(rng_, kBase, kObjectIdLength);
+  return kautz::random_string(rng_, kObjectIdLength);
 }
 
 void FissioneNetwork::check_invariants() const {

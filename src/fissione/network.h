@@ -37,8 +37,6 @@ namespace armada::fissione {
 /// on demand.
 class FissioneNetwork final : public overlay::RoutedOverlay {
  public:
-  /// Kautz base of every PeerID and ObjectID.
-  static constexpr std::uint8_t kBase = 2;
   /// Length of ObjectIDs (the paper uses k = 100; any k comfortably above
   /// the deepest PeerID behaves identically).
   static constexpr std::size_t kObjectIdLength = 48;
@@ -113,13 +111,14 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   /// Convenience: build_snapshot(n, seed, Config{}).
   static FissioneNetwork build(std::size_t n, std::uint64_t seed);
 
-  /// A network of `n` peers (n >= kBase+1) grown from FissioneNetwork(config,
-  /// seed) as if by join() until num_peers() == n, minus the routed
-  /// placement walk: the join site is located by direct tree descent plus
-  /// the same local-minimum walk, consuming the exact RNG draws of join() —
-  /// the resulting overlay (tree, PeerIDs, neighbor tables) and RNG position
-  /// are bit-identical while skipping the per-join shift-routing cost. This
-  /// is what lets bench_scale stand up million-peer overlays in seconds.
+  /// A network of `n` peers (n >= kautz::kBase+1) grown from
+  /// FissioneNetwork(config, seed) as if by join() until num_peers() == n,
+  /// minus the routed placement walk: the join site is located by direct
+  /// tree descent plus the same local-minimum walk, consuming the exact RNG
+  /// draws of join() — the resulting overlay (tree, PeerIDs, neighbor
+  /// tables) and RNG position are bit-identical while skipping the per-join
+  /// shift-routing cost. This is what lets bench_scale stand up
+  /// million-peer overlays in seconds.
   static FissioneNetwork build_snapshot(std::size_t n, std::uint64_t seed,
                                         Config config);
 

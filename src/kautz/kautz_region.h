@@ -7,8 +7,8 @@
 
 namespace armada::kautz {
 
-/// Inclusive interval <lo, hi> of KautzSpace(base, k): all length-k Kautz
-/// strings s with lo <= s <= hi. Both bounds have the same base and length.
+/// Inclusive interval <lo, hi> of KautzSpace(kBase, k): all length-k Kautz
+/// strings s with lo <= s <= hi. Both bounds have the same length.
 class KautzRegion {
  public:
   KautzRegion(KautzString lo, KautzString hi);
@@ -16,7 +16,6 @@ class KautzRegion {
   const KautzString& lo() const { return lo_; }
   const KautzString& hi() const { return hi_; }
   std::size_t length() const { return lo_.length(); }
-  std::uint8_t base() const { return lo_.base(); }
 
   bool contains(const KautzString& s) const;
 

@@ -8,15 +8,12 @@ namespace armada::kautz {
 
 namespace {
 
-// base^exp with overflow checking.
-std::uint64_t checked_pow(std::uint64_t base, std::size_t exp) {
-  std::uint64_t result = 1;
-  for (std::size_t i = 0; i < exp; ++i) {
-    ARMADA_CHECK_MSG(result <= std::numeric_limits<std::uint64_t>::max() / base,
-                     "Kautz space size overflows 64 bits");
-    result *= base;
-  }
-  return result;
+static_assert(kBase == 2, "kBase^exp is a shift");
+
+// kBase^exp with overflow checking.
+std::uint64_t checked_pow(std::size_t exp) {
+  ARMADA_CHECK_MSG(exp < 64, "Kautz space size overflows 64 bits");
+  return std::uint64_t{1} << exp;
 }
 
 }  // namespace
@@ -30,47 +27,47 @@ std::uint8_t index_symbol(std::uint64_t index, std::uint8_t prev) {
                       : static_cast<std::uint8_t>(index + 1);
 }
 
-std::uint64_t space_size(std::uint8_t base, std::size_t len) {
+std::uint64_t space_size(std::size_t len) {
   if (len == 0) {
     return 1;
   }
-  const std::uint64_t tail = checked_pow(base, len - 1);
-  ARMADA_CHECK(tail <= std::numeric_limits<std::uint64_t>::max() / (base + 1u));
-  return (base + 1u) * tail;
+  const std::uint64_t tail = checked_pow(len - 1);
+  ARMADA_CHECK(tail <=
+               std::numeric_limits<std::uint64_t>::max() / (kBase + 1u));
+  return (kBase + 1u) * tail;
 }
 
 std::uint64_t extension_count(const KautzString& prefix, std::size_t k) {
   ARMADA_CHECK(prefix.length() <= k);
   if (prefix.empty()) {
-    return space_size(prefix.base(), k);
+    return space_size(k);
   }
-  return checked_pow(prefix.base(), k - prefix.length());
+  return checked_pow(k - prefix.length());
 }
 
 std::uint64_t rank(const KautzString& s) {
   ARMADA_CHECK(!s.empty());
-  const std::uint8_t base = s.base();
-  std::uint64_t r = s.digit(0) * checked_pow(base, s.length() - 1);
+  std::uint64_t r = s.digit(0) * checked_pow(s.length() - 1);
   for (std::size_t i = 1; i < s.length(); ++i) {
     r += symbol_index(s.digit(i), s.digit(i - 1)) *
-         checked_pow(base, s.length() - 1 - i);
+         checked_pow(s.length() - 1 - i);
   }
   return r;
 }
 
-KautzString unrank(std::uint8_t base, std::size_t len, std::uint64_t r) {
+KautzString unrank(std::size_t len, std::uint64_t r) {
   ARMADA_CHECK(len >= 1);
-  ARMADA_CHECK_MSG(r < space_size(base, len), "rank " << r << " out of range");
+  ARMADA_CHECK_MSG(r < space_size(len), "rank " << r << " out of range");
   std::vector<std::uint8_t> digits(len);
-  std::uint64_t weight = checked_pow(base, len - 1);
+  std::uint64_t weight = checked_pow(len - 1);
   digits[0] = static_cast<std::uint8_t>(r / weight);
   r %= weight;
   for (std::size_t i = 1; i < len; ++i) {
-    weight /= base;
+    weight /= kBase;
     digits[i] = index_symbol(r / weight, digits[i - 1]);
     r %= weight;
   }
-  return KautzString(base, std::move(digits));
+  return KautzString(digits);
 }
 
 KautzString min_extension(const KautzString& prefix, std::size_t k) {
@@ -85,22 +82,21 @@ KautzString min_extension(const KautzString& prefix, std::size_t k) {
 
 KautzString max_extension(const KautzString& prefix, std::size_t k) {
   ARMADA_CHECK(prefix.length() <= k);
-  const std::uint8_t top = prefix.base();
   KautzString out = prefix;
   while (out.length() < k) {
-    out.push_back(out.empty() || out.back() != top
-                      ? top
-                      : static_cast<std::uint8_t>(top - 1));
+    out.push_back(out.empty() || out.back() != kBase
+                      ? kBase
+                      : static_cast<std::uint8_t>(kBase - 1));
   }
   return out;
 }
 
 bool is_space_min(const KautzString& s) {
-  return s == min_extension(KautzString(s.base()), s.length());
+  return s == min_extension(KautzString{}, s.length());
 }
 
 bool is_space_max(const KautzString& s) {
-  return s == max_extension(KautzString(s.base()), s.length());
+  return s == max_extension(KautzString{}, s.length());
 }
 
 KautzString successor(const KautzString& s) {
@@ -110,7 +106,7 @@ KautzString successor(const KautzString& s) {
   for (std::size_t pos = s.length(); pos > 0; --pos) {
     const std::size_t i = pos - 1;
     const std::uint8_t cur = s.digit(i);
-    for (std::uint8_t next = cur + 1; next <= s.base(); ++next) {
+    for (std::uint8_t next = cur + 1; next <= kBase; ++next) {
       if (i > 0 && next == s.digit(i - 1)) {
         continue;
       }
@@ -141,29 +137,29 @@ KautzString predecessor(const KautzString& s) {
   return s;  // not reached
 }
 
-KautzString random_string(Rng& rng, std::uint8_t base, std::size_t len) {
-  KautzString out{base};
+KautzString random_string(Rng& rng, std::size_t len) {
+  KautzString out;
   for (std::size_t i = 0; i < len; ++i) {
     if (i == 0) {
-      out.push_back(static_cast<std::uint8_t>(rng.next_u64(base + 1u)));
+      out.push_back(static_cast<std::uint8_t>(rng.next_u64(kBase + 1u)));
     } else {
-      const auto idx = rng.next_u64(base);
+      const auto idx = rng.next_u64(kBase);
       out.push_back(index_symbol(idx, out.back()));
     }
   }
   return out;
 }
 
-std::vector<KautzString> enumerate(std::uint8_t base, std::size_t len) {
+std::vector<KautzString> enumerate(std::size_t len) {
   std::vector<KautzString> out;
-  const std::uint64_t n = space_size(base, len);
+  const std::uint64_t n = space_size(len);
   out.reserve(n);
   if (len == 0) {
-    out.emplace_back(base);
+    out.emplace_back();
     return out;
   }
   for (std::uint64_t r = 0; r < n; ++r) {
-    out.push_back(unrank(base, len, r));
+    out.push_back(unrank(len, r));
   }
   return out;
 }

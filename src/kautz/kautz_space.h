@@ -1,9 +1,10 @@
-// Combinatorics of KautzSpace(d, k): counting, ranking, extensions.
+// Combinatorics of KautzSpace(kBase, k): counting, ranking, extensions.
 //
-// Rank/unrank use a mixed-radix encoding: the first symbol has d+1 choices,
-// every later symbol has d choices (any symbol except its predecessor),
-// indexed in increasing symbol order. This makes lexicographic rank a plain
-// positional number, which the tests and region-size computations rely on.
+// Rank/unrank use a mixed-radix encoding: the first symbol has kBase+1
+// choices, every later symbol has kBase choices (any symbol except its
+// predecessor), indexed in increasing symbol order. This makes lexicographic
+// rank a plain positional number, which the tests and region-size
+// computations rely on. The space's only parameter is the length k.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +15,9 @@
 
 namespace armada::kautz {
 
-/// |KautzSpace(base, len)| = (base+1) * base^(len-1); 1 for len == 0.
-/// Requires the result to fit in 64 bits (len <= 63 for base 2).
-std::uint64_t space_size(std::uint8_t base, std::size_t len);
+/// |KautzSpace(kBase, len)| = (kBase+1) * kBase^(len-1); 1 for len == 0.
+/// Requires the result to fit in 64 bits (len <= 63).
+std::uint64_t space_size(std::size_t len);
 
 /// Index of `symbol` among the allowed successors of `prev` (all symbols
 /// except prev, in increasing order), and its inverse. These define the
@@ -27,11 +28,11 @@ std::uint8_t index_symbol(std::uint64_t index, std::uint8_t prev);
 /// Number of length-k Kautz strings having `prefix` as a prefix.
 std::uint64_t extension_count(const KautzString& prefix, std::size_t k);
 
-/// Lexicographic rank of `s` within KautzSpace(base, s.length()).
+/// Lexicographic rank of `s` within KautzSpace(kBase, s.length()).
 std::uint64_t rank(const KautzString& s);
 
-/// Inverse of rank(). Requires r < space_size(base, len).
-KautzString unrank(std::uint8_t base, std::size_t len, std::uint64_t r);
+/// Inverse of rank(). Requires r < space_size(len).
+KautzString unrank(std::size_t len, std::uint64_t r);
 
 /// Lexicographically smallest / largest length-k string with given prefix.
 /// The smallest appends the least allowed symbol at each step, the largest
@@ -48,12 +49,12 @@ KautzString predecessor(const KautzString& s);
 bool is_space_min(const KautzString& s);
 bool is_space_max(const KautzString& s);
 
-/// Uniform sample from KautzSpace(base, len); works for any len (digit-wise,
-/// no 64-bit restriction).
-KautzString random_string(Rng& rng, std::uint8_t base, std::size_t len);
+/// Uniform sample from KautzSpace(kBase, len); works for any len up to
+/// KautzString::kMaxLength (digit-wise, no 64-bit restriction).
+KautzString random_string(Rng& rng, std::size_t len);
 
-/// All strings of KautzSpace(base, len) in lexicographic order (tests only;
-/// intended for small len).
-std::vector<KautzString> enumerate(std::uint8_t base, std::size_t len);
+/// All strings of KautzSpace(kBase, len) in lexicographic order (tests
+/// only; intended for small len).
+std::vector<KautzString> enumerate(std::size_t len);
 
 }  // namespace armada::kautz

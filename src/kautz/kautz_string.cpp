@@ -7,20 +7,19 @@
 
 namespace armada::kautz {
 
-KautzString::KautzString(std::uint8_t base,
-                         const std::vector<std::uint8_t>& digits)
-    : KautzString(Raw{}, base, digits.size()) {
+KautzString::KautzString(const std::vector<std::uint8_t>& digits)
+    : KautzString(Raw{}, digits.size()) {
   ARMADA_CHECK_MSG(digits.size() <= kMaxLength,
                    digits.size() << " digits exceed " << kMaxLength);
   // Validate before packing: a digit wider than kBits would be truncated
   // silently. Two passes — the validation loop vectorizes (byte compares
-  // against base and against the shifted-by-one sequence), the packing loop
+  // against kBase and against the shifted-by-one sequence), the packing loop
   // stores one word per 32 digits.
   const std::size_t n = digits.size();
   for (std::size_t i = 0; i < n; ++i) {
-    ARMADA_CHECK_MSG(digits[i] <= base_, "digit " << int(digits[i])
-                                                  << " exceeds base "
-                                                  << int(base_));
+    ARMADA_CHECK_MSG(digits[i] <= kBase, "digit " << int(digits[i])
+                                                   << " exceeds base "
+                                                   << int(kBase));
     if (i > 0) {
       ARMADA_CHECK_MSG(digits[i] != digits[i - 1],
                        "repeated symbol at position " << i);
@@ -43,14 +42,14 @@ KautzString::KautzString(std::uint8_t base,
   }
 }
 
-KautzString KautzString::parse(std::string_view text, std::uint8_t base) {
+KautzString KautzString::parse(std::string_view text) {
   std::vector<std::uint8_t> digits;
   digits.reserve(text.size());
   for (char c : text) {
     ARMADA_CHECK_MSG(c >= '0' && c <= '9', "bad digit '" << c << "'");
     digits.push_back(static_cast<std::uint8_t>(c - '0'));
   }
-  return KautzString(base, digits);
+  return KautzString(digits);
 }
 
 void KautzString::set_digit(std::size_t i, std::uint8_t symbol) {

@@ -2,16 +2,18 @@
 //
 // A Kautz string of base d is a sequence over the alphabet {0, 1, ..., d}
 // (d+1 symbols) in which adjacent symbols differ (paper §3). KautzSpace(d,k)
-// is the set of all such strings of length k; FISSIONE PeerIDs are
-// variable-length base-2 Kautz strings and ObjectIDs are fixed-length ones.
+// is the set of all such strings of length k. FISSIONE PeerIDs are
+// variable-length base-2 Kautz strings and ObjectIDs are fixed-length ones,
+// so the base is one constant, kBase = 2: the alphabet is {0, 1, 2} and no
+// string, tree or space carries a base of its own.
 //
 // Representation: digits are bit-packed, 2 bits each, into three inline
 // 64-bit words, so a string is a trivially copyable 32-byte value: the
 // strings on the routing hot path (PeerIDs, ObjectIDs, and their
 // shift-routing concatenations) never touch the heap and all slicing,
 // alignment, and ordering operations are word-sized shift/mask loops. That
-// caps the base at 3 and the length at kMaxLength = 96 digits; FISSIONE and
-// Armada use base 2, 48-digit ObjectIDs and PeerIDs under 2 log2 N digits.
+// caps the length at kMaxLength = 96 digits; Armada uses 48-digit ObjectIDs
+// and PeerIDs under 2 log2 N digits.
 #pragma once
 
 #include <algorithm>
@@ -28,30 +30,29 @@
 
 namespace armada::kautz {
 
+/// The Kautz base d: every string is over the alphabet {0, 1, ..., kBase}.
+inline constexpr std::uint8_t kBase = 2;
+
 /// Immutable-by-convention Kautz string with checked invariants: every digit
-/// is <= base() and adjacent digits differ. The empty string is valid (it is
+/// is <= kBase and adjacent digits differ. The empty string is valid (it is
 /// the root label of the partition tree and a neutral prefix).
 class KautzString {
  public:
   /// Longest string the inline words hold (32 digits per word).
   static constexpr std::size_t kMaxLength = 96;
 
-  /// Empty base-2 string — non-explicit so aggregate members ({} init of
+  /// The empty string — non-explicit so aggregate members ({} init of
   /// StoredObject and friends) default cleanly.
-  KautzString() : KautzString(std::uint8_t{2}) {}
-  /// Empty string of the given base. Base must be in [1, 3] (alphabet size
-  /// 2..4, what a 2-bit digit holds).
-  explicit KautzString(std::uint8_t base);
+  KautzString() = default;
 
   /// Build from digits; throws CheckError if not a valid Kautz string or
   /// longer than kMaxLength.
-  KautzString(std::uint8_t base, const std::vector<std::uint8_t>& digits);
+  explicit KautzString(const std::vector<std::uint8_t>& digits);
 
-  /// Parse a textual form such as "0120" (digits '0'..'3'). Throws on
+  /// Parse a textual form such as "0120" (digits '0'..'2'). Throws on
   /// malformed input or Kautz-invariant violation.
-  static KautzString parse(std::string_view text, std::uint8_t base = 2);
+  static KautzString parse(std::string_view text);
 
-  std::uint8_t base() const { return base_; }
   std::size_t length() const { return len_; }
   bool empty() const { return len_ == 0; }
   std::uint8_t digit(std::size_t i) const;
@@ -60,7 +61,7 @@ class KautzString {
   /// Unpacked digit bytes (materialized; the packed words are the storage).
   std::vector<std::uint8_t> digits() const;
 
-  /// Append one symbol; it must differ from back() and be <= base(), and
+  /// Append one symbol; it must differ from back() and be <= kBase, and
   /// the string must be shorter than kMaxLength.
   void push_back(std::uint8_t symbol);
   void pop_back();
@@ -95,12 +96,13 @@ class KautzString {
 
  private:
   static constexpr std::size_t kBits = 2;  ///< bits per digit
+  static_assert(kBase < (1u << kBits), "every digit fits in kBits");
   static constexpr std::size_t kDigitsPerWord = 64 / kBits;
   static constexpr std::size_t kWords = kMaxLength / kDigitsPerWord;
 
   struct Raw {};  // tag: zeroed storage for `len` digits, no checks
 
-  KautzString(Raw, std::uint8_t base, std::size_t len);
+  KautzString(Raw, std::size_t len) : len_(static_cast<std::uint32_t>(len)) {}
 
   /// Mask selecting the low `nbits` bits (nbits <= 64).
   static constexpr std::uint64_t low_mask(std::size_t nbits) {
@@ -117,7 +119,6 @@ class KautzString {
                            const KautzString& b, std::size_t bi,
                            std::size_t n);
 
-  std::uint8_t base_ = 2;
   std::uint32_t len_ = 0;
   /// Digit i lives in word i / kDigitsPerWord at bit offset
   /// (i % kDigitsPerWord) * kBits; every bit past the last digit is zero,
@@ -134,16 +135,6 @@ static_assert(std::is_trivially_copyable_v<KautzString> &&
 // Slicing, alignment, and ordering are the inner loop of shift routing and
 // region matching; they are defined here so call sites compile down to the
 // register-level shift/mask sequences with no out-of-line call.
-
-inline KautzString::KautzString(std::uint8_t base) : base_(base) {
-  ARMADA_CHECK_MSG(base_ >= 1 && base_ <= 3,
-                   "base " << int(base_) << " outside the packable range");
-}
-
-inline KautzString::KautzString(Raw, std::uint8_t base, std::size_t len)
-    : KautzString(base) {
-  len_ = static_cast<std::uint32_t>(len);
-}
 
 inline std::uint64_t KautzString::chunk(std::size_t pos,
                                         std::size_t count) const {
@@ -173,7 +164,7 @@ inline std::uint8_t KautzString::back() const {
 }
 
 inline bool KautzString::can_append(std::uint8_t symbol) const {
-  if (symbol > base_ || len_ == kMaxLength) {
+  if (symbol > kBase || len_ == kMaxLength) {
     return false;
   }
   return len_ == 0 || back() != symbol;
@@ -194,7 +185,6 @@ inline bool KautzString::equal_slices(const KautzString& a, std::size_t ai,
 }
 
 inline bool KautzString::is_prefix_of(const KautzString& other) const {
-  ARMADA_CHECK(base_ == other.base_);
   if (len_ > other.len_) {
     return false;
   }
@@ -202,7 +192,6 @@ inline bool KautzString::is_prefix_of(const KautzString& other) const {
 }
 
 inline bool KautzString::is_suffix_of(const KautzString& other) const {
-  ARMADA_CHECK(base_ == other.base_);
   if (len_ > other.len_) {
     return false;
   }
@@ -211,13 +200,12 @@ inline bool KautzString::is_suffix_of(const KautzString& other) const {
 
 inline std::size_t KautzString::longest_suffix_prefix(
     const KautzString& other) const {
-  ARMADA_CHECK(base_ == other.base_);
   const std::size_t max_len = std::min<std::size_t>(len_, other.len_);
   if (max_len == 0) {
     return 0;  // chunk(len_, 0) would index past a full string's words
   }
   if (max_len <= kDigitsPerWord) {
-    // Single-word fast path (every base-2 PeerID: <= 32 digits per word).
+    // Single-word fast path (every PeerID: <= 32 digits per word).
     // `tail` holds this string's last max_len digits LSB-first, so candidate
     // t's suffix is tail >> ((max_len - t) digits) — already exactly t
     // digits, no mask needed; `other`'s t-digit prefix is head masked down.
@@ -240,7 +228,6 @@ inline std::size_t KautzString::longest_suffix_prefix(
 
 inline std::strong_ordering KautzString::operator<=>(
     const KautzString& other) const {
-  ARMADA_CHECK(base_ == other.base_);
   // Whole-word scan: both zero tails make the stored words exact, so the
   // lowest differing bit identifies the first differing digit directly
   // (digits are packed LSB-first in position order). A divergence at a digit
@@ -250,7 +237,7 @@ inline std::strong_ordering KautzString::operator<=>(
   const std::uint64_t* a = words_.data();
   const std::uint64_t* b = other.words_.data();
   if ((std::uint32_t{len_} | other.len_) <= kDigitsPerWord) {
-    // Single-word fast path (every base-2 PeerID): one xor decides.
+    // Single-word fast path (every PeerID): one xor decides.
     const std::uint64_t x = a[0] ^ b[0];
     if (x != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(x));
@@ -282,7 +269,7 @@ inline std::strong_ordering KautzString::operator<=>(
 
 inline KautzString KautzString::prefix(std::size_t len) const {
   ARMADA_CHECK(len <= len_);
-  KautzString out(Raw{}, base_, len);
+  KautzString out(Raw{}, len);
   const std::size_t nw = out.words_used();
   for (std::size_t i = 0; i < nw; ++i) {
     out.words_[i] = words_[i];
@@ -296,7 +283,7 @@ inline KautzString KautzString::prefix(std::size_t len) const {
 
 inline KautzString KautzString::suffix(std::size_t len) const {
   ARMADA_CHECK(len <= len_);
-  KautzString out(Raw{}, base_, len);
+  KautzString out(Raw{}, len);
   const std::size_t shift = (len_ - len) * kBits;
   const std::size_t ws = shift / 64u;
   const std::size_t rs = shift % 64u;
@@ -321,7 +308,6 @@ inline KautzString KautzString::drop_front() const {
 }
 
 inline KautzString KautzString::concat(const KautzString& tail) const {
-  ARMADA_CHECK(base_ == tail.base_);
   if (len_ > 0 && tail.len_ > 0) {
     ARMADA_CHECK_MSG(back() != tail.front(),
                      "repeated symbol at the concat junction");

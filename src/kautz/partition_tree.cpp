@@ -5,10 +5,8 @@
 
 namespace armada::kautz {
 
-PartitionTree::PartitionTree(std::uint8_t base, std::size_t k,
-                             Box attribute_ranges)
-    : base_(base), k_(k), ranges_(std::move(attribute_ranges)) {
-  ARMADA_CHECK(base_ >= 1);
+PartitionTree::PartitionTree(std::size_t k, Box attribute_ranges)
+    : k_(k), ranges_(std::move(attribute_ranges)) {
   ARMADA_CHECK(k_ >= 1);
   ARMADA_CHECK(!ranges_.empty());
   for (const Interval& r : ranges_) {
@@ -16,13 +14,12 @@ PartitionTree::PartitionTree(std::uint8_t base, std::size_t k,
   }
 }
 
-PartitionTree PartitionTree::single(std::uint8_t base, std::size_t k,
-                                    Interval range) {
-  return PartitionTree(base, k, Box{range});
+PartitionTree PartitionTree::single(std::size_t k, Interval range) {
+  return PartitionTree(k, Box{range});
 }
 
-std::uint64_t PartitionTree::fanout(std::size_t depth) const {
-  return depth == 0 ? base_ + 1u : base_;
+std::uint64_t PartitionTree::fanout(std::size_t depth) {
+  return depth == 0 ? kBase + 1u : kBase;
 }
 
 Interval PartitionTree::child_interval(const Interval& parent,
@@ -50,7 +47,7 @@ KautzString PartitionTree::multiple_hash(const std::vector<double>& point) const
                                    << " outside attribute range");
   }
 
-  KautzString label{base_};
+  KautzString label;
   for (std::size_t depth = 0; depth < k_; ++depth) {
     const std::size_t attr = depth % ranges_.size();
     const std::uint64_t f = fanout(depth);
@@ -77,7 +74,6 @@ KautzString PartitionTree::single_hash(double value) const {
 }
 
 Box PartitionTree::box_for(const KautzString& label) const {
-  ARMADA_CHECK(label.base() == base_);
   ARMADA_CHECK(label.length() <= k_);
   Box box = ranges_;
   for (std::size_t depth = 0; depth < label.length(); ++depth) {

@@ -1,10 +1,11 @@
-// The partition tree P(d,k) and the paper's naming algorithms.
+// The partition tree P(2,k) and the paper's naming algorithms.
 //
-// P(d,k) mirrors the prefix structure of KautzSpace(d,k): the root has d+1
-// children, every other internal node has d children, and edge labels differ
-// from the in-edge label of the parent, increasing left to right (paper §4.1,
-// Figure 3). Node labels are exactly the Kautz strings of length <= k; leaf
-// labels are KautzSpace(d,k) in lexicographic order.
+// P(2,k) mirrors the prefix structure of KautzSpace(2,k): the root has
+// kBase+1 = 3 children, every other internal node has kBase = 2 children,
+// and edge labels differ from the in-edge label of the parent, increasing
+// left to right (paper §4.1, Figure 3). Node labels are exactly the Kautz
+// strings of length <= k; leaf labels are KautzSpace(2,k) in lexicographic
+// order. The tree's only shape parameter is its depth k.
 //
 // Single_hash (m = 1) partitions the attribute interval [L, H] across the
 // tree and maps a value to the leaf whose subinterval contains it; it is
@@ -35,15 +36,12 @@ using Box = std::vector<Interval>;
 class PartitionTree {
  public:
   /// Multi-attribute tree over the given per-attribute value ranges.
-  /// Requires base >= 1, k >= 1, at least one attribute, and lo < hi per
-  /// attribute.
-  PartitionTree(std::uint8_t base, std::size_t k, Box attribute_ranges);
+  /// Requires k >= 1, at least one attribute, and lo < hi per attribute.
+  PartitionTree(std::size_t k, Box attribute_ranges);
 
   /// Single-attribute convenience (the paper's P(2,k) over [L, H]).
-  static PartitionTree single(std::uint8_t base, std::size_t k,
-                              Interval range);
+  static PartitionTree single(std::size_t k, Interval range);
 
-  std::uint8_t base() const { return base_; }
   std::size_t k() const { return k_; }
   std::size_t num_attributes() const { return ranges_.size(); }
   const Box& attribute_ranges() const { return ranges_; }
@@ -74,14 +72,14 @@ class PartitionTree {
   KautzRegion bounding_region(const Box& query) const;
 
  private:
-  // Number of children of a node at depth `depth` (root: base+1, else base).
-  std::uint64_t fanout(std::size_t depth) const;
+  // Number of children of a node at depth `depth` (root: kBase+1, else
+  // kBase).
+  static std::uint64_t fanout(std::size_t depth);
 
   // Child subinterval: index `idx` of `f` children of [lo, hi).
   Interval child_interval(const Interval& parent, std::uint64_t idx,
                           std::uint64_t f) const;
 
-  std::uint8_t base_;
   std::size_t k_;
   Box ranges_;
 };

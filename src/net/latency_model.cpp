@@ -30,45 +30,23 @@ double link_u01(std::uint64_t seed, NodeId u, NodeId v) {
 
 }  // namespace
 
-ConstantHop::ConstantHop(Time cost) : cost_(cost) {
-  ARMADA_CHECK(cost > 0.0);
-}
-
 Time ConstantHop::link_latency(NodeId u, NodeId v) const {
   ARMADA_CHECK(u != v);
-  return cost_;
-}
-
-UniformJitter::UniformJitter(std::uint64_t seed, Time lo, Time hi)
-    : seed_(seed), lo_(lo), hi_(hi) {
-  ARMADA_CHECK(lo > 0.0 && lo < hi);
+  return kCost;
 }
 
 Time UniformJitter::link_latency(NodeId u, NodeId v) const {
   ARMADA_CHECK(u != v);
-  return lo_ + (hi_ - lo_) * link_u01(seed_, u, v);
-}
-
-TransitStub::TransitStub(std::uint64_t seed) : TransitStub(seed, Config{}) {}
-
-TransitStub::TransitStub(std::uint64_t seed, Config config)
-    : seed_(seed), config_(config) {
-  ARMADA_CHECK(config_.clusters >= 1);
-  ARMADA_CHECK(config_.intra > 0.0 && config_.inter >= config_.intra);
+  return kLo + (kHi - kLo) * link_u01(seed_, u, v);
 }
 
 std::uint32_t TransitStub::cluster_of(NodeId u) const {
-  return static_cast<std::uint32_t>(mix64(seed_ ^ u) % config_.clusters);
+  return static_cast<std::uint32_t>(mix64(seed_ ^ u) % kClusters);
 }
 
 Time TransitStub::link_latency(NodeId u, NodeId v) const {
   ARMADA_CHECK(u != v);
-  return cluster_of(u) == cluster_of(v) ? config_.intra : config_.inter;
-}
-
-RttMatrix::RttMatrix(std::uint64_t seed, Time median)
-    : seed_(seed), median_(median) {
-  ARMADA_CHECK(median > 0.0);
+  return cluster_of(u) == cluster_of(v) ? kIntra : kInter;
 }
 
 Time RttMatrix::link_latency(NodeId u, NodeId v) const {
@@ -92,7 +70,7 @@ Time RttMatrix::link_latency(NodeId u, NodeId v) const {
       break;
     }
   }
-  return median_ * x;
+  return kMedian * x;
 }
 
 }  // namespace armada::net

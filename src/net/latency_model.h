@@ -3,10 +3,12 @@
 // The paper's evaluation charges one time unit per overlay hop, which makes
 // "delay" a hop count. Real deployments see heterogeneous link latencies, so
 // every model here maps an overlay link (u, v) to a latency that is a *pure
-// function* of the endpoints and the model's seed/parameters: repeated calls
-// return bit-identical values, two model instances with equal seeds agree on
-// every link, and latencies are symmetric. That keeps simulations exactly
-// reproducible without materializing an N x N matrix.
+// function* of the endpoints and the model's seed: repeated calls return
+// bit-identical values, two model instances with equal seeds agree on every
+// link, and latencies are symmetric. That keeps simulations exactly
+// reproducible without materializing an N x N matrix. A model's shape (its
+// costs, bounds, cluster count or median) is a class constant; the seed is
+// its only setting.
 #pragma once
 
 #include <cstdint>
@@ -35,49 +37,44 @@ class LatencyModel {
   virtual std::string name() const = 0;
 };
 
-/// Every link costs exactly `cost` (default 1.0): arrival time equals hop
-/// count, reproducing the paper's original delay metric bit-for-bit. This is
-/// the default model of every network, so existing figures are unchanged.
+/// Every link costs exactly kCost = 1: arrival time equals hop count,
+/// reproducing the paper's original delay metric bit-for-bit. This is the
+/// default model of every network, so existing figures are unchanged.
 class ConstantHop final : public LatencyModel {
  public:
-  explicit ConstantHop(Time cost = 1.0);
+  static constexpr Time kCost = 1.0;
 
   Time link_latency(NodeId u, NodeId v) const override;
   std::string name() const override { return "constant"; }
-
- private:
-  Time cost_;
 };
 
-/// Per-link latency uniform in [lo, hi); fixed per link by hashing the seed
-/// with the (unordered) endpoint pair.
+/// Per-link latency uniform in [kLo, kHi); fixed per link by hashing the
+/// seed with the (unordered) endpoint pair.
 class UniformJitter final : public LatencyModel {
  public:
-  UniformJitter(std::uint64_t seed, Time lo = 0.5, Time hi = 1.5);
+  static constexpr Time kLo = 0.5;
+  static constexpr Time kHi = 1.5;
+
+  explicit UniformJitter(std::uint64_t seed) : seed_(seed) {}
 
   Time link_latency(NodeId u, NodeId v) const override;
   std::string name() const override { return "jitter"; }
 
  private:
   std::uint64_t seed_;
-  Time lo_;
-  Time hi_;
 };
 
 /// Hierarchical transit-stub topology: each node hashes into one of
-/// `clusters` stub domains; links inside a cluster cost `intra`, links
-/// crossing clusters cost `inter`. Models the LAN/WAN split that proximity-
+/// kClusters stub domains; links inside a cluster cost kIntra, links
+/// crossing clusters cost kInter. Models the LAN/WAN split that proximity-
 /// aware overlay routing exploits.
 class TransitStub final : public LatencyModel {
  public:
-  struct Config {
-    std::uint32_t clusters = 16;
-    Time intra = 1.0;
-    Time inter = 10.0;
-  };
+  static constexpr std::uint32_t kClusters = 16;
+  static constexpr Time kIntra = 1.0;
+  static constexpr Time kInter = 10.0;
 
-  explicit TransitStub(std::uint64_t seed);
-  TransitStub(std::uint64_t seed, Config config);
+  explicit TransitStub(std::uint64_t seed) : seed_(seed) {}
 
   Time link_latency(NodeId u, NodeId v) const override;
   std::string name() const override { return "transit_stub"; }
@@ -87,27 +84,27 @@ class TransitStub final : public LatencyModel {
 
  private:
   std::uint64_t seed_;
-  Config config_;
 };
 
 /// Seeded empirical RTT matrix with a King-style long-tail distribution
 /// (Gummadi et al., "King: Estimating latency between arbitrary Internet end
 /// hosts", IMW'02). Each link draws its latency by inverse-transform
 /// sampling from a piecewise-linear CDF shaped like the King measurements —
-/// median at `median` time units, ~4x the median at p90 and a tail past 20x
-/// — so a few slow links dominate query latency the way real WAN paths do.
-/// Behaves exactly like a fixed symmetric matrix; entries are computed
+/// median at kMedian = 1 time unit, ~4x the median at p90 and a tail past
+/// 20x — so a few slow links dominate query latency the way real WAN paths
+/// do. Behaves exactly like a fixed symmetric matrix; entries are computed
 /// lazily from the seed, so memory stays O(1) at any network size.
 class RttMatrix final : public LatencyModel {
  public:
-  explicit RttMatrix(std::uint64_t seed, Time median = 1.0);
+  static constexpr Time kMedian = 1.0;
+
+  explicit RttMatrix(std::uint64_t seed) : seed_(seed) {}
 
   Time link_latency(NodeId u, NodeId v) const override;
   std::string name() const override { return "rtt_king"; }
 
  private:
   std::uint64_t seed_;
-  Time median_;
 };
 
 }  // namespace armada::net

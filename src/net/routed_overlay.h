@@ -5,9 +5,10 @@
 // Two things make cross-scheme delay comparisons meaningful (paper Table 1):
 //
 //  1. One transport seam. Each overlay owns a Transport (default
-//     ConstantHop(1.0), under which latency == hop count and the paper's
-//     figures are reproduced bit-for-bit) and can swap in any LatencyModel
-//     at runtime. Benches price *all* schemes through the same model.
+//     ConstantHop, one time unit per hop, under which latency == hop
+//     count and the paper's figures are reproduced bit-for-bit) and can
+//     swap in any LatencyModel at runtime. Benches price *all* schemes
+//     through the same model.
 //
 //  2. One result currency. Every routing walk and query fan reports its
 //     cost as a sim::QueryStats fragment: `messages` transmissions,
@@ -37,8 +38,8 @@ class RoutedOverlay {
   virtual std::size_t overlay_size() const = 0;
 
   /// Message-delivery seam: every query layer on this overlay charges link
-  /// latencies through this transport. Defaults to ConstantHop(1.0), i.e.
-  /// latency == hop count.
+  /// latencies through this transport. Defaults to ConstantHop (unit
+  /// cost), i.e. latency == hop count.
   const net::Transport& transport() const { return transport_; }
   /// Mutable seam for the stateful (queueing) delivery path.
   net::Transport& transport() { return transport_; }

@@ -6,9 +6,9 @@
 // schedules the arrival on the discrete-event simulator. Sequential walks
 // that record their path (FISSIONE exact-match routing) price it with
 // `path_latency`; walks that don't (CAN greedy routing) accumulate
-// `link` costs hop by hop as they go. The default model is
-// ConstantHop(1.0), under which arrival times equal hop counts and every
-// pre-existing delay figure is reproduced bit-for-bit.
+// `link` costs hop by hop as they go. The default model is ConstantHop,
+// one time unit per link, under which arrival times equal hop counts and
+// every pre-existing delay figure is reproduced bit-for-bit.
 //
 // One delivery path: every message goes through `deliver`. With no
 // queueing installed, or under the zero-queue config, it schedules one
@@ -53,7 +53,7 @@ class Transport {
   /// delay (delivery - send - propagation; 0 without queueing).
   using QueuedArrival = std::function<void(Time queue_delay)>;
 
-  /// Default transport: ConstantHop(1.0), i.e. latency == hop count.
+  /// Default transport: ConstantHop (unit cost), i.e. latency == hop count.
   Transport();
   explicit Transport(std::shared_ptr<const LatencyModel> model);
 

@@ -256,7 +256,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
           Candidate{range, false, heat_gain(range, whole_zone), count});
     };
     consider_native(zone, true);
-    for (std::uint8_t s = 0; s <= zone.base(); ++s) {
+    for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
       if (!zone.can_append(s)) {
         continue;
       }

@@ -24,7 +24,6 @@ class RangeWorkload {
   RangeQuery next();
 
   kautz::Interval domain() const { return domain_; }
-  double query_size() const { return size_; }
 
  private:
   kautz::Interval domain_;

@@ -58,7 +58,8 @@ TEST(FissioneJoin, AverageDegreeAboutFour) {
 
 // Paper §3: once every PeerID has one length k, the overlay is the Kautz
 // graph K(2, k). Each peer's out- and in-neighbors carry exactly the labels
-// of its node's out- and in-neighbors in the static graph.
+// of its node's out- and in-neighbors in the static graph. The check starts
+// at the 3-peer bootstrap overlay, K(2, 1).
 TEST(FissioneJoin, UniformLengthOverlaysAreKautzGraphs) {
   // The labels of `ids` under `label_of`, sorted.
   auto labels = [](const auto& ids, auto label_of) {
@@ -70,18 +71,18 @@ TEST(FissioneJoin, UniformLengthOverlaysAreKautzGraphs) {
     return out;
   };
   std::size_t checked = 0;
+  std::size_t checked_k1 = 0;
   std::size_t checked_k3_or_more = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     FissioneNetwork net(FissioneNetwork::Config{}, seed);
     auto peer_label = [&net](PeerId q) { return net.peer_id(q); };
-    while (net.num_peers() < 200) {
-      net.join();
+    for (; net.num_peers() <= 200; net.join()) {
       const std::size_t k = net.peer_id(net.alive_peers().front()).length();
       if (!std::all_of(net.alive_peers().begin(), net.alive_peers().end(),
                        [&](PeerId p) { return net.peer_id(p).length() == k; })) {
         continue;
       }
-      const kautz::KautzGraph graph(FissioneNetwork::kBase, k);
+      const kautz::KautzGraph graph(k);
       auto node_label = [&graph](std::uint64_t v) { return graph.label(v); };
       ASSERT_EQ(net.num_peers(), graph.num_nodes()) << "seed " << seed;
       for (PeerId p : net.alive_peers()) {
@@ -96,12 +97,16 @@ TEST(FissioneJoin, UniformLengthOverlaysAreKautzGraphs) {
             << "in-list of " << peer.peer_id.to_string() << ", seed " << seed;
       }
       ++checked;
+      if (k == 1) {
+        ++checked_k1;
+      }
       if (k >= 3) {
         ++checked_k3_or_more;
       }
     }
   }
   EXPECT_GE(checked, 40u);
+  EXPECT_EQ(checked_k1, 40u);  // every seed's bootstrap overlay
   // Not vacuous: some seed passes through a uniform length of 3 or more.
   EXPECT_GE(checked_k3_or_more, 1u);
 }
@@ -110,7 +115,7 @@ TEST(FissioneRouting, ReachesOwnerWithinIdLengthHops) {
   auto net = FissioneNetwork::build(500, 5);
   Rng rng(99);
   for (int i = 0; i < 300; ++i) {
-    const KautzString target = kautz::random_string(rng, 2, 48);
+    const KautzString target = kautz::random_string(rng, 48);
     const PeerId from =
         net.alive_peers()[rng.next_index(net.alive_peers().size())];
     const RouteResult r = net.route(from, target);
@@ -125,7 +130,7 @@ TEST(FissioneRouting, ReachesOwnerWithinIdLengthHops) {
 TEST(FissioneRouting, ZeroHopsWhenSourceOwns) {
   auto net = FissioneNetwork::build(100, 6);
   Rng rng(7);
-  const KautzString target = kautz::random_string(rng, 2, 48);
+  const KautzString target = kautz::random_string(rng, 48);
   const PeerId owner = net.owner_of(target);
   const RouteResult r = net.route(owner, target);
   EXPECT_EQ(r.hops, 0u);
@@ -136,7 +141,7 @@ TEST(FissioneRouting, PathHopsFollowOutEdges) {
   auto net = FissioneNetwork::build(300, 8);
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
-    const KautzString target = kautz::random_string(rng, 2, 48);
+    const KautzString target = kautz::random_string(rng, 48);
     const RouteResult r = net.route(
         net.alive_peers()[rng.next_index(net.alive_peers().size())], target);
     for (std::size_t h = 0; h + 1 < r.path.size(); ++h) {
@@ -151,7 +156,7 @@ TEST(FissioneData, PublishLookupRoundTrip) {
   Rng rng(13);
   std::vector<KautzString> ids;
   for (std::uint64_t v = 0; v < 100; ++v) {
-    ids.push_back(kautz::random_string(rng, 2, 48));
+    ids.push_back(kautz::random_string(rng, 48));
     net.publish(ids.back(), v);
   }
   EXPECT_EQ(net.total_objects(), 100u);
@@ -167,7 +172,7 @@ TEST(FissioneData, ObjectsFollowSplits) {
   FissioneNetwork net(FissioneNetwork::Config{}, 10);
   Rng rng(17);
   for (std::uint64_t v = 0; v < 200; ++v) {
-    net.publish(kautz::random_string(rng, 2, 48), v);
+    net.publish(kautz::random_string(rng, 48), v);
   }
   for (int i = 0; i < 50; ++i) {
     net.join();
@@ -180,7 +185,7 @@ TEST(FissioneLeave, GracefulDepartureTransfersObjects) {
   auto net = FissioneNetwork::build(80, 11);
   Rng rng(19);
   for (std::uint64_t v = 0; v < 300; ++v) {
-    net.publish(kautz::random_string(rng, 2, 48), v);
+    net.publish(kautz::random_string(rng, 48), v);
   }
   for (int i = 0; i < 40; ++i) {
     const auto& alive = net.alive_peers();
@@ -196,7 +201,7 @@ TEST(FissioneCrash, LosesOnlyLocalObjectsAndHeals) {
   auto net = FissioneNetwork::build(100, 12);
   Rng rng(23);
   for (std::uint64_t v = 0; v < 400; ++v) {
-    net.publish(kautz::random_string(rng, 2, 48), v);
+    net.publish(kautz::random_string(rng, 48), v);
   }
   const std::size_t before = net.total_objects();
   const auto& alive = net.alive_peers();
@@ -208,7 +213,7 @@ TEST(FissioneCrash, LosesOnlyLocalObjectsAndHeals) {
   net.check_invariants();
   // Routing still works everywhere after the failure is healed.
   for (int i = 0; i < 50; ++i) {
-    const KautzString target = kautz::random_string(rng, 2, 48);
+    const KautzString target = kautz::random_string(rng, 48);
     const PeerId from =
         net.alive_peers()[rng.next_index(net.alive_peers().size())];
     EXPECT_EQ(net.route(from, target).owner, net.owner_of(target));
@@ -248,7 +253,7 @@ TEST_P(FissioneChurnTest, InvariantsUnderRandomChurn) {
   auto net = FissioneNetwork::build(60, seed);
   Rng rng(seed * 7919 + 1);
   for (std::uint64_t v = 0; v < 100; ++v) {
-    net.publish(kautz::random_string(rng, 2, 48), v);
+    net.publish(kautz::random_string(rng, 48), v);
   }
   for (int step = 0; step < 120; ++step) {
     const double dice = rng.next_double();
@@ -269,7 +274,7 @@ TEST_P(FissioneChurnTest, InvariantsUnderRandomChurn) {
   net.check_invariants();
   // Routing correctness after heavy churn.
   for (int i = 0; i < 100; ++i) {
-    const KautzString target = kautz::random_string(rng, 2, 48);
+    const KautzString target = kautz::random_string(rng, 48);
     const PeerId from =
         net.alive_peers()[rng.next_index(net.alive_peers().size())];
     EXPECT_EQ(net.route(from, target).owner, net.owner_of(target));
@@ -288,11 +293,11 @@ TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
   auto net =
       FissioneNetwork::build_snapshot(2000, 61, FissioneNetwork::Config{});
   std::vector<KautzString> prefixes;
-  std::vector<KautzString> level{KautzString(FissioneNetwork::kBase)};
+  std::vector<KautzString> level{KautzString{}};
   for (int len = 1; len <= 5; ++len) {
     std::vector<KautzString> next;
     for (const KautzString& p : level) {
-      for (std::uint8_t s = 0; s <= p.base(); ++s) {
+      for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
         if (p.can_append(s)) {
           KautzString child = p;
           child.push_back(s);

@@ -331,7 +331,7 @@ TEST_P(IntegrationFuzz, RebalancingUnderChurnConservesAndStaysExact) {
       load.add(hot, 12);
       kautz::KautzString hot_oid = net.peer(hot).peer_id;
       while (hot_oid.length() < FissioneNetwork::kObjectIdLength) {
-        for (std::uint8_t s = 0; s <= hot_oid.base(); ++s) {
+        for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
           if (hot_oid.can_append(s)) {
             hot_oid.push_back(s);
             break;

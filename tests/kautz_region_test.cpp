@@ -53,8 +53,7 @@ bool extension_intersects(const KautzRegion& r, const KautzString& prefix) {
 KautzString branch_off(const KautzString& s, std::size_t shared, Rng& rng) {
   KautzString out = s.prefix(shared);
   while (out.length() < s.length()) {
-    const auto symbol =
-        static_cast<std::uint8_t>(rng.next_index(s.base() + 1u));
+    const auto symbol = static_cast<std::uint8_t>(rng.next_index(kBase + 1u));
     if (out.can_append(symbol)) {
       out.push_back(symbol);
     }
@@ -63,7 +62,7 @@ KautzString branch_off(const KautzString& s, std::size_t shared, Rng& rng) {
 }
 
 TEST(KautzRegion, IntersectsPrefixBruteForce) {
-  const auto all = enumerate(2, 5);
+  const auto all = enumerate(5);
   Rng rng(17);
   for (int trial = 0; trial < 50; ++trial) {
     auto a = all[rng.next_index(all.size())];
@@ -91,34 +90,30 @@ TEST(KautzRegion, IntersectsPrefixBruteForce) {
   }
 
   // Sampled regions too long to enumerate, against the extension-based
-  // definition: the production ObjectID length (two packed words at base 2)
-  // and base 3 within one word and across all three. Bounds share a
-  // random-length prefix, and probes branch off a bound at a random digit,
-  // so every prefix length sees both verdicts.
-  struct Space {
-    std::uint8_t base;
-    std::size_t k;
-  };
-  for (const Space space : {Space{2, 48}, Space{3, 20},
-                            Space{3, KautzString::kMaxLength}}) {
+  // definition: lengths in one packed word, in two (the production
+  // ObjectID length) and in all three. Bounds share a random-length
+  // prefix, and probes branch off a bound at a random digit, so every
+  // prefix length sees both verdicts.
+  for (const std::size_t k : {std::size_t{20}, std::size_t{48},
+                              KautzString::kMaxLength}) {
     std::size_t viable = 0;
     std::size_t missed = 0;
     for (int trial = 0; trial < 40; ++trial) {
-      const KautzString a = random_string(rng, space.base, space.k);
-      KautzString b = branch_off(a, rng.next_index(space.k + 1), rng);
+      const KautzString a = random_string(rng, k);
+      KautzString b = branch_off(a, rng.next_index(k + 1), rng);
       const KautzRegion r(std::min(a, b), std::max(a, b));
       for (int probe = 0; probe < 12; ++probe) {
         const KautzString& bound = probe % 2 == 0 ? r.lo() : r.hi();
         const KautzString s =
-            probe < 10 ? branch_off(bound, rng.next_index(space.k + 1), rng)
-                       : random_string(rng, space.base, space.k);
-        for (std::size_t len = 0; len <= space.k; ++len) {
+            probe < 10 ? branch_off(bound, rng.next_index(k + 1), rng)
+                       : random_string(rng, k);
+        for (std::size_t len = 0; len <= k; ++len) {
           const KautzString prefix = s.prefix(len);
           const bool expected = extension_intersects(r, prefix);
           (expected ? viable : missed) += 1;
           EXPECT_EQ(r.intersects_prefix(prefix), expected)
-              << "base " << int(space.base) << " region " << r.to_string()
-              << " prefix " << prefix.to_string();
+              << "k " << k << " region " << r.to_string() << " prefix "
+              << prefix.to_string();
         }
       }
     }
@@ -128,7 +123,7 @@ TEST(KautzRegion, IntersectsPrefixBruteForce) {
 }
 
 TEST(KautzRegion, SplitCommonPrefixProperties) {
-  const auto all = enumerate(2, 5);
+  const auto all = enumerate(5);
   Rng rng(23);
   for (int trial = 0; trial < 200; ++trial) {
     auto a = all[rng.next_index(all.size())];
@@ -157,8 +152,8 @@ TEST(KautzRegion, SplitCommonPrefixProperties) {
 }
 
 TEST(KautzRegion, SplitWholeSpaceYieldsThreeBlocks) {
-  const auto lo = min_extension(KautzString(2), 4);
-  const auto hi = max_extension(KautzString(2), 4);
+  const auto lo = min_extension(KautzString{}, 4);
+  const auto hi = max_extension(KautzString{}, 4);
   const auto parts = KautzRegion(lo, hi).split_common_prefix();
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0].common_prefix().to_string(), "0");
@@ -171,7 +166,7 @@ TEST(KautzRegion, ClampToPrefix) {
   const auto clamped = r.clamp_to_prefix(KautzString::parse("02"));
   EXPECT_EQ(clamped.lo().to_string(), "0201");
   EXPECT_EQ(clamped.hi().to_string(), "0202");
-  const auto whole = r.clamp_to_prefix(KautzString(2));
+  const auto whole = r.clamp_to_prefix(KautzString{});
   EXPECT_EQ(whole, r);
   EXPECT_THROW(r.clamp_to_prefix(KautzString::parse("10")), CheckError);
 }

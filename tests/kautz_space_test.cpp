@@ -11,40 +11,41 @@ namespace armada::kautz {
 namespace {
 
 TEST(KautzSpace, SpaceSizeFormula) {
-  EXPECT_EQ(space_size(2, 0), 1u);
-  EXPECT_EQ(space_size(2, 1), 3u);
-  EXPECT_EQ(space_size(2, 2), 6u);
-  EXPECT_EQ(space_size(2, 3), 12u);  // K(2,3) in Figure 1 has 12 nodes
-  EXPECT_EQ(space_size(2, 4), 24u);
-  EXPECT_EQ(space_size(3, 3), 36u);
+  EXPECT_EQ(space_size(0), 1u);
+  EXPECT_EQ(space_size(1), 3u);
+  EXPECT_EQ(space_size(2), 6u);
+  EXPECT_EQ(space_size(3), 12u);  // K(2,3) in Figure 1 has 12 nodes
+  EXPECT_EQ(space_size(4), 24u);
 }
 
 TEST(KautzSpace, SpaceSizeOverflowDetected) {
-  EXPECT_THROW(space_size(2, 100), CheckError);
+  EXPECT_EQ(space_size(63), 3 * (std::uint64_t{1} << 62));  // largest
+  EXPECT_THROW(space_size(64), CheckError);
+  EXPECT_THROW(space_size(100), CheckError);
+  // kBase^63 is the largest power that fits.
+  const KautzString zero = KautzString::parse("0");
+  EXPECT_EQ(extension_count(zero, 64), std::uint64_t{1} << 63);
+  EXPECT_THROW(extension_count(zero, 65), CheckError);
 }
 
 TEST(KautzSpace, EnumerateIsSortedValidAndComplete) {
-  for (std::uint8_t base : {2, 3}) {
-    for (std::size_t len : {1u, 2u, 3u, 4u, 5u}) {
-      const auto all = enumerate(base, len);
-      EXPECT_EQ(all.size(), space_size(base, len));
-      EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
-      EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
-      for (const auto& s : all) {
-        EXPECT_EQ(s.length(), len);
-      }
+  for (std::size_t len : {1u, 2u, 3u, 4u, 5u}) {
+    const auto all = enumerate(len);
+    EXPECT_EQ(all.size(), space_size(len));
+    EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+    for (const auto& s : all) {
+      EXPECT_EQ(s.length(), len);
     }
   }
 }
 
 TEST(KautzSpace, RankUnrankRoundTripExhaustive) {
-  for (std::uint8_t base : {2, 3}) {
-    for (std::size_t len : {1u, 2u, 3u, 4u, 5u, 6u}) {
-      const auto all = enumerate(base, len);
-      for (std::uint64_t r = 0; r < all.size(); ++r) {
-        EXPECT_EQ(rank(all[r]), r) << all[r].to_string();
-        EXPECT_EQ(unrank(base, len, r), all[r]);
-      }
+  for (std::size_t len : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    const auto all = enumerate(len);
+    for (std::uint64_t r = 0; r < all.size(); ++r) {
+      EXPECT_EQ(rank(all[r]), r) << all[r].to_string();
+      EXPECT_EQ(unrank(len, r), all[r]);
     }
   }
 }
@@ -57,10 +58,10 @@ TEST(KautzSpace, RankMatchesPaperRegionExample) {
 }
 
 TEST(KautzSpace, MinMaxExtensionAreExtremeAmongExtensions) {
-  const auto all = enumerate(2, 6);
+  const auto all = enumerate(6);
   for (const auto& prefix :
        {KautzString::parse("0"), KautzString::parse("21"),
-        KautzString::parse("0102"), KautzString(2)}) {
+        KautzString::parse("0102"), KautzString{}}) {
     const auto lo = min_extension(prefix, 6);
     const auto hi = max_extension(prefix, 6);
     EXPECT_EQ(lo.length(), 6u);
@@ -80,29 +81,27 @@ TEST(KautzSpace, MinMaxExtensionAreExtremeAmongExtensions) {
 }
 
 TEST(KautzSpace, MinMaxExtensionAlternatingPattern) {
-  EXPECT_EQ(min_extension(KautzString(2), 5).to_string(), "01010");
-  EXPECT_EQ(max_extension(KautzString(2), 5).to_string(), "21212");
+  EXPECT_EQ(min_extension(KautzString{}, 5).to_string(), "01010");
+  EXPECT_EQ(max_extension(KautzString{}, 5).to_string(), "21212");
   EXPECT_EQ(min_extension(KautzString::parse("20"), 5).to_string(), "20101");
   EXPECT_EQ(max_extension(KautzString::parse("02"), 5).to_string(), "02121");
 }
 
 TEST(KautzSpace, SuccessorPredecessorAgreeWithEnumeration) {
-  for (std::uint8_t base : {2, 3}) {
-    const auto all = enumerate(base, 4);
-    for (std::size_t i = 0; i + 1 < all.size(); ++i) {
-      EXPECT_EQ(successor(all[i]), all[i + 1]);
-      EXPECT_EQ(predecessor(all[i + 1]), all[i]);
-    }
-    EXPECT_TRUE(is_space_min(all.front()));
-    EXPECT_TRUE(is_space_max(all.back()));
-    EXPECT_THROW(predecessor(all.front()), CheckError);
-    EXPECT_THROW(successor(all.back()), CheckError);
+  const auto all = enumerate(4);
+  for (std::size_t i = 0; i + 1 < all.size(); ++i) {
+    EXPECT_EQ(successor(all[i]), all[i + 1]);
+    EXPECT_EQ(predecessor(all[i + 1]), all[i]);
   }
+  EXPECT_TRUE(is_space_min(all.front()));
+  EXPECT_TRUE(is_space_max(all.back()));
+  EXPECT_THROW(predecessor(all.front()), CheckError);
+  EXPECT_THROW(successor(all.back()), CheckError);
 }
 
 TEST(KautzSpace, SymbolIndexRoundTrip) {
-  for (std::uint8_t prev = 0; prev <= 3; ++prev) {
-    for (std::uint8_t sym = 0; sym <= 3; ++sym) {
+  for (std::uint8_t prev = 0; prev <= kBase; ++prev) {
+    for (std::uint8_t sym = 0; sym <= kBase; ++sym) {
       if (sym == prev) {
         continue;
       }
@@ -115,17 +114,17 @@ TEST(KautzSpace, RandomStringValidAndLongLengthsWork) {
   Rng rng(42);
   for (std::size_t len : {std::size_t{1}, std::size_t{5}, std::size_t{24},
                           KautzString::kMaxLength}) {
-    const auto s = random_string(rng, 2, len);
+    const auto s = random_string(rng, len);
     EXPECT_EQ(s.length(), len);  // constructor enforces validity
   }
 }
 
 TEST(KautzSpace, RandomStringRoughlyUniform) {
   Rng rng(7);
-  std::vector<int> counts(space_size(2, 3));
+  std::vector<int> counts(space_size(3));
   const int trials = 12000;
   for (int i = 0; i < trials; ++i) {
-    counts[rank(random_string(rng, 2, 3))]++;
+    counts[rank(random_string(rng, 3))]++;
   }
   // Each of the 12 strings has expectation 1000; allow generous slack.
   for (int c : counts) {

@@ -18,8 +18,7 @@ TEST(KautzString, ParseAndPrint) {
   const auto s = KautzString::parse("0120");
   EXPECT_EQ(s.length(), 4u);
   EXPECT_EQ(s.to_string(), "0120");
-  EXPECT_EQ(s.base(), 2);
-  EXPECT_EQ(KautzString(2).to_string(), "<empty>");
+  EXPECT_EQ(KautzString{}.to_string(), "<empty>");
 }
 
 TEST(KautzString, RejectsAdjacentRepeats) {
@@ -29,11 +28,10 @@ TEST(KautzString, RejectsAdjacentRepeats) {
 
 TEST(KautzString, RejectsDigitsAboveBase) {
   EXPECT_THROW(KautzString::parse("013"), CheckError);
-  EXPECT_NO_THROW(KautzString::parse("013", 3));
 }
 
 TEST(KautzString, PushPopRespectInvariant) {
-  KautzString s{2};
+  KautzString s;
   s.push_back(1);
   EXPECT_FALSE(s.can_append(1));
   EXPECT_TRUE(s.can_append(0));
@@ -57,7 +55,7 @@ TEST(KautzString, ConcatChecksJunction) {
   const auto a = KautzString::parse("012");
   EXPECT_EQ(a.concat(KautzString::parse("01")).to_string(), "01201");
   EXPECT_THROW(a.concat(KautzString::parse("21")), CheckError);
-  EXPECT_EQ(a.concat(KautzString(2)), a);
+  EXPECT_EQ(a.concat(KautzString{}), a);
 }
 
 TEST(KautzString, PrefixSuffixPredicates) {
@@ -66,7 +64,7 @@ TEST(KautzString, PrefixSuffixPredicates) {
   EXPECT_FALSE(KautzString::parse("02").is_prefix_of(s));
   EXPECT_TRUE(KautzString::parse("20").is_suffix_of(s));
   EXPECT_FALSE(KautzString::parse("12").is_suffix_of(s));
-  EXPECT_TRUE(KautzString(2).is_prefix_of(s));
+  EXPECT_TRUE(KautzString{}.is_prefix_of(s));
   EXPECT_TRUE(s.is_prefix_of(s));
 }
 
@@ -88,25 +86,23 @@ TEST(KautzString, LexicographicOrder) {
   EXPECT_GT(KautzString::parse("2"), KautzString::parse("1210"));
 }
 
-TEST(KautzString, CrossBaseComparisonRejected) {
-  const auto a = KautzString::parse("01", 2);
-  const auto b = KautzString::parse("01", 3);
-  EXPECT_THROW((void)(a < b), CheckError);
-}
-
-// Every string is three inline words of 2-bit digits: base 4 and a 97th
-// digit have nowhere to go, whichever way a string is built.
-TEST(KautzString, RejectsBasesAndLengthsPastTheInlineWords) {
-  EXPECT_THROW(KautzString{4}, CheckError);
-  EXPECT_THROW(KautzString::parse("0123", 4), CheckError);
+// Every string is three inline words of 2-bit digits over {0, 1, 2}: a
+// digit 3 and a 97th digit are rejected, whichever way a string is built.
+TEST(KautzString, RejectsDigitsAndLengthsPastTheInlineWords) {
+  EXPECT_THROW(KautzString::parse("0123"), CheckError);
+  EXPECT_THROW(KautzString(std::vector<std::uint8_t>{0, 1, 2, 3}),
+               CheckError);
+  KautzString two = KautzString::parse("2");
+  EXPECT_FALSE(two.can_append(3));
+  EXPECT_THROW(two.push_back(3), CheckError);
 
   std::vector<std::uint8_t> digits;
   for (std::size_t i = 0; i <= KautzString::kMaxLength; ++i) {
     digits.push_back(static_cast<std::uint8_t>(i % 2));
   }
-  EXPECT_THROW(KautzString(2, digits), CheckError);
+  EXPECT_THROW(KautzString{digits}, CheckError);
   digits.pop_back();
-  KautzString full(2, digits);  // 0101...01, exactly kMaxLength digits
+  KautzString full(digits);  // 0101...01, exactly kMaxLength digits
   ASSERT_EQ(full.length(), KautzString::kMaxLength);
   for (std::uint8_t s = 0; s <= 2; ++s) {
     EXPECT_FALSE(full.can_append(s));
@@ -125,10 +121,11 @@ TEST(KautzString, RejectsBasesAndLengthsPastTheInlineWords) {
 // The packed word representation must be observationally identical to the
 // obvious digit-vector implementation. Every operation is replayed against
 // a naive reference on plain std::vector<uint8_t>; lengths run up to the
-// full three words. Built strings are also compared with the string the
-// reference digits make: equality compares the words, so this checks their
-// zero tails. Seeds follow the repo-wide fuzz contract: fixed CI seeds, or
-// one ARMADA_FUZZ_SEED override to replay a failure exactly.
+// full three words, and cuts include the word boundaries 32 and 64. Built
+// strings are also compared with the string the reference digits make:
+// equality compares the words, so this checks their zero tails. Seeds
+// follow the repo-wide fuzz contract: fixed CI seeds, or one
+// ARMADA_FUZZ_SEED override to replay a failure exactly.
 
 using Digits = std::vector<std::uint8_t>;
 
@@ -148,14 +145,14 @@ std::vector<std::uint64_t> fuzz_seeds() {
   return {21, 22, 23};
 }
 
-Digits random_digits(Rng& rng, std::uint8_t base, std::size_t len) {
+Digits random_digits(Rng& rng, std::size_t len) {
   Digits d;
   d.reserve(len);
   int prev = -1;
   for (std::size_t i = 0; i < len; ++i) {
-    auto s = static_cast<std::uint8_t>(rng.next_index(base + 1u));
+    auto s = static_cast<std::uint8_t>(rng.next_index(kBase + 1u));
     if (s == prev) {
-      s = static_cast<std::uint8_t>((s + 1u) % (base + 1u));
+      s = static_cast<std::uint8_t>((s + 1u) % (kBase + 1u));
     }
     d.push_back(s);
     prev = s;
@@ -211,11 +208,10 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
     Rng rng(seed);
     for (int iter = 0; iter < 400; ++iter) {
       // Draws past kMaxLength are cut to it, so full strings are common.
-      const auto base = static_cast<std::uint8_t>(2 + rng.next_index(2));
       const std::size_t len =
           std::min<std::size_t>(rng.next_index(140), KautzString::kMaxLength);
-      const Digits ra = random_digits(rng, base, len);
-      const KautzString a(base, ra);
+      const Digits ra = random_digits(rng, len);
+      const KautzString a(ra);
 
       ASSERT_EQ(a.length(), ra.size());
       ASSERT_EQ(a.digits(), ra);
@@ -234,11 +230,10 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
                                   std::min<std::size_t>(64, len)};
       for (std::size_t cut : cuts) {
         ASSERT_EQ(a.prefix(cut).digits(), ref_slice(ra, 0, cut));
-        ASSERT_EQ(a.prefix(cut), KautzString(base, ref_slice(ra, 0, cut)));
+        ASSERT_EQ(a.prefix(cut), KautzString(ref_slice(ra, 0, cut)));
         ASSERT_EQ(a.suffix(cut).digits(),
                   ref_slice(ra, len - cut, cut));
-        ASSERT_EQ(a.suffix(cut),
-                  KautzString(base, ref_slice(ra, len - cut, cut)));
+        ASSERT_EQ(a.suffix(cut), KautzString(ref_slice(ra, len - cut, cut)));
       }
       if (!ra.empty()) {
         ASSERT_EQ(a.drop_front().digits(), ref_slice(ra, 1, len - 1));
@@ -248,7 +243,7 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
       KautzString grown = a;
       Digits ref_grown = ra;
       for (int g = 0; g < 3; ++g) {
-        const auto sym = static_cast<std::uint8_t>(rng.next_index(base + 1u));
+        const auto sym = static_cast<std::uint8_t>(rng.next_index(kBase + 1u));
         if (grown.can_append(sym)) {
           grown.push_back(sym);
           ref_grown.push_back(sym);
@@ -259,14 +254,14 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
         grown.pop_back();
         ref_grown.pop_back();
         ASSERT_EQ(grown.digits(), ref_grown);
-        ASSERT_EQ(grown, KautzString(base, ref_grown));
+        ASSERT_EQ(grown, KautzString(ref_grown));
       }
 
       // Binary relations against an independently drawn second string.
       const Digits rb = random_digits(
-          rng, base,
+          rng,
           std::min<std::size_t>(rng.next_index(140), KautzString::kMaxLength));
-      const KautzString b(base, rb);
+      const KautzString b(rb);
       ASSERT_EQ(a.is_prefix_of(b), ref_is_prefix(ra, rb));
       ASSERT_EQ(a.is_suffix_of(b), ref_is_suffix(ra, rb));
       ASSERT_EQ(a.longest_suffix_prefix(b), ref_lsp(ra, rb));
@@ -279,7 +274,7 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
         const std::size_t head = 1 + rng.next_index(len - 1);
         KautzString c = a.prefix(head);
         Digits rc = ref_slice(ra, 0, head);
-        const auto sym = static_cast<std::uint8_t>(rng.next_index(base + 1u));
+        const auto sym = static_cast<std::uint8_t>(rng.next_index(kBase + 1u));
         if (c.can_append(sym)) {
           c.push_back(sym);
           rc.push_back(sym);
@@ -298,17 +293,17 @@ TEST(KautzStringFuzz, PackedMatchesDigitVectorReference) {
         bridge.resize(std::min(bridge.size(),
                                KautzString::kMaxLength - ra.size()));
         if (!bridge.empty()) {
-          const KautzString joined = a.concat(KautzString(base, bridge));
+          const KautzString joined = a.concat(KautzString(bridge));
           Digits ref_joined = ra;
           ref_joined.insert(ref_joined.end(), bridge.begin(), bridge.end());
           ASSERT_EQ(joined.digits(), ref_joined);
           ASSERT_EQ(joined.length(), ra.size() + bridge.size());
-          ASSERT_EQ(joined, KautzString(base, ref_joined));
+          ASSERT_EQ(joined, KautzString(ref_joined));
         }
       }
 
       // Equal strings compare equal whichever way they were built.
-      KautzString rebuilt(base);
+      KautzString rebuilt;
       for (std::uint8_t x : ra) {
         rebuilt.push_back(x);
       }

@@ -238,7 +238,7 @@ TEST(Tracing, WalkSpansChainWithExactInstantsAndAuditorAttribution) {
   auto rec = std::make_shared<obs::TraceRecorder>(cfg);
   transport.attach_trace(rec);
 
-  // Four unit-latency hops (ConstantHop 1.0, no queueing): deliveries at
+  // Four unit-latency hops (ConstantHop, no queueing): deliveries at
   // t = 1, 2, 3, 4 exactly.
   const auto path = first_path(fx->net, 4);
   sim::Simulator sim;

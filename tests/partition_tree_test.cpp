@@ -11,7 +11,7 @@ namespace {
 
 TEST(PartitionTreeSingle, PaperFigure3Examples) {
   // P(2,4) over [0, 1] (paper Figure 3).
-  const auto tree = PartitionTree::single(2, 4, {0.0, 1.0});
+  const auto tree = PartitionTree::single(4, {0.0, 1.0});
 
   // Node U with label 0101 represents [0, 1/24].
   const Interval u = tree.interval_for(KautzString::parse("0101"));
@@ -30,7 +30,7 @@ TEST(PartitionTreeSingle, PaperFigure3Examples) {
 }
 
 TEST(PartitionTreeSingle, RootChildrenSplitIntoThirds) {
-  const auto tree = PartitionTree::single(2, 3, {0.0, 1.0});
+  const auto tree = PartitionTree::single(3, {0.0, 1.0});
   const Interval a = tree.interval_for(KautzString::parse("0"));
   const Interval b = tree.interval_for(KautzString::parse("1"));
   const Interval c = tree.interval_for(KautzString::parse("2"));
@@ -43,8 +43,8 @@ TEST(PartitionTreeSingle, RootChildrenSplitIntoThirds) {
 }
 
 TEST(PartitionTreeSingle, LeafIntervalsTileTheRange) {
-  const auto tree = PartitionTree::single(2, 5, {0.0, 1000.0});
-  const auto leaves = enumerate(2, 5);
+  const auto tree = PartitionTree::single(5, {0.0, 1000.0});
+  const auto leaves = enumerate(5);
   double cursor = 0.0;
   for (const auto& leaf : leaves) {
     const Interval iv = tree.interval_for(leaf);
@@ -56,7 +56,7 @@ TEST(PartitionTreeSingle, LeafIntervalsTileTheRange) {
 }
 
 TEST(PartitionTreeSingle, HashIsInverseOfInterval) {
-  const auto tree = PartitionTree::single(2, 6, {-50.0, 75.0});
+  const auto tree = PartitionTree::single(6, {-50.0, 75.0});
   Rng rng(3);
   for (int i = 0; i < 2000; ++i) {
     const double v = rng.next_double(-50.0, 75.0);
@@ -67,12 +67,12 @@ TEST(PartitionTreeSingle, HashIsInverseOfInterval) {
   }
   // Top of range maps to the last leaf.
   EXPECT_EQ(tree.single_hash(75.0),
-            max_extension(KautzString(2), 6));
-  EXPECT_EQ(tree.single_hash(-50.0), min_extension(KautzString(2), 6));
+            max_extension(KautzString{}, 6));
+  EXPECT_EQ(tree.single_hash(-50.0), min_extension(KautzString{}, 6));
 }
 
 TEST(PartitionTreeSingle, OrderPreserving) {
-  const auto tree = PartitionTree::single(2, 8, {0.0, 1000.0});
+  const auto tree = PartitionTree::single(8, {0.0, 1000.0});
   Rng rng(11);
   for (int i = 0; i < 2000; ++i) {
     const double a = rng.next_double(0.0, 1000.0);
@@ -92,8 +92,8 @@ TEST(PartitionTreeSingle, OrderPreserving) {
 // Kautz region <F(a), F(b)>. Equivalently, a leaf's interval intersects
 // [a,b] iff the leaf lies in the region.
 TEST(PartitionTreeSingle, IntervalPreservingExhaustive) {
-  const auto tree = PartitionTree::single(2, 5, {0.0, 1.0});
-  const auto leaves = enumerate(2, 5);
+  const auto tree = PartitionTree::single(5, {0.0, 1.0});
+  const auto leaves = enumerate(5);
   Rng rng(29);
   for (int trial = 0; trial < 300; ++trial) {
     double a = rng.next_double();
@@ -115,7 +115,7 @@ TEST(PartitionTreeSingle, IntervalPreservingExhaustive) {
 TEST(PartitionTreeMulti, RoundRobinSplitsAlternateAttributes) {
   // m=2 over [0,1]^2: level 0 splits attr 0 in thirds, level 1 splits attr 1
   // in halves, level 2 splits attr 0 again.
-  const auto tree = PartitionTree(2, 3, Box{{0.0, 1.0}, {0.0, 1.0}});
+  const auto tree = PartitionTree(3, Box{{0.0, 1.0}, {0.0, 1.0}});
   const Box root0 = tree.box_for(KautzString::parse("0"));
   EXPECT_NEAR(root0[0].hi, 1.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(root0[1].lo, 0.0);
@@ -131,7 +131,7 @@ TEST(PartitionTreeMulti, RoundRobinSplitsAlternateAttributes) {
 }
 
 TEST(PartitionTreeMulti, HashBoxRoundTrip) {
-  const auto tree = PartitionTree(2, 7, Box{{0.0, 100.0}, {-10.0, 10.0}, {0.0, 1.0}});
+  const auto tree = PartitionTree(7, Box{{0.0, 100.0}, {-10.0, 10.0}, {0.0, 1.0}});
   Rng rng(31);
   for (int i = 0; i < 1000; ++i) {
     const std::vector<double> p{rng.next_double(0, 100),
@@ -148,7 +148,7 @@ TEST(PartitionTreeMulti, HashBoxRoundTrip) {
 
 // Definition 4: partial-order preserving.
 TEST(PartitionTreeMulti, PartialOrderPreserving) {
-  const auto tree = PartitionTree(2, 9, Box{{0.0, 1.0}, {0.0, 1.0}});
+  const auto tree = PartitionTree(9, Box{{0.0, 1.0}, {0.0, 1.0}});
   Rng rng(37);
   for (int i = 0; i < 2000; ++i) {
     std::vector<double> lo{rng.next_double(), rng.next_double()};
@@ -159,8 +159,8 @@ TEST(PartitionTreeMulti, PartialOrderPreserving) {
 }
 
 TEST(PartitionTreeMulti, BoxIntersectsMatchesBruteForce) {
-  const auto tree = PartitionTree(2, 5, Box{{0.0, 1.0}, {0.0, 1.0}});
-  const auto leaves = enumerate(2, 5);
+  const auto tree = PartitionTree(5, Box{{0.0, 1.0}, {0.0, 1.0}});
+  const auto leaves = enumerate(5);
   Rng rng(41);
   for (int trial = 0; trial < 100; ++trial) {
     Box q(2);
@@ -183,8 +183,8 @@ TEST(PartitionTreeMulti, BoxIntersectsMatchesBruteForce) {
 // The destinations of a multi-attribute query all live inside the bounding
 // region <Multiple_hash(lo corner), Multiple_hash(hi corner)> (paper §5).
 TEST(PartitionTreeMulti, BoundingRegionContainsAllIntersectingLeaves) {
-  const auto tree = PartitionTree(2, 6, Box{{0.0, 1.0}, {0.0, 1.0}});
-  const auto leaves = enumerate(2, 6);
+  const auto tree = PartitionTree(6, Box{{0.0, 1.0}, {0.0, 1.0}});
+  const auto leaves = enumerate(6);
   Rng rng(43);
   for (int trial = 0; trial < 100; ++trial) {
     Box q(2);
@@ -202,17 +202,17 @@ TEST(PartitionTreeMulti, BoundingRegionContainsAllIntersectingLeaves) {
 }
 
 TEST(PartitionTree, RejectsBadInput) {
-  EXPECT_THROW(PartitionTree::single(2, 0, {0.0, 1.0}), CheckError);
-  EXPECT_THROW(PartitionTree::single(2, 4, {1.0, 1.0}), CheckError);
-  EXPECT_THROW(PartitionTree(2, 4, Box{}), CheckError);
-  const auto tree = PartitionTree::single(2, 4, {0.0, 1.0});
+  EXPECT_THROW(PartitionTree::single(0, {0.0, 1.0}), CheckError);
+  EXPECT_THROW(PartitionTree::single(4, {1.0, 1.0}), CheckError);
+  EXPECT_THROW(PartitionTree(4, Box{}), CheckError);
+  const auto tree = PartitionTree::single(4, {0.0, 1.0});
   EXPECT_THROW(tree.single_hash(1.5), CheckError);
   EXPECT_THROW(tree.multiple_hash({0.5, 0.5}), CheckError);
   EXPECT_THROW(tree.region_for(0.9, 0.1), CheckError);
 }
 
 TEST(PartitionTree, SingleHashIsMultipleHashWithOneAttribute) {
-  const auto tree = PartitionTree::single(2, 6, {0.0, 1000.0});
+  const auto tree = PartitionTree::single(6, {0.0, 1000.0});
   Rng rng(47);
   for (int i = 0; i < 200; ++i) {
     const double v = rng.next_double(0, 1000);

@@ -145,7 +145,7 @@ TEST(ZeroQueue, DeliverWalkMatchesPathLatencyArithmetic) {
 // ---------------------------------------------------------------------------
 
 TEST(QueueingArithmetic, EgressAndIngressServiceSerialize) {
-  net::Transport transport;  // ConstantHop(1.0)
+  net::Transport transport;  // ConstantHop (unit cost)
   net::QueueingConfig cfg;
   cfg.service_rate = 2.0;  // 0.5 per message, each direction
   transport.install_queueing(cfg);
@@ -578,7 +578,7 @@ TEST(TrafficClasses, FifoTimingIsClassBlind) {
 }
 
 TEST(TrafficClasses, StrictPriorityServesRepairAheadOfQueryBacklog) {
-  net::Transport transport;  // ConstantHop(1.0)
+  net::Transport transport;  // ConstantHop (unit cost)
   net::QueueingConfig cfg;
   cfg.service_rate = 1.0;
   cfg.scheduling = net::QueueingConfig::Scheduling::kStrict;
@@ -668,7 +668,7 @@ TEST(FlowControl, AdmissionShedsWalkWithZeroCoverage) {
 }
 
 TEST(FlowControl, HedgedRetryWinsViaPriorityLaneAndCancelsLoser) {
-  net::Transport transport;  // ConstantHop(1.0)
+  net::Transport transport;  // ConstantHop (unit cost)
   net::QueueingConfig cfg;
   cfg.service_rate = 1.0;
   cfg.scheduling = net::QueueingConfig::Scheduling::kStrict;

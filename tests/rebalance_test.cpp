@@ -216,7 +216,7 @@ TEST(DelegationRegistry, PublishRoutesIntoHostedRange) {
   // the registry, not in the (structural) owner's native store.
   KautzString oid = range;
   while (oid.length() < FissioneNetwork::kObjectIdLength) {
-    for (std::uint8_t s = 0; s <= oid.base(); ++s) {
+    for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
       if (oid.can_append(s)) {
         oid.push_back(s);
         break;
@@ -582,7 +582,7 @@ TEST(Rebalancer, CancelsCleanlyWhenDonorCrashesMidTransfer) {
     load.add(hot, 8);
     KautzString hot_oid = net.peer(hot).peer_id;
     while (hot_oid.length() < FissioneNetwork::kObjectIdLength) {
-      for (std::uint8_t s = 0; s <= hot_oid.base(); ++s) {
+      for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
         if (hot_oid.can_append(s)) {
           hot_oid.push_back(s);
           break;

@@ -686,7 +686,7 @@ TEST(ReplicaScan, BinarySearchedScanMatchesTheLinearScan) {
   Rng rng(31);
   std::vector<fissione::StoredObject> snapshot;
   for (std::uint64_t i = 0; i < 300; ++i) {
-    snapshot.push_back({kautz::random_string(rng, 2, kLen), i});
+    snapshot.push_back({kautz::random_string(rng, kLen), i});
   }
   // Equal ObjectIDs with distinct payloads, as equal published values give.
   for (std::uint64_t i = 0; i < 30; ++i) {
@@ -719,12 +719,12 @@ TEST(ReplicaScan, BinarySearchedScanMatchesTheLinearScan) {
     }
   }
   for (int i = 0; i < 100; ++i) {
-    bounds.push_back(kautz::random_string(rng, 2, kLen));
+    bounds.push_back(kautz::random_string(rng, kLen));
   }
   const kautz::KautzString lowest =
-      kautz::min_extension(kautz::KautzString(2), kLen);
+      kautz::min_extension(kautz::KautzString{}, kLen);
   const kautz::KautzString highest =
-      kautz::max_extension(kautz::KautzString(2), kLen);
+      kautz::max_extension(kautz::KautzString{}, kLen);
   bounds.push_back(lowest);
   bounds.push_back(highest);
 
@@ -783,7 +783,7 @@ TEST(ReplicaScan, CollectObjectsMatchesABruteForceScanWithDelegations) {
 
   std::size_t checked = 0;
   for (std::size_t len = 1; len <= 8; ++len) {
-    for (const kautz::KautzString& prefix : kautz::enumerate(2, len)) {
+    for (const kautz::KautzString& prefix : kautz::enumerate(len)) {
       std::vector<fissione::StoredObject> want;
       const auto take = [&](std::span<const fissione::StoredObject> objs) {
         for (const fissione::StoredObject& obj : objs) {

@@ -298,7 +298,7 @@ TEST(MetricSet, AggregatesAndSkipsDegenerateRatios) {
 // --- walk-cost algebra (overlay::step / chain / fan_in) ---------------------
 
 TEST(WalkAlgebra, StepChargesOneMessageOneHopAndTheLink) {
-  net::Transport transport;  // default ConstantHop(1.0)
+  net::Transport transport;  // default ConstantHop (unit cost)
   QueryStats walk;
   overlay::step(walk, transport, 3, 4);
   overlay::step(walk, transport, 4, 9);

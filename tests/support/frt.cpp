@@ -21,11 +21,11 @@ ForwardRoutingTree::ForwardRoutingTree(const fissione::FissioneNetwork& net,
     levels_[i] = net_.tree().cover_of_prefix(id.suffix(b - i));
   }
   // Level b: peers whose PeerID does not start with ub.
-  for (std::uint8_t c = 0; c <= fissione::FissioneNetwork::kBase; ++c) {
+  for (std::uint8_t c = 0; c <= kautz::kBase; ++c) {
     if (c == id.back()) {
       continue;
     }
-    KautzString prefix{fissione::FissioneNetwork::kBase};
+    KautzString prefix;
     prefix.push_back(c);
     for (PeerId p : net_.tree().cover_of_prefix(prefix)) {
       levels_[b].push_back(p);

@@ -13,27 +13,28 @@ namespace {
 constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
-KautzGraph::KautzGraph(std::uint8_t base, std::size_t k)
-    : base_(base), k_(k), num_nodes_(space_size(base, k)) {
+KautzGraph::KautzGraph(std::size_t k) : k_(k), num_nodes_(space_size(k)) {
   ARMADA_CHECK(k_ >= 1);
 }
 
 KautzString KautzGraph::label(std::uint64_t node) const {
-  return unrank(base_, k_, node);
+  return unrank(k_, node);
 }
 
 std::uint64_t KautzGraph::node(const KautzString& s) const {
-  ARMADA_CHECK(s.base() == base_ && s.length() == k_);
+  ARMADA_CHECK(s.length() == k_);
   return rank(s);
 }
 
 std::vector<std::uint64_t> KautzGraph::out_neighbors(std::uint64_t node) const {
+  // u1 u2 ... uk -> u2 ... uk b for every b != uk. At k = 1 the shifted
+  // string is empty, so the rule is stated on s.back(), not on the shift.
   const KautzString s = label(node);
   const KautzString shifted = s.drop_front();
   std::vector<std::uint64_t> out;
-  out.reserve(base_);
-  for (std::uint8_t b = 0; b <= base_; ++b) {
-    if (shifted.can_append(b)) {
+  out.reserve(kBase);
+  for (std::uint8_t b = 0; b <= kBase; ++b) {
+    if (b != s.back()) {
       KautzString t = shifted;
       t.push_back(b);
       out.push_back(rank(t));
@@ -46,12 +47,12 @@ std::vector<std::uint64_t> KautzGraph::in_neighbors(std::uint64_t node) const {
   const KautzString s = label(node);
   const KautzString head = s.prefix(k_ - 1);
   std::vector<std::uint64_t> in;
-  in.reserve(base_);
-  for (std::uint8_t a = 0; a <= base_; ++a) {
+  in.reserve(kBase);
+  for (std::uint8_t a = 0; a <= kBase; ++a) {
     if (a == s.front()) {
       continue;
     }
-    KautzString t{base_};
+    KautzString t;
     t.push_back(a);
     if (head.empty() || t.back() != head.front()) {
       in.push_back(rank(t.concat(head)));

@@ -1,9 +1,10 @@
-// Static Kautz graph K(d,k) (paper §3, Figure 1), a test oracle.
+// Static Kautz graph K(2,k) (paper §3, Figure 1), a test oracle.
 //
 // kautz_graph_test checks the paper's claims about the exact graph on small
 // instances: Figure 1's K(2,3) (12 nodes, in- and out-degree 2, its sample
-// edges), in/out-edge transposition, optimal diameter (= k), and that BFS
-// distance never exceeds k minus the shift-routing overlap.
+// edges), K(2,1) (FISSIONE's 3-peer bootstrap: two out-neighbors each, no
+// self-loop), in/out-edge transposition, optimal diameter (= k), and that
+// BFS distance never exceeds k minus the shift-routing overlap.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +16,10 @@ namespace armada::kautz {
 
 class KautzGraph {
  public:
-  /// Requires space_size(base, k) to be 64-bit countable and small enough to
-  /// materialize (validation-scale graphs).
-  KautzGraph(std::uint8_t base, std::size_t k);
+  /// Requires k >= 1 and space_size(k) small enough to materialize
+  /// (validation-scale graphs).
+  explicit KautzGraph(std::size_t k);
 
-  std::uint8_t base() const { return base_; }
   std::size_t k() const { return k_; }
   std::uint64_t num_nodes() const { return num_nodes_; }
 
@@ -36,7 +36,6 @@ class KautzGraph {
   std::uint32_t diameter() const;
 
  private:
-  std::uint8_t base_;
   std::size_t k_;
   std::uint64_t num_nodes_;
 };

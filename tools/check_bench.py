@@ -256,6 +256,8 @@ def check(records_path, root):
         assert m['build_seconds'] > 0, r
         assert m['joins_per_second'] > 0, r
         assert m['routes_per_second'] > 0, r
+        # Each timed repeat reruns the route pass for a wall budget.
+        assert r['params']['passes'] >= r['params']['repeats'], r
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(peers), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(peers), r
         assert fits_inline(m['max_peer_id_len']), r
@@ -278,6 +280,7 @@ def check(records_path, root):
         assert r['scale'] == 1.0, \
             'BENCH_scale.json must be captured at full scale'
         assert r['params']['peers'] == n, r
+        assert r['params']['passes'] >= r['params']['repeats'], r
         m = r['metrics']
         assert m['joins_per_second'] > 0, r
         assert m['routes_per_second'] > 0, r
