@@ -4,7 +4,8 @@
 // peers at full scale) along a single join trajectory — each tier is a
 // snapshot of the same growth path, built with the non-routing join
 // placement (FissioneNetwork::grow_snapshot, bit-identical structure to
-// build()). Per tier, two throughput measurements:
+// build()). Per tier, two throughput measurements and the memory they
+// leave:
 //
 //   - construction: incremental grow time, joins/second;
 //   - routing: exact-match shift routes from random issuers to uniform
@@ -13,7 +14,9 @@
 //     kRepeats timed repeats. One pass over the 2,000 routes takes about
 //     2 ms at 10k peers and 25 ms at 1M, too short for one timing to mean
 //     anything, so each repeat reruns the pass until it has run for
-//     kRepeatSeconds (scaled by ARMADA_BENCH_SCALE).
+//     kRepeatSeconds (scaled by ARMADA_BENCH_SCALE);
+//   - memory: the process's peak resident set after the tier (getrusage's
+//     ru_maxrss), which the growth path can only raise.
 //
 // Once per run, network-free: event dispatch, the simulation kernel's hot
 // loop, under a self-rescheduling event population; also the median of
@@ -22,6 +25,8 @@
 // The committed BENCH_scale.json at the repo root is this bench's
 // ARMADA_BENCH_JSON output at full scale; CI re-runs the bench at smoke
 // scale and validates both feeds (see "Scaling & performance" in README.md).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -47,6 +52,13 @@ double seconds_since(Clock::time_point t0) {
 constexpr int kRepeats = 5;
 /// Least wall time of one routing repeat at full scale.
 constexpr double kRepeatSeconds = 0.1;
+
+/// Peak resident set of this process so far, in MB (Linux reports KiB).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -150,7 +162,7 @@ int run() {
   Rng workload_rng(kSeed ^ 0x9e3779b97f4a7c15ull);
 
   Table table({"tier", "peers", "grow_s", "joins/s", "routes/s", "hops",
-               "max_id_len"});
+               "max_id_len", "rss_mb"});
   double build_total = 0.0;
   for (const Tier& tier : kTiers) {
     const std::size_t n = scaled(tier.full_peers, 64);
@@ -172,13 +184,15 @@ int run() {
     for (fissione::PeerId p : net.alive_peers()) {
       max_id_len = std::max(max_id_len, net.peer(p).peer_id.length());
     }
+    const double rss_mb = peak_rss_mb();
 
     table.add_row({tier.name, Table::cell(static_cast<std::uint64_t>(n)),
                    Table::cell(grow_seconds, 3),
                    Table::cell(joins_per_second, 0),
                    Table::cell(rs.routes_per_second, 0),
                    Table::cell(rs.hops_mean, 2),
-                   Table::cell(static_cast<std::uint64_t>(max_id_len))});
+                   Table::cell(static_cast<std::uint64_t>(max_id_len)),
+                   Table::cell(rss_mb, 1)});
 
     JsonSink::instance().record(
         "scale", std::string("fissione/") + tier.name,
@@ -191,7 +205,8 @@ int run() {
          {"joins_per_second", joins_per_second},
          {"routes_per_second", rs.routes_per_second},
          {"route_hops_mean", rs.hops_mean},
-         {"max_peer_id_len", static_cast<double>(max_id_len)}});
+         {"max_peer_id_len", static_cast<double>(max_id_len)},
+         {"peak_rss_mb", rss_mb}});
   }
   print_tables("Scale trajectory (one growth path, snapshot construction)",
                table);

@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fissione/kautz_tree.h"
 #include "fissione/peer.h"
 #include "fissione/types.h"
 #include "net/routed_overlay.h"
@@ -67,7 +66,7 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   /// the placement invariant (a native store holds only IDs its PeerID
   /// prefixes) is untouched. The registry is keyed by range, not by peer:
   /// owner-side churn (splits, merges, relocations) never invalidates an
-  /// entry, because owners are resolved against the live tree at each use.
+  /// entry, because owners are resolved against the live zones at each use.
   struct Delegation {
     kautz::KautzString range;
     PeerId host = kNoPeer;
@@ -113,9 +112,9 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
 
   /// A network of `n` peers (n >= kautz::kBase+1) grown from
   /// FissioneNetwork(config, seed) as if by join() until num_peers() == n,
-  /// minus the routed placement walk: the join site is located by direct
-  /// tree descent plus the same local-minimum walk, consuming the exact RNG
-  /// draws of join() — the resulting overlay (tree, PeerIDs, neighbor
+  /// minus the routed placement walk: the join site is located by a direct
+  /// owner_of lookup plus the same local-minimum walk, consuming the exact
+  /// RNG draws of join() — the resulting overlay (zones, PeerIDs, neighbor
   /// tables) and RNG position are bit-identical while skipping the per-join
   /// shift-routing cost. This is what lets bench_scale stand up
   /// million-peer overlays in seconds.
@@ -160,7 +159,6 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   /// peer_id_bound() that are not alive.
   const std::vector<PeerId>& free_peers() const { return free_ids_; }
   PeerId random_peer();
-  const KautzTree& tree() const { return tree_; }
   std::size_t overlay_size() const override { return alive_.size(); }
 
   /// Toggle proximity-aware next-hop tie-breaking (see Config) at runtime;
@@ -248,9 +246,21 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
     }
   }
 
+  // --- zone partition ----------------------------------------------------
+  // A peer owns exactly the strings its PeerID prefixes, so the PeerIDs,
+  // kept sorted in zones_, are the partition: prefix-free and covering the
+  // whole space.
+
+  /// Ground-truth owner of `s` (one ordered-index probe, no messages): the
+  /// greatest PeerID not above `s`. Requires `s` at least as long as the
+  /// PeerID covering it.
+  PeerId owner_of(const kautz::KautzString& s) const;
+  /// The peers whose zones meet the strings extending `prefix`, in PeerID
+  /// order: the PeerIDs that extend `prefix`, or else the one PeerID that
+  /// prefixes it. The empty prefix yields every peer.
+  std::vector<PeerId> cover_of_prefix(const kautz::KautzString& prefix) const;
+
   // --- data plane --------------------------------------------------------
-  /// Ground-truth owner (tree descent, no messages).
-  PeerId owner_of(const kautz::KautzString& object_id) const;
   /// Place an object directly at its owner (no routing cost), as when
   /// seeding a workload.
   void publish(const kautz::KautzString& object_id, std::uint64_t payload);
@@ -259,8 +269,7 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   RouteResult route(PeerId from, const kautz::KautzString& object_id) const;
   /// Route and collect payloads stored under `object_id`.
   std::vector<std::uint64_t> lookup(PeerId from,
-                                    const kautz::KautzString& object_id,
-                                    RouteResult* route_out = nullptr) const;
+                                    const kautz::KautzString& object_id) const;
 
   /// Deterministic naming of arbitrary keys (the paper's Kautz_hash).
   kautz::KautzString kautz_hash(std::string_view key) const;
@@ -268,8 +277,9 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   kautz::KautzString random_object_id();
 
   // --- introspection / validation ----------------------------------------
-  /// Full structural validation: tree structure, neighbor tables equal to a
-  /// fresh recomputation, in/out transpose consistency, object placement.
+  /// Full structural validation: the zone index is exactly the alive
+  /// PeerIDs and partitions the space, neighbor tables equal a fresh
+  /// recomputation, in/out transpose consistency, object placement.
   void check_invariants() const;
   /// Max PeerID-length difference across neighbor links (the neighborhood
   /// invariant holds iff this is <= 1).
@@ -295,13 +305,16 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   /// Move a peer's store out of the arena (the block is kept for reuse).
   std::vector<StoredObject> take_store(PeerId id);
 
-  /// Iterator to the delegation covering `object_id`, or end(). Ranges are
-  /// prefix-free, so the covering range — if any — is the greatest key not
-  /// above `object_id`: one map probe, no scan.
-  DelegationMap::iterator covering_iter(const kautz::KautzString& object_id);
-
   PeerId allocate_peer();
   void release_peer(PeerId id);
+  /// Give `id` the zone `label`: writes ids_ and the zone index.
+  void assign_zone(PeerId id, const kautz::KautzString& label);
+  /// The alive peer with the longest PeerID; among several, the lowest
+  /// PeerId. A scan: only departures call it.
+  PeerId deepest_peer() const;
+  /// The peer holding the other half of `p`'s parent zone, or kNoPeer when
+  /// that half is split further or the parent is the whole space.
+  PeerId pair_sibling(PeerId p) const;
   std::vector<PeerId> compute_out_neighbors(PeerId id) const;
   /// Recompute out-lists of `affected` (dedup, skips dead peers) and patch
   /// in-list transposes. Returns the peers actually refreshed — the rewired
@@ -339,7 +352,8 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   std::vector<PeerId> free_ids_;
   std::vector<PeerId> alive_;
   std::vector<std::size_t> alive_pos_;  ///< index of peer in alive_
-  KautzTree tree_;
+  /// The zone partition: every alive peer's PeerID, sorted.
+  std::map<kautz::KautzString, PeerId> zones_;
   DelegationMap delegations_;  ///< migrated ranges, pairwise prefix-free
   ServiceLoadMap* service_load_ = nullptr;  ///< not owned; may be null
 };

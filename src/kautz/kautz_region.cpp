@@ -56,15 +56,6 @@ std::vector<KautzRegion> KautzRegion::split_common_prefix() const {
   return parts;
 }
 
-KautzRegion KautzRegion::clamp_to_prefix(const KautzString& prefix) const {
-  ARMADA_CHECK_MSG(intersects_prefix(prefix),
-                   "prefix " << prefix.to_string() << " misses region "
-                             << to_string());
-  const KautzString lo_ext = min_extension(prefix, length());
-  const KautzString hi_ext = max_extension(prefix, length());
-  return KautzRegion(lo_ext > lo_ ? lo_ext : lo_, hi_ext < hi_ ? hi_ext : hi_);
-}
-
 std::string KautzRegion::to_string() const {
   std::string out = "<";
   out += lo_.to_string();

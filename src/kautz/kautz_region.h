@@ -34,9 +34,6 @@ class KautzRegion {
   /// lexicographic order.
   std::vector<KautzRegion> split_common_prefix() const;
 
-  /// The subregion of strings with the given prefix; requires intersection.
-  KautzRegion clamp_to_prefix(const KautzString& prefix) const;
-
   bool operator==(const KautzRegion& other) const = default;
 
   std::string to_string() const;

@@ -37,14 +37,6 @@ std::uint64_t space_size(std::size_t len) {
   return (kBase + 1u) * tail;
 }
 
-std::uint64_t extension_count(const KautzString& prefix, std::size_t k) {
-  ARMADA_CHECK(prefix.length() <= k);
-  if (prefix.empty()) {
-    return space_size(k);
-  }
-  return checked_pow(k - prefix.length());
-}
-
 std::uint64_t rank(const KautzString& s) {
   ARMADA_CHECK(!s.empty());
   std::uint64_t r = s.digit(0) * checked_pow(s.length() - 1);

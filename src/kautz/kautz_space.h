@@ -25,9 +25,6 @@ std::uint64_t space_size(std::size_t len);
 std::uint64_t symbol_index(std::uint8_t symbol, std::uint8_t prev);
 std::uint8_t index_symbol(std::uint64_t index, std::uint8_t prev);
 
-/// Number of length-k Kautz strings having `prefix` as a prefix.
-std::uint64_t extension_count(const KautzString& prefix, std::size_t k);
-
 /// Lexicographic rank of `s` within KautzSpace(kBase, s.length()).
 std::uint64_t rank(const KautzString& s);
 

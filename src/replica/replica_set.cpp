@@ -38,7 +38,7 @@ void ReplicaSet::annotate(std::uint32_t flag) const {
 }
 
 std::vector<PeerId> ReplicaSet::primaries(const KautzString& prefix) const {
-  return net_.tree().cover_of_prefix(prefix);
+  return net_.cover_of_prefix(prefix);
 }
 
 void ReplicaSet::alive_order(std::vector<PeerId>& peers) const {

@@ -209,14 +209,15 @@ class ReplicaSet {
 
   /// Up to max_replicas holders of `prefix` under current membership: the
   /// live owners of kautz_hash("replica/<prefix>/<i>"), skipping primaries
-  /// and repeat owners. owner_of is a pure tree descent, so the list is a
+  /// and repeat owners. owner_of is a pure index lookup, so the list is a
   /// deterministic function of the membership; the bounded scan keeps tiny
   /// overlays (where most owners are primaries) terminating with however
   /// many distinct holders exist. Holders come back unsynced.
   std::vector<Holder> derive_holders(const kautz::KautzString& prefix) const;
-  /// The peers is_primary accepts for `prefix`, read off the Kautz tree:
-  /// the leaves below the prefix, or the one leaf above it. Tree order;
-  /// callers whose order reaches the wire sort by alive_order.
+  /// The peers is_primary accepts for `prefix`, read off the network's
+  /// zone index (cover_of_prefix): the PeerIDs extending the prefix, or
+  /// the one PeerID prefixing it. PeerID order; callers whose order reaches
+  /// the wire sort by alive_order.
   std::vector<fissione::PeerId> primaries(
       const kautz::KautzString& prefix) const;
   /// Sort peers by position in alive_peers(): the order transfers and

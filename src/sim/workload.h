@@ -23,8 +23,6 @@ class RangeWorkload {
 
   RangeQuery next();
 
-  kautz::Interval domain() const { return domain_; }
-
  private:
   kautz::Interval domain_;
   double size_;

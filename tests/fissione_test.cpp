@@ -284,14 +284,15 @@ TEST_P(FissioneChurnTest, InvariantsUnderRandomChurn) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FissioneChurnTest,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 42, 1234));
 
-// The tree agrees with full scans of the alive peers after every step of a
-// seeded churn run: deepest_leaf with the lowest PeerId at the greatest
-// depth (its tie rule), and cover_of_prefix — in alive_peers() order —
-// with the alive-order scan for peers whose PeerID is comparable to the
-// prefix (what ReplicaSet calls the region's primaries).
-TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
-  auto net =
-      FissioneNetwork::build_snapshot(2000, 61, FissioneNetwork::Config{});
+// The zone index agrees with full scans of the alive peers after every step
+// of a seeded churn run: cover_of_prefix — in alive_peers() order — with
+// the alive-order scan for peers whose PeerID is comparable to the prefix
+// (what ReplicaSet calls the region's primaries), and owner_of with the one
+// alive PeerID that prefixes a string. Two overlays: on 2000 peers every
+// prefix of length <= 5 is shorter than every PeerID, so each cover is the
+// run of PeerIDs extending it; on about 40 peers, length-5 prefixes outrun
+// the shorter PeerIDs, whose covers are the one PeerID above the prefix.
+TEST(FissioneZoneIndex, PrefixCoverAndOwnerMatchFullScansUnderChurn) {
   std::vector<KautzString> prefixes;
   std::vector<KautzString> level{KautzString{}};
   for (int len = 1; len <= 5; ++len) {
@@ -310,17 +311,10 @@ TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
   }
   ASSERT_EQ(prefixes.size(), 3u + 6u + 12u + 24u + 48u);
 
-  const auto check = [&net, &prefixes](int step) {
-    const KautzTree& tree = net.tree();
-    PeerId deepest = kNoPeer;
-    std::size_t depth = 0;
-    for (PeerId p = 0; p < net.peer_id_bound(); ++p) {
-      if (net.is_alive(p) && tree.depth_of(p) > depth) {
-        depth = tree.depth_of(p);
-        deepest = p;
-      }
-    }
-    ASSERT_EQ(tree.deepest_leaf(), deepest) << "step " << step;
+  std::size_t extending_covers = 0;  // covers of PeerIDs extending the prefix
+  std::size_t covering_covers = 0;   // covers of one PeerID above the prefix
+  Rng probe_rng(4111);
+  const auto check = [&](const FissioneNetwork& net, int step) {
     // One alive-order pass: a PeerID at least as long as a prefix is
     // comparable with it iff it starts with it; a shorter one is tested.
     std::map<KautzString, std::vector<PeerId>> scans;
@@ -340,49 +334,94 @@ TEST(FissioneTreeIndex, DeepestLeafAndPrefixCoverMatchFullScansUnderChurn) {
     }
     for (const KautzString& prefix : prefixes) {
       const std::vector<PeerId>& scan = scans[prefix];
-      std::vector<PeerId> cover = tree.cover_of_prefix(prefix);
+      std::vector<PeerId> cover = net.cover_of_prefix(prefix);
+      ASSERT_TRUE(std::is_sorted(
+          cover.begin(), cover.end(), [&net](PeerId a, PeerId b) {
+            return net.peer_id(a) < net.peer_id(b);
+          }))
+          << "step " << step << " prefix " << prefix.to_string();
+      if (cover.size() == 1 &&
+          net.peer_id(cover[0]).length() < prefix.length()) {
+        ++covering_covers;
+      } else {
+        ++extending_covers;
+      }
       std::sort(cover.begin(), cover.end(), [&net](PeerId a, PeerId b) {
         return net.alive_index(a) < net.alive_index(b);
       });
       ASSERT_EQ(cover, scan) << "step " << step << " prefix "
                              << prefix.to_string();
     }
+    for (int i = 0; i < 20; ++i) {
+      const KautzString s = kautz::random_string(probe_rng, 48);
+      PeerId prefixing = kNoPeer;
+      for (PeerId p : net.alive_peers()) {
+        if (net.peer_id(p).is_prefix_of(s)) {
+          ASSERT_EQ(prefixing, kNoPeer) << "two zones hold " << s.to_string();
+          prefixing = p;
+        }
+      }
+      ASSERT_EQ(net.owner_of(s), prefixing)
+          << "step " << step << " string " << s.to_string();
+    }
+    // A PeerID is the least string of its zone; a proper prefix of it is
+    // shorter than the zone covering it, and resolves to no owner.
+    const PeerId any = net.alive_peers()[static_cast<std::size_t>(step + 1) %
+                                         net.alive_peers().size()];
+    const KautzString& pid = net.peer_id(any);
+    ASSERT_EQ(net.owner_of(pid), any) << "step " << step;
+    EXPECT_THROW(net.owner_of(pid.prefix(pid.length() - 1)), CheckError)
+        << "step " << step;
   };
 
-  Rng rng(4099);
-  check(-1);
-  std::size_t joins = 0;
-  std::size_t leaves = 0;
-  std::size_t crashes = 0;
-  for (int step = 0; step < 520; ++step) {
-    const double dice = rng.next_double();
-    if (dice < 0.4) {
-      net.join();
-      ++joins;
-    } else {
-      const auto& alive = net.alive_peers();
-      const PeerId victim = alive[rng.next_index(alive.size())];
-      if (dice < 0.8) {
-        net.leave(victim);
-        ++leaves;
+  struct Input {
+    std::size_t peers;
+    std::uint64_t seed;
+    std::uint64_t churn_seed;
+    int steps;
+  };
+  for (const Input input :
+       {Input{2000, 61, 4099, 520}, Input{40, 62, 4103, 120}}) {
+    auto net = FissioneNetwork::build_snapshot(input.peers, input.seed,
+                                               FissioneNetwork::Config{});
+    Rng rng(input.churn_seed);
+    check(net, -1);
+    std::size_t joins = 0;
+    std::size_t leaves = 0;
+    std::size_t crashes = 0;
+    for (int step = 0; step < input.steps; ++step) {
+      const double dice = rng.next_double();
+      if (dice < 0.4 || net.num_peers() <= 30) {
+        net.join();
+        ++joins;
       } else {
-        net.crash(victim);
-        ++crashes;
+        const auto& alive = net.alive_peers();
+        const PeerId victim = alive[rng.next_index(alive.size())];
+        if (dice < 0.8) {
+          net.leave(victim);
+          ++leaves;
+        } else {
+          net.crash(victim);
+          ++crashes;
+        }
+      }
+      check(net, step);
+      if (HasFatalFailure()) {
+        return;
       }
     }
-    check(step);
-    if (HasFatalFailure()) {
-      return;
-    }
+    net.check_invariants();
+    EXPECT_GT(joins, input.steps / 5u) << input.peers << " peers";
+    EXPECT_GT(leaves, input.steps / 5u) << input.peers << " peers";
+    EXPECT_GT(crashes, input.steps / 10u) << input.peers << " peers";
   }
-  net.check_invariants();
-  EXPECT_GT(joins, 100u);
-  EXPECT_GT(leaves, 100u);
-  EXPECT_GT(crashes, 50u);
+  // Both branches of cover_of_prefix ran.
+  EXPECT_GT(extending_covers, 0u);
+  EXPECT_GT(covering_covers, 0u);
 }
 
-// build_snapshot() must be bit-identical to routed joins: same tree, same
-// PeerIDs, same neighbor tables, same RNG position afterward — it only
+// build_snapshot() must be bit-identical to routed joins: same PeerIDs
+// (zones), same neighbor tables, same RNG position afterward — it only
 // skips the routed placement walk (pure measurement). Structure AND the
 // subsequent evolution must match.
 TEST(FissioneSnapshot, MatchesRoutedBuildExactly) {

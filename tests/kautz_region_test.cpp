@@ -161,16 +161,6 @@ TEST(KautzRegion, SplitWholeSpaceYieldsThreeBlocks) {
   EXPECT_EQ(parts[2].common_prefix().to_string(), "2");
 }
 
-TEST(KautzRegion, ClampToPrefix) {
-  const auto r = region("0120", "0202");
-  const auto clamped = r.clamp_to_prefix(KautzString::parse("02"));
-  EXPECT_EQ(clamped.lo().to_string(), "0201");
-  EXPECT_EQ(clamped.hi().to_string(), "0202");
-  const auto whole = r.clamp_to_prefix(KautzString{});
-  EXPECT_EQ(whole, r);
-  EXPECT_THROW(r.clamp_to_prefix(KautzString::parse("10")), CheckError);
-}
-
 TEST(KautzRegion, SingletonRegion) {
   const auto r = region("0101", "0101");
   EXPECT_EQ(r.size(), 1u);

@@ -22,10 +22,6 @@ TEST(KautzSpace, SpaceSizeOverflowDetected) {
   EXPECT_EQ(space_size(63), 3 * (std::uint64_t{1} << 62));  // largest
   EXPECT_THROW(space_size(64), CheckError);
   EXPECT_THROW(space_size(100), CheckError);
-  // kBase^63 is the largest power that fits.
-  const KautzString zero = KautzString::parse("0");
-  EXPECT_EQ(extension_count(zero, 64), std::uint64_t{1} << 63);
-  EXPECT_THROW(extension_count(zero, 65), CheckError);
 }
 
 TEST(KautzSpace, EnumerateIsSortedValidAndComplete) {
@@ -66,15 +62,12 @@ TEST(KautzSpace, MinMaxExtensionAreExtremeAmongExtensions) {
     const auto hi = max_extension(prefix, 6);
     EXPECT_EQ(lo.length(), 6u);
     EXPECT_EQ(hi.length(), 6u);
-    std::uint64_t matched = 0;
     for (const auto& s : all) {
       if (prefix.is_prefix_of(s)) {
-        ++matched;
         EXPECT_LE(lo, s);
         EXPECT_GE(hi, s);
       }
     }
-    EXPECT_EQ(matched, extension_count(prefix, 6));
     EXPECT_TRUE(prefix.is_prefix_of(lo));
     EXPECT_TRUE(prefix.is_prefix_of(hi));
   }

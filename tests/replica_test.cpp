@@ -747,7 +747,7 @@ TEST(ReplicaScan, BinarySearchedScanMatchesTheLinearScan) {
   EXPECT_TRUE(ReplicaSet::scan({}, all, filter).empty());
 }
 
-// collect_objects reads the region's primaries off the Kautz tree and
+// collect_objects reads the region's primaries off the zone index and
 // skips the prefix test below the prefix; with migrated zones and sub-zones
 // in the delegation registry it still equals a scan of every native store
 // and every delegation, for prefixes above, at and below peer depth.

@@ -18,7 +18,7 @@ ForwardRoutingTree::ForwardRoutingTree(const fissione::FissioneNetwork& net,
   levels_.resize(b + 1);
   // Level i < b: peers whose PeerID starts with the length-(b-i) suffix.
   for (std::size_t i = 0; i < b; ++i) {
-    levels_[i] = net_.tree().cover_of_prefix(id.suffix(b - i));
+    levels_[i] = net_.cover_of_prefix(id.suffix(b - i));
   }
   // Level b: peers whose PeerID does not start with ub.
   for (std::uint8_t c = 0; c <= kautz::kBase; ++c) {
@@ -27,7 +27,7 @@ ForwardRoutingTree::ForwardRoutingTree(const fissione::FissioneNetwork& net,
     }
     KautzString prefix;
     prefix.push_back(c);
-    for (PeerId p : net_.tree().cover_of_prefix(prefix)) {
+    for (PeerId p : net_.cover_of_prefix(prefix)) {
       levels_[b].push_back(p);
     }
   }

@@ -10,11 +10,11 @@ BENCH_congestion.json, BENCH_load_balance.json and BENCH_scale.json.
 Checks the cross-scheme table1 feed (every scheme under all four latency
 models, ConstantHop latency == hop-count delay), the timed-churn cells, the
 congestion tiers and closed-loop goodput plateau, the load-balance and
-rebalancing claims, the scale trajectory against the 2*log2(N) hop bound
-and the inline KautzString capacity, the event-dispatch row, and the
-packed-KautzString microbench; the committed snapshots must satisfy the
-same invariants at full scale.  Exits nonzero on the first failed
-assertion.  Stdlib only.
+rebalancing claims, the scale trajectory against the 2*log2(N) hop bound,
+the inline KautzString capacity and a non-decreasing peak RSS, the
+event-dispatch row, and the packed-KautzString microbench; the committed
+snapshots must satisfy the same invariants at full scale.  Exits nonzero
+on the first failed assertion.  Stdlib only.
 """
 
 import collections
@@ -238,8 +238,9 @@ def check(records_path, root):
     # all three tiers (their scaled sizes stay distinct even at
     # smoke scale) with strictly positive throughputs, and the mean
     # route length must respect the paper's 2*log2(N) hop bound.
-    # Event dispatch is network-free and timed once per run, in its
-    # own row.
+    # The process's peak RSS is positive and, along one growth path,
+    # never falls from tier to tier.  Event dispatch is network-free
+    # and timed once per run, in its own row.
     scale_rows = {r['series']: r for r in records
                   if r['bench'] == 'scale'}
     dispatch_series = 'sim/dispatch'
@@ -248,11 +249,14 @@ def check(records_path, root):
     missing = expected_tiers - set(scale_rows)
     assert not missing, f'scale feed missing tiers: {missing}'
     prev_peers = 0
+    prev_rss = 0
     for tier in ('tier10k', 'tier100k', 'tier1m'):
         r = scale_rows[f'fissione/{tier}']
         m, peers = r['metrics'], r['params']['peers']
         assert peers > prev_peers, (tier, peers, prev_peers)
         prev_peers = peers
+        assert m['peak_rss_mb'] > 0 and m['peak_rss_mb'] >= prev_rss, r
+        prev_rss = m['peak_rss_mb']
         assert m['build_seconds'] > 0, r
         assert m['joins_per_second'] > 0, r
         assert m['routes_per_second'] > 0, r
@@ -275,6 +279,7 @@ def check(records_path, root):
     assert scale_snap[dispatch_series]['metrics']['events_per_second'] > 0
     full_sizes = {'tier10k': 10_000, 'tier100k': 100_000,
                   'tier1m': 1_000_000}
+    prev_rss = 0
     for tier, n in full_sizes.items():
         r = scale_snap[f'fissione/{tier}']
         assert r['scale'] == 1.0, \
@@ -284,6 +289,8 @@ def check(records_path, root):
         m = r['metrics']
         assert m['joins_per_second'] > 0, r
         assert m['routes_per_second'] > 0, r
+        assert m['peak_rss_mb'] > 0 and m['peak_rss_mb'] >= prev_rss, r
+        prev_rss = m['peak_rss_mb']
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(n), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(n), r
         assert fits_inline(m['max_peer_id_len']), r
