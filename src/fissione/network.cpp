@@ -727,25 +727,6 @@ RouteResult FissioneNetwork::route(PeerId from,
   return result;
 }
 
-std::vector<std::uint64_t> FissioneNetwork::lookup(
-    PeerId from, const KautzString& object_id) const {
-  const RouteResult r = route(from, object_id);
-  std::vector<std::uint64_t> payloads;
-  for (const StoredObject& obj : store_of(r.owner)) {
-    if (obj.object_id == object_id) {
-      payloads.push_back(obj.payload);
-    }
-  }
-  if (const Delegation* d = delegation_covering(object_id)) {
-    // Migrated key: the owner redirects to the host's copy (the routing
-    // cost to the owner is unchanged; the redirect is zone-local).
-    for (const StoredObject& obj : delegation_segment(*d, object_id)) {
-      payloads.push_back(obj.payload);
-    }
-  }
-  return payloads;
-}
-
 KautzString FissioneNetwork::kautz_hash(std::string_view key) const {
   // FNV-1a to seed, then an LCG stream picks one allowed symbol per step.
   std::uint64_t h = fnv1a64(key);

@@ -267,9 +267,6 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   /// Overlay exact-match routing from `from` to the owner of `object_id`
   /// (paper §3: shift routing; hops <= |PeerID(from)|).
   RouteResult route(PeerId from, const kautz::KautzString& object_id) const;
-  /// Route and collect payloads stored under `object_id`.
-  std::vector<std::uint64_t> lookup(PeerId from,
-                                    const kautz::KautzString& object_id) const;
 
   /// Deterministic naming of arbitrary keys (the paper's Kautz_hash).
   kautz::KautzString kautz_hash(std::string_view key) const;

@@ -74,8 +74,13 @@ struct CongestionStats {
   std::uint64_t hedges_won = 0;
 
   // --- node pressure ---------------------------------------------------------
-  /// Deepest egress/ingress backlog (outstanding service reservations)
-  /// observed at any single node.
+  /// Longest egress/ingress backlog FIFO at any single node, read right
+  /// after each push: the push first drops the reservations at the FIFO's
+  /// head that completed by the send's enqueue instant, then appends one.
+  /// Under kStrict completions interleave across classes, so a completed
+  /// reservation behind an outstanding one still counts: 4 queries then 1
+  /// repair into one node at service rate 1 leave a length of 5 after a
+  /// push at t = 3.5, of which 4 are outstanding.
   std::uint64_t egress_depth_peak = 0;
   std::uint64_t ingress_depth_peak = 0;
   /// Total simulated time node servers spent serving messages, summed over

@@ -1,6 +1,7 @@
 #include "net/queueing.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
@@ -15,19 +16,34 @@ namespace {
 constexpr std::array<int, kNumTrafficClasses> kStrictRank = {
     /*kQuery=*/3, /*kRepair=*/0, /*kHandoff=*/1, /*kHedge=*/2};
 
-/// Outstanding entries in a backlog deque at `now`. Completion instants
-/// are monotone under kFifo but may interleave across classes under the
-/// strict discipline, so count exactly rather than assuming a sorted
-/// prefix.
-std::size_t outstanding(const std::deque<sim::Time>& backlog, sim::Time now) {
-  return static_cast<std::size_t>(std::count_if(
-      backlog.begin(), backlog.end(),
-      [now](sim::Time until) { return until > now; }));
-}
-
 }  // namespace
 
+std::size_t Queueing::Backlog::outstanding(sim::Time now) const {
+  // Completion instants are monotone under kFifo but may interleave across
+  // classes under the strict discipline, so count exactly rather than
+  // assuming a sorted prefix.
+  return static_cast<std::size_t>(
+      std::count_if(until.begin() + static_cast<std::ptrdiff_t>(head),
+                    until.end(), [now](sim::Time t) { return t > now; }));
+}
+
+void Queueing::Backlog::push(sim::Time now, sim::Time done,
+                             std::uint64_t* peak) {
+  while (head < until.size() && until[head] <= now) {
+    ++head;
+  }
+  if (head > until.size() / 2) {
+    until.erase(until.begin(),
+                until.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  until.push_back(done);
+  *peak = std::max(*peak, static_cast<std::uint64_t>(until.size() - head));
+}
+
 Queueing::Queueing(QueueingConfig config) : config_(config) {
+  // Node-table growth moves every entry; a throwing move would copy them.
+  static_assert(std::is_nothrow_move_constructible_v<NodeState>);
   ARMADA_CHECK(config_.service_rate > 0.0);
   ARMADA_CHECK(config_.link_bandwidth > 0.0);
   ARMADA_CHECK(config_.coalesce_window >= 0.0);
@@ -40,26 +56,13 @@ std::uint64_t Queueing::sent() const { return state_.sent; }
 
 std::uint64_t Queueing::delivered() const { return state_.live->delivered; }
 
-Queueing::NodeState& Queueing::node(NodeId id) {
-  if (id >= state_.nodes.size()) {
-    state_.nodes.resize(id + 1);
+Queueing::LinkState& Queueing::link(NodeState& src, NodeId to) {
+  for (LinkState& l : src.links) {
+    if (l.to == to) {
+      return l;
+    }
   }
-  return state_.nodes[id];
-}
-
-Queueing::LinkState& Queueing::link(NodeId from, NodeId to) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
-  return state_.links[key];
-}
-
-void Queueing::push_backlog(std::deque<sim::Time>& backlog, sim::Time now,
-                            sim::Time until, std::uint64_t* peak) {
-  while (!backlog.empty() && backlog.front() <= now) {
-    backlog.pop_front();
-  }
-  backlog.push_back(until);
-  *peak = std::max(*peak, static_cast<std::uint64_t>(backlog.size()));
+  return src.links.emplace_back(LinkState{.to = to});
 }
 
 sim::Time Queueing::reserve_server(
@@ -103,16 +106,22 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   const sim::Time service = config_.service_rate == kUnlimitedRate
                                 ? 0.0
                                 : 1.0 / config_.service_rate;
+  // Size the table for both endpoints before referencing either entry:
+  // growing it moves them all.
+  if (const NodeId top = std::max(from, to); top >= state_.nodes.size()) {
+    state_.nodes.resize(std::size_t{top} + 1);
+  }
+  NodeState& src = state_.nodes[from];
+  NodeState& dst = state_.nodes[to];
 
   // Egress service reservation at the sender. A zero service time is a
   // structural no-op: the message is ready the instant it is enqueued.
   sim::Time ready = now;
   if (service > 0.0) {
-    NodeState& src = node(from);
     ready = reserve_server(src.egress_busy_until, src.egress_class_until, cls,
                            now, service);
     stats_.egress_busy_total += service;
-    push_backlog(src.egress_backlog, now, ready, &stats_.egress_depth_peak);
+    src.egress_backlog.push(now, ready, &stats_.egress_depth_peak);
   }
 
   // Link coalescing: join the open batch when one is still pending for this
@@ -122,7 +131,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // ready-now traffic). Otherwise open a new batch that departs a full
   // window after this message is ready. A zero window disables batching
   // (each message is its own departure).
-  LinkState& wire = link(from, to);
+  LinkState& wire = link(src, to);
   sim::Time departure = ready;
   if (config_.coalesce_window > 0.0 && wire.batch_open &&
       wire.batch_departure >= ready &&
@@ -151,13 +160,11 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // Ingress service reservation at the receiver.
   sim::Time delivered_at = arrival;
   if (service > 0.0) {
-    NodeState& dst = node(to);
     delivered_at = reserve_server(dst.ingress_busy_until,
                                   dst.ingress_class_until, cls, arrival,
                                   service);
     stats_.ingress_busy_total += service;
-    push_backlog(dst.ingress_backlog, now, delivered_at,
-                 &stats_.ingress_depth_peak);
+    dst.ingress_backlog.push(now, delivered_at, &stats_.ingress_depth_peak);
   }
 
   ++stats_.messages;
@@ -186,7 +193,7 @@ std::size_t Queueing::ingress_backlog(const sim::Simulator& sim,
   if (node_id >= state_.nodes.size()) {
     return 0;
   }
-  return outstanding(state_.nodes[node_id].ingress_backlog, sim.now());
+  return state_.nodes[node_id].ingress_backlog.outstanding(sim.now());
 }
 
 std::size_t Queueing::egress_backlog(const sim::Simulator& sim,
@@ -194,27 +201,23 @@ std::size_t Queueing::egress_backlog(const sim::Simulator& sim,
   if (node_id >= state_.nodes.size()) {
     return 0;
   }
-  return outstanding(state_.nodes[node_id].egress_backlog, sim.now());
+  return state_.nodes[node_id].egress_backlog.outstanding(sim.now());
 }
 
-bool Queueing::should_shed(const sim::Simulator& sim, NodeId to,
-                           TrafficClass cls) const {
-  if (!config_.flow.admission_enabled() || cls != TrafficClass::kQuery) {
-    return false;
-  }
-  return ingress_backlog(sim, to) >= config_.flow.admission_limit;
-}
-
-sim::Time Queueing::backoff_delay(const sim::Simulator& sim, NodeId to) const {
-  if (!config_.flow.backoff_enabled()) {
-    return 0.0;
+Queueing::Admission Queueing::admit_query(const sim::Simulator& sim,
+                                          NodeId to) const {
+  const FlowControlConfig& flow = config_.flow;
+  Admission verdict;
+  if (!flow.admission_enabled() && !flow.backoff_enabled()) {
+    return verdict;
   }
   const std::size_t depth = ingress_backlog(sim, to);
-  if (depth < config_.flow.backoff_threshold) {
-    return 0.0;
+  verdict.shed = flow.admission_enabled() && depth >= flow.admission_limit;
+  if (flow.backoff_enabled() && depth >= flow.backoff_threshold) {
+    verdict.backoff =
+        flow.backoff * static_cast<double>(depth - flow.backoff_threshold + 1);
   }
-  return config_.flow.backoff *
-         static_cast<double>(depth - config_.flow.backoff_threshold + 1);
+  return verdict;
 }
 
 void Queueing::record_shed() { ++stats_.shed_messages; }

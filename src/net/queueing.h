@@ -30,15 +30,17 @@
 // lower-tier delays are therefore a lower bound under cross-class
 // contention (the standard price of synchronous reservations).
 //
-// Closed-loop flow control (QueueingConfig::flow): query senders consult
-// the live backlog before reserving — backing off (delaying the send in
-// proportion to the excess backlog), launching a hedged duplicate in the
-// kHedge lane when the synchronously-known queueing delay crosses a
-// threshold (first arrival wins, the loser's continuation is cancelled),
-// or shedding query-class work entirely once the target's backlog reaches
-// the admission limit (partial answers with an explicit coverage
-// fraction). All knobs default to off; the default config prices every
-// class identically and reproduces every pre-existing golden bitwise.
+// Closed-loop flow control (QueueingConfig::flow): a query sender asks
+// admit_query once per message, which counts the target's outstanding
+// ingress reservations once and answers both questions from that count —
+// shed the query-class work once the backlog reaches the admission limit
+// (partial answers with an explicit coverage fraction), else back off,
+// delaying the send in proportion to the excess backlog. A sender also
+// launches a hedged duplicate in the kHedge lane when the
+// synchronously-known queueing delay crosses a threshold (first arrival
+// wins, the loser's continuation is cancelled). All knobs default to off;
+// the default config prices every class identically and reproduces every
+// pre-existing golden bitwise.
 //
 // The zero-queue configuration (unlimited rates, zero window, zero-size
 // messages) degenerates structurally to pure propagation: every reservation
@@ -54,15 +56,20 @@
 // queues, so a query models only its own *intra-query* contention and a
 // query issued from inside a shared run's event leaves its backlog and open
 // batches intact. The cumulative CongestionStats aggregate across both.
+//
+// The queue state is one table indexed by NodeId. A node's entry holds its
+// two servers' horizons, each server's backlog — the completion instants of
+// its reservations in push order, one contiguous vector read from a head
+// index — and the links leaving it, a short list searched by target. The
+// table grows by moving its entries, so send() sizes it for both endpoints
+// before it takes a reference into it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,7 +87,7 @@ inline constexpr double kNeverHedge = std::numeric_limits<double>::infinity();
 
 /// Sender-side closed-loop knobs. Everything defaults to off; query senders
 /// (Transport::deliver_walk, FrtSearch) consult these through
-/// Transport::{should_shed, backoff_delay}.
+/// Transport::admit_query.
 struct FlowControlConfig {
   /// Ingress-backlog depth at the target at which a sender starts backing
   /// off; 0 disables backoff.
@@ -185,14 +192,17 @@ class Queueing {
   /// ingress / egress server in the current queue state at sim.now().
   std::size_t ingress_backlog(const sim::Simulator& sim, NodeId node) const;
   std::size_t egress_backlog(const sim::Simulator& sim, NodeId node) const;
-  /// Admission decision for one more class-`cls` message to `to`: true when
-  /// admission control is on, the class is sheddable (kQuery only), and the
-  /// target's ingress backlog is at or above the limit.
-  bool should_shed(const sim::Simulator& sim, NodeId to,
-                   TrafficClass cls) const;
-  /// Backoff a query sender should apply before sending to `to`:
-  /// flow.backoff per message of ingress backlog beyond the threshold.
-  sim::Time backoff_delay(const sim::Simulator& sim, NodeId to) const;
+  /// The flow-control verdict on one more query-class message to a target,
+  /// both halves read from one count of its ingress backlog. Only query
+  /// traffic asks: repair, handoff and hedge sends are never shed.
+  struct Admission {
+    /// Admission control is on and the backlog is at or above the limit.
+    bool shed = false;
+    /// flow.backoff per message of backlog from the threshold on; 0 with
+    /// backoff off or below the threshold.
+    sim::Time backoff = 0.0;
+  };
+  Admission admit_query(const sim::Simulator& sim, NodeId to) const;
   /// Account one admission-control shed (the message never touched the
   /// queues, so the sender reports it here to keep one shared currency).
   void record_shed();
@@ -205,6 +215,27 @@ class Queueing {
   class Isolation;
 
  private:
+  /// Completion instants of a server's reservations in push order: the
+  /// entries of `until` from `head` on. A push first drops the entries at
+  /// the head that completed by its send's enqueue instant; under kStrict a
+  /// completed entry behind an outstanding one stays until it reaches the
+  /// head.
+  struct Backlog {
+    std::vector<sim::Time> until;
+    std::size_t head = 0;
+
+    /// Entries completing after `now`.
+    std::size_t outstanding(sim::Time now) const;
+    /// Drop the completed head, compacting once it passes half the vector,
+    /// append `done`, and raise `*peak` to the length.
+    void push(sim::Time now, sim::Time done, std::uint64_t* peak);
+  };
+  struct LinkState {
+    sim::Time wire_busy_until = 0.0;
+    sim::Time batch_departure = 0.0;
+    NodeId to = 0;
+    bool batch_open = false;  ///< batch_departure holds an opened batch
+  };
   struct NodeState {
     sim::Time egress_busy_until = 0.0;
     sim::Time ingress_busy_until = 0.0;
@@ -212,14 +243,10 @@ class Queueing {
     /// discipline; untouched under kFifo.
     std::array<sim::Time, kNumTrafficClasses> egress_class_until{};
     std::array<sim::Time, kNumTrafficClasses> ingress_class_until{};
-    /// Completion instants of outstanding reservations (FIFO backlog).
-    std::deque<sim::Time> egress_backlog;
-    std::deque<sim::Time> ingress_backlog;
-  };
-  struct LinkState {
-    sim::Time wire_busy_until = 0.0;
-    sim::Time batch_departure = 0.0;
-    bool batch_open = false;  ///< batch_departure holds an opened batch
+    Backlog egress_backlog;
+    Backlog ingress_backlog;
+    /// The links out of this node that carried a message.
+    std::vector<LinkState> links;
   };
   /// Delivery events outlive the state they were sent on (set aside,
   /// replaced with the engine, or uninstalled), so the delivered counter
@@ -232,15 +259,10 @@ class Queueing {
     std::uint64_t sent = 0;
     std::shared_ptr<Live> live = std::make_shared<Live>();
     std::vector<NodeState> nodes;
-    std::unordered_map<std::uint64_t, LinkState> links;
   };
 
-  NodeState& node(NodeId id);
-  LinkState& link(NodeId from, NodeId to);
-  /// Record one more outstanding reservation completing at `until` and
-  /// update the corresponding backlog peak.
-  void push_backlog(std::deque<sim::Time>& backlog, sim::Time now,
-                    sim::Time until, std::uint64_t* peak);
+  /// The state of the link from `src` to `to`, opened on first use.
+  static LinkState& link(NodeState& src, NodeId to);
   /// Reserve one service slot of class `cls` on the server described by
   /// (busy_until, class_until) under the configured discipline; returns
   /// the completion instant.

@@ -22,14 +22,14 @@
 // `run_sync`: a fresh simulator, driven to completion, with the engine's
 // queue state set aside so the operation starts from empty queues.
 //
-// Senders close the loop through this seam too: `should_shed` /
-// `backoff_delay` surface the installed flow-control policy (no-ops
-// without queueing), and `send_query` applies it to one query message —
-// shed when the next hop is over the admission limit, backed off into a
-// saturated one. The FRT search sends every branch through it, and
-// `deliver_walk` every hop, adding hedged duplicates in the kHedge lane
-// with first-arrival-wins cancellation and shedding the whole walk
-// (coverage 0) on a refused hop.
+// Senders close the loop through this seam too: `admit_query` surfaces the
+// installed flow-control policy as one verdict per query message, read from
+// one count of the next hop's ingress backlog (a no-op without queueing),
+// and `send_query` applies it — shed when the next hop is at the admission
+// limit, else backed off into a saturated one. The FRT search sends every
+// branch through it, and `deliver_walk` every hop, adding hedged duplicates
+// in the kHedge lane with first-arrival-wins cancellation and shedding the
+// whole walk (coverage 0) on a refused hop.
 #pragma once
 
 #include <algorithm>
@@ -136,16 +136,13 @@ class Transport {
   }
 
   // --- closed-loop seam ------------------------------------------------------
-  /// Admission decision for one more class-`cls` message to `to` under the
-  /// installed flow-control policy; always false without queueing.
-  bool should_shed(const sim::Simulator& sim, NodeId to,
-                   TrafficClass cls) const {
-    return queueing_ != nullptr && queueing_->should_shed(sim, to, cls);
-  }
-  /// Backoff the installed policy asks of a sender to `to`; 0 without
-  /// queueing or below the backlog threshold.
-  Time backoff_delay(const sim::Simulator& sim, NodeId to) const {
-    return queueing_ == nullptr ? 0.0 : queueing_->backoff_delay(sim, to);
+  /// The installed flow-control policy's verdict on one more query-class
+  /// message to `to` (Queueing::admit_query); without queueing, never shed
+  /// and no backoff.
+  Queueing::Admission admit_query(const sim::Simulator& sim,
+                                  NodeId to) const {
+    return queueing_ == nullptr ? Queueing::Admission{}
+                                : queueing_->admit_query(sim, to);
   }
 
   /// Instants of one query message that `send_query` sent.
@@ -165,7 +162,8 @@ class Transport {
   template <typename Fn>
   std::optional<Sent> send_query(sim::Simulator& sim, NodeId from, NodeId to,
                                  sim::QueryStats& stats, Fn&& on_arrival) {
-    if (should_shed(sim, to, TrafficClass::kQuery)) {
+    const Queueing::Admission admission = admit_query(sim, to);
+    if (admission.shed) {
       queueing_->record_shed();
       if (trace_ != nullptr) {
         trace_->annotate(obs::kFlagShed);
@@ -174,9 +172,8 @@ class Transport {
       return std::nullopt;
     }
     Time not_before = 0.0;
-    const Time backoff = backoff_delay(sim, to);
-    if (backoff > 0.0) {
-      not_before = sim.now() + backoff;
+    if (admission.backoff > 0.0) {
+      not_before = sim.now() + admission.backoff;
     }
     const std::uint32_t bytes = default_message_bytes();
     ++stats.messages;

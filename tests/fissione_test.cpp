@@ -161,8 +161,15 @@ TEST(FissioneData, PublishLookupRoundTrip) {
   }
   EXPECT_EQ(net.total_objects(), 100u);
   for (std::uint64_t v = 0; v < 100; ++v) {
-    const auto payloads = net.lookup(
-        net.alive_peers()[rng.next_index(net.alive_peers().size())], ids[v]);
+    const PeerId owner = net.route(
+        net.alive_peers()[rng.next_index(net.alive_peers().size())],
+        ids[v]).owner;
+    std::vector<std::uint64_t> payloads;
+    net.for_each_owned(owner, [&](const StoredObject& obj) {
+      if (obj.object_id == ids[v]) {
+        payloads.push_back(obj.payload);
+      }
+    });
     ASSERT_EQ(payloads.size(), 1u) << ids[v].to_string();
     EXPECT_EQ(payloads[0], v);
   }

@@ -7,6 +7,8 @@
 //  * exact reservation arithmetic — service, bandwidth and coalescing
 //    produce the delivery instants the model promises;
 //  * per-link FIFO order is preserved under coalescing and random load;
+//  * the backlog probes and depth peaks match brute-force models of every
+//    send under random load, and link state survives node-table growth;
 //  * message conservation — sent == delivered + in-flight at every event
 //    boundary, and the queue drains to zero;
 //  * p99 latency is monotone in offered load;
@@ -14,10 +16,11 @@
 //    departures and stays deterministic;
 //  * traffic classes — kFifo timing is class-blind, kStrict serves repair
 //    ahead of query backlog;
-//  * closed-loop flow control — backoff/admission probes track ingress
-//    backlog, hedged retries win via the kHedge lane with the losing copy
-//    cancelled, and admission control degrades range queries into partial
-//    answers whose stats.coverage is the exact served fraction;
+//  * closed-loop flow control — the admission probe's shed and backoff
+//    track ingress backlog, hedged retries win via the kHedge lane with
+//    the losing copy cancelled, and admission control degrades range
+//    queries into partial answers whose stats.coverage is the exact
+//    served fraction;
 //  * one queue state per engine — a synchronous query nested inside a
 //    shared simulator's event starts from empty queues and leaves that
 //    simulator's backlog untouched, and in-flight deliveries survive the
@@ -25,6 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -55,6 +61,24 @@ net::QueueingConfig loaded_config() {
   cfg.default_message_bytes = 128;
   cfg.coalesce_window = 0.25;
   return cfg;
+}
+
+/// Fixed CI seeds, or the single ARMADA_FUZZ_SEED override (same contract
+/// as integration_fuzz_test: a failing seed replays exactly).
+std::vector<std::uint64_t> fuzz_seeds() {
+  if (const char* env = std::getenv("ARMADA_FUZZ_SEED")) {
+    char* end = nullptr;
+    const std::uint64_t seed = std::strtoull(env, &end, 10);
+    if (end == env || *end != '\0') {
+      std::fprintf(stderr,
+                   "invalid ARMADA_FUZZ_SEED '%s' (expected an unsigned "
+                   "integer)\n",
+                   env);
+      std::exit(2);
+    }
+    return {seed};
+  }
+  return {31, 32, 33};
 }
 
 // ---------------------------------------------------------------------------
@@ -264,6 +288,101 @@ TEST(QueueingInvariants, PerLinkFifoAndConservationUnderRandomLoad) {
   EXPECT_EQ(transport.congestion().messages,
             static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(seen_seq, sent_seq);  // per-link FIFO survives coalescing
+}
+
+TEST(QueueingInvariants, BacklogProbesAndDepthPeakMatchBruteForceModels) {
+  constexpr net::TrafficClass kClasses[4] = {
+      net::TrafficClass::kQuery, net::TrafficClass::kRepair,
+      net::TrafficClass::kHandoff, net::TrafficClass::kHedge};
+  constexpr std::size_t kReceivers = 3;
+  constexpr std::size_t kSenders = 24;
+  for (const std::uint64_t seed : fuzz_seeds()) {
+    for (const bool strict : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " strict "
+                                      << strict);
+      net::QueueingConfig cfg = loaded_config();
+      cfg.scheduling = strict ? net::QueueingConfig::Scheduling::kStrict
+                              : net::QueueingConfig::Scheduling::kFifo;
+      cfg.flow.backoff_threshold = 4;
+      cfg.flow.backoff = 0.5;
+      cfg.flow.admission_limit = 12;
+      net::Queueing queueing(cfg);
+      sim::Simulator sim;
+      Rng rng(seed);
+      // Per receiver (ids 0..kReceivers-1): every delivery instant send()
+      // returned, and the FIFO that drops its completed head on each push.
+      std::vector<std::vector<sim::Time>> delivered(kReceivers);
+      std::vector<std::deque<sim::Time>> fifo(kReceivers);
+      std::uint64_t peak = 0;
+      std::size_t deepest = 0;
+      std::size_t drained = 0;  // sends that found their receiver idle
+      const auto send = [&] {
+        const auto to = static_cast<net::NodeId>(rng.next_index(kReceivers));
+        const auto from =
+            static_cast<net::NodeId>(kReceivers + rng.next_index(kSenders));
+        const auto bytes = static_cast<std::uint32_t>(rng.next_index(257));
+        const sim::Time at =
+            queueing.send(sim, from, to, bytes, rng.next_double(0.5, 1.5), {},
+                          0.0, kClasses[rng.next_index(4)]);
+        delivered[to].push_back(at);
+        std::deque<sim::Time>& model = fifo[to];
+        while (!model.empty() && model.front() <= sim.now()) {
+          model.pop_front();
+        }
+        model.push_back(at);
+        peak = std::max<std::uint64_t>(peak, model.size());
+        const auto outstanding = static_cast<std::size_t>(std::count_if(
+            delivered[to].begin(), delivered[to].end(),
+            [&sim](sim::Time t) { return t > sim.now(); }));
+        deepest = std::max(deepest, outstanding);
+        drained += outstanding == 1 ? 1 : 0;
+        ASSERT_EQ(queueing.ingress_backlog(sim, to), outstanding);
+        ASSERT_EQ(queueing.stats().ingress_depth_peak, peak);
+        const net::Queueing::Admission verdict = queueing.admit_query(sim, to);
+        EXPECT_EQ(verdict.shed, outstanding >= 12);
+        EXPECT_EQ(verdict.backoff,
+                  outstanding >= 4
+                      ? 0.5 * static_cast<double>(outstanding - 3)
+                      : 0.0);
+      };
+      // A burst past the receivers' service capacity (6 messages per unit
+      // time in all), then a trickle the backlogs drain under.
+      for (int i = 0; i < 900; ++i) {
+        sim.schedule_at(i < 700 ? rng.next_double(0.0, 80.0)
+                                : rng.next_double(80.0, 400.0),
+                        send);
+      }
+      sim.run();
+      for (net::NodeId r = 0; r < kReceivers; ++r) {
+        EXPECT_EQ(queueing.ingress_backlog(sim, r), 0u);
+      }
+      // The burst reached the admission limit and the trickle found
+      // drained receivers.
+      EXPECT_GE(deepest, cfg.flow.admission_limit);
+      EXPECT_GE(drained, 20u);
+      EXPECT_EQ(queueing.stats().messages, 900u);
+    }
+  }
+}
+
+TEST(QueueingInvariants, LinkStateSurvivesNodeTableGrowth) {
+  net::QueueingConfig cfg;
+  cfg.coalesce_window = 1.0;
+  net::Queueing queueing(cfg);
+  sim::Simulator sim;
+  // Opens a batch on 0 -> 1 that departs at 1.0.
+  const sim::Time first = queueing.send(sim, 0, 1, 0, 1.0, {});
+  // Grows the node table far past its entries for nodes 0 and 1.
+  queueing.send(sim, 2, 4096, 0, 1.0, {});
+  const std::uint64_t batches = queueing.stats().batches;
+  sim.schedule_at(0.5, [&] {
+    // Inside the window: joins the open batch and rides its departure.
+    EXPECT_EQ(queueing.send(sim, 0, 1, 0, 1.0, {}), first);
+    EXPECT_EQ(queueing.stats().batches, batches);
+  });
+  sim.run();
+  EXPECT_EQ(first, 2.0);
+  EXPECT_EQ(queueing.stats().messages, 3u);
 }
 
 TEST(QueueingInvariants, P99LatencyMonotoneInOfferedLoad) {
@@ -613,6 +732,10 @@ TEST(TrafficClasses, StrictPriorityServesRepairAheadOfQueryBacklog) {
 
 TEST(FlowControl, BackoffAndAdmissionProbesTrackIngressBacklog) {
   net::Transport transport;
+  const net::Queueing::Admission none =
+      transport.admit_query(sim::Simulator{}, 1);
+  EXPECT_FALSE(none.shed);  // no engine, no policy
+  EXPECT_EQ(none.backoff, 0.0);
   net::QueueingConfig cfg;
   cfg.service_rate = 0.5;
   cfg.flow.backoff_threshold = 2;
@@ -620,25 +743,39 @@ TEST(FlowControl, BackoffAndAdmissionProbesTrackIngressBacklog) {
   cfg.flow.admission_limit = 3;
   transport.install_queueing(cfg);
   sim::Simulator sim;
-  EXPECT_EQ(transport.backoff_delay(sim, 1), 0.0);
-  EXPECT_FALSE(transport.should_shed(sim, 1, net::TrafficClass::kQuery));
-  for (int i = 0; i < 3; ++i) {
+  const auto verdict = [&](net::NodeId to) {
+    const net::Queueing::Admission a = transport.admit_query(sim, to);
+    return std::pair<bool, sim::Time>{a.shed, a.backoff};
+  };
+  EXPECT_EQ(verdict(1), (std::pair<bool, sim::Time>{false, 0.0}));
+  // One outstanding ingress reservation at node 1 per delivery. Backoff
+  // starts at the threshold, 0.5 per message of backlog from there on;
+  // admission is refused from the limit on.
+  const std::pair<bool, sim::Time> expected[] = {
+      {false, 0.0}, {false, 0.5}, {true, 1.0}};
+  for (std::size_t depth = 1; depth <= 3; ++depth) {
     transport.deliver(sim, 0, 1, 0, [](sim::Time) {});
+    ASSERT_EQ(transport.queueing()->ingress_backlog(sim, 1), depth);
+    EXPECT_EQ(verdict(1), expected[depth - 1]) << "depth " << depth;
   }
-  // Three outstanding ingress reservations at node 1: one message over the
-  // backoff threshold plus one gives 0.5 x 2, and admission is at the
-  // limit — for the query class only.
-  EXPECT_EQ(transport.backoff_delay(sim, 1), 1.0);
-  EXPECT_TRUE(transport.should_shed(sim, 1, net::TrafficClass::kQuery));
-  EXPECT_FALSE(transport.should_shed(sim, 1, net::TrafficClass::kRepair));
-  EXPECT_FALSE(transport.should_shed(sim, 1, net::TrafficClass::kHandoff));
-  EXPECT_FALSE(transport.should_shed(sim, 1, net::TrafficClass::kHedge));
+  // At the limit a query message is shed, untouched by the queues; repair,
+  // handoff and hedge traffic is never asked and still queues.
+  sim::QueryStats stats;
+  EXPECT_FALSE(transport.send_query(sim, 0, 1, stats, [](sim::Time) {}));
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(transport.congestion().shed_messages, 1u);
+  for (const net::TrafficClass cls :
+       {net::TrafficClass::kRepair, net::TrafficClass::kHandoff,
+        net::TrafficClass::kHedge}) {
+    transport.deliver(sim, 0, 1, 0, [](sim::Time) {}, 0.0, cls);
+  }
+  EXPECT_EQ(transport.queueing()->ingress_backlog(sim, 1), 6u);
+  EXPECT_EQ(transport.congestion().messages, 6u);
   // Unloaded target: no policy pressure.
-  EXPECT_EQ(transport.backoff_delay(sim, 2), 0.0);
+  EXPECT_EQ(verdict(2), (std::pair<bool, sim::Time>{false, 0.0}));
   sim.run();
-  // Drained: the probes relax again.
-  EXPECT_EQ(transport.backoff_delay(sim, 1), 0.0);
-  EXPECT_FALSE(transport.should_shed(sim, 1, net::TrafficClass::kQuery));
+  // Drained: the probe relaxes again.
+  EXPECT_EQ(verdict(1), (std::pair<bool, sim::Time>{false, 0.0}));
 }
 
 TEST(FlowControl, AdmissionShedsWalkWithZeroCoverage) {

@@ -161,8 +161,15 @@ TEST(DelegationRegistry, RoundTripConservesObjectsAndStaysExact) {
   EXPECT_EQ(net.delegation_covering(sample.object_id),
             net.find_delegation(range));
 
-  // Exact-match lookups route into the registry.
-  const auto payloads = net.lookup(host, sample.object_id);
+  // An exact-match lookup routes to the structural owner, whose logical
+  // store holds the hosted copy.
+  std::vector<std::uint64_t> payloads;
+  net.for_each_owned(net.route(host, sample.object_id).owner,
+                     [&](const StoredObject& obj) {
+                       if (obj.object_id == sample.object_id) {
+                         payloads.push_back(obj.payload);
+                       }
+                     });
   EXPECT_NE(std::find(payloads.begin(), payloads.end(), sample.payload),
             payloads.end());
 
@@ -230,7 +237,13 @@ TEST(DelegationRegistry, PublishRoutesIntoHostedRange) {
   EXPECT_EQ(net.peer(donor).store.size(), 0u);
   EXPECT_EQ(net.total_objects(), 201u);
 
-  const auto payloads = net.lookup(net.alive_peers().front(), oid);
+  std::vector<std::uint64_t> payloads;
+  net.for_each_owned(net.route(net.alive_peers().front(), oid).owner,
+                     [&](const StoredObject& obj) {
+                       if (obj.object_id == oid) {
+                         payloads.push_back(obj.payload);
+                       }
+                     });
   EXPECT_NE(std::find(payloads.begin(), payloads.end(), 9999u),
             payloads.end());
 }

@@ -15,7 +15,10 @@ samples with addr2line (inlined frames included).
 
 The report covers the samples whose stack passes through a function
 matching --root and through none matching --exclude (substring matches on
-names without parameter lists or template arguments). For each function
+names without parameter lists or template arguments). Samples under
+HostReference::slice_us are always left out, and the report says how many:
+those slices are benchmark reference work that every wall metric scales
+out, and Simulator::run and ClosedLoop::run enclose them. For each function
 below the root it prints the inclusive share (samples with the function on
 the stack) and the self share (samples whose innermost frame it is), then
 the same two shares rolled up by layer: the src/ directory the code lives
@@ -42,6 +45,8 @@ SAMPLER_SRC = os.path.join(ROOT, "tools", "sampler.cpp")
 SAMPLER_LIB = os.path.join(BUILD_DIR, "libsampler.so")
 SAMPLES = os.path.join(BUILD_DIR, "samples.txt")
 PROFILE_FLAGS = "-g -fno-omit-frame-pointer -mno-omit-leaf-frame-pointer"
+# Reference work the wall metrics scale out, left out of every report.
+ALWAYS_EXCLUDED = ["HostReference::slice_us"]
 
 
 def log(message):
@@ -152,10 +157,14 @@ def load_stacks():
 def report(stacks, root, excludes, top):
     """Print the profile; returns the number of samples under the root."""
     kept = []
+    reference = 0
     for stack in stacks:
         names = [n for n, _ in stack]
         cut = next((i for i, n in enumerate(names) if root in n), None)
         if cut is None:
+            continue
+        if any(ex in n for n in names for ex in ALWAYS_EXCLUDED):
+            reference += 1
             continue
         if any(ex in n for n in names for ex in excludes):
             continue
@@ -163,6 +172,8 @@ def report(stacks, root, excludes, top):
     total = len(kept)
     print(f"{len(stacks)} samples, {total} under {root!r}"
           + (f" excluding {excludes}" if excludes else ""))
+    print(f"left out {reference} samples under {root!r} in "
+          f"{', '.join(ALWAYS_EXCLUDED)} (benchmark reference work)")
     if total == 0:
         return 0
 
