@@ -16,7 +16,10 @@
 //     anything, so each repeat reruns the pass until it has run for
 //     kRepeatSeconds (scaled by ARMADA_BENCH_SCALE);
 //   - memory: the process's peak resident set after the tier (getrusage's
-//     ru_maxrss), which the growth path can only raise.
+//     ru_maxrss), which the growth path can only raise;
+//   - shape: the longest PeerID and the largest out- and in-degree, which
+//     the neighborhood invariant bounds at 4 and 2 (the inline lists of a
+//     peer's record).
 //
 // Once per run, network-free: event dispatch, the simulation kernel's hot
 // loop, under a self-rescheduling event population; also the median of
@@ -162,7 +165,7 @@ int run() {
   Rng workload_rng(kSeed ^ 0x9e3779b97f4a7c15ull);
 
   Table table({"tier", "peers", "grow_s", "joins/s", "routes/s", "hops",
-               "max_id_len", "rss_mb"});
+               "max_id_len", "max_out", "max_in", "rss_mb"});
   double build_total = 0.0;
   for (const Tier& tier : kTiers) {
     const std::size_t n = scaled(tier.full_peers, 64);
@@ -181,8 +184,12 @@ int run() {
     const RouteSample rs = sample_routes(net, workload_rng, routes);
 
     std::size_t max_id_len = 0;
+    std::size_t max_out = 0;
+    std::size_t max_in = 0;
     for (fissione::PeerId p : net.alive_peers()) {
-      max_id_len = std::max(max_id_len, net.peer(p).peer_id.length());
+      max_id_len = std::max(max_id_len, net.peer_id(p).length());
+      max_out = std::max(max_out, net.out_neighbors(p).size());
+      max_in = std::max(max_in, net.in_neighbors(p).size());
     }
     const double rss_mb = peak_rss_mb();
 
@@ -192,6 +199,8 @@ int run() {
                    Table::cell(rs.routes_per_second, 0),
                    Table::cell(rs.hops_mean, 2),
                    Table::cell(static_cast<std::uint64_t>(max_id_len)),
+                   Table::cell(static_cast<std::uint64_t>(max_out)),
+                   Table::cell(static_cast<std::uint64_t>(max_in)),
                    Table::cell(rss_mb, 1)});
 
     JsonSink::instance().record(
@@ -206,6 +215,8 @@ int run() {
          {"routes_per_second", rs.routes_per_second},
          {"route_hops_mean", rs.hops_mean},
          {"max_peer_id_len", static_cast<double>(max_id_len)},
+         {"max_out_degree", static_cast<double>(max_out)},
+         {"max_in_degree", static_cast<double>(max_in)},
          {"peak_rss_mb", rss_mb}});
   }
   print_tables("Scale trajectory (one growth path, snapshot construction)",

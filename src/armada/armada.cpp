@@ -216,7 +216,7 @@ TopKResult ArmadaIndex::top_k(PeerId issuer, double lo, double hi,
     // Every unvisited zone holds only smaller values than this zone's
     // bottom; stop once k objects are in hand or the range is exhausted.
     const KautzString zone_lo =
-        kautz::min_extension(net_.peer(cur).peer_id, tree_.k());
+        kautz::min_extension(net_.peer_id(cur), tree_.k());
     if (found.size() >= k || zone_lo <= region.lo()) {
       break;
     }
@@ -253,7 +253,7 @@ KnnResult ArmadaIndex::nearest(PeerId issuer, double q, std::size_t k) const {
                        const double v = objects_[obj.payload][0];
                        candidates.emplace_back(std::abs(v - q), obj.payload);
                      });
-    const KautzString& id = net_.peer(cur).peer_id;
+    const KautzString& id = net_.peer_id(cur);
     const Interval zone = tree_.interval_for(id);
     explored_lo = std::min(explored_lo, zone.lo);
     explored_hi = std::max(explored_hi, zone.hi);

@@ -59,7 +59,7 @@ ChurnHarness::RangeOutcome ChurnHarness::range_query(fissione::PeerId issuer,
     // price self-links); any other stale peer re-prices the issuer->peer
     // delivery that chased the stale pointer.
     const fissione::PeerId retry_peer =
-        p == issuer ? net.peer(issuer).out_neighbors.front() : p;
+        p == issuer ? net.out_neighbors(issuer).front() : p;
     out.stats.latency += net.transport().link(issuer, retry_peer);
     if (out.detours > fissione::ChurnDriver::kMaxDetours) {
       out.failed = true;

@@ -136,18 +136,18 @@ struct Search {
   // what dispatch would send.
   std::uint64_t subtree_destinations(const FrtSearchClass& cls, PeerId b,
                                      std::size_t aligned_len) const {
-    const fissione::Peer& peer = net->peer(b);
-    const std::size_t len = peer.peer_id.length();
+    const KautzString& id = net->peer_id(b);
+    const std::size_t len = id.length();
     if (aligned_len == len) {
       if (!net->has_delegations()) {
         return 1;
       }
-      const ServePlan plan = resolve_plan(cls, peer.peer_id);
+      const ServePlan plan = resolve_plan(cls, id);
       return (plan.native ? 1u : 0u) + plan.hosts.size();
     }
     std::uint64_t total = 0;
-    for (PeerId c : peer.out_neighbors) {
-      const KautzString& cid = net->peer(c).peer_id;
+    for (PeerId c : net->out_neighbors(b)) {
+      const KautzString& cid = net->peer_id(c);
       const std::size_t m = cid.length() + 1 - len;
       const KautzString aligned = cid.suffix(aligned_len + m);
       if (cls.viable(aligned)) {
@@ -173,11 +173,11 @@ struct Search {
     if (trace != nullptr) {
       trace->annotate(obs::kFlagServe);
     }
-    const fissione::Peer peer = net->peer(b);
-    fissione::StoreView view(peer.store);
+    ARMADA_CHECK(net->is_alive(b));
+    fissione::StoreView view(net->store_of(b));
     if (net->has_delegations()) {
       net->visit_delegation_slices(
-          peer.peer_id,
+          net->peer_id(b),
           [&view, &excluded](const KautzString& range,
                              std::span<const fissione::StoredObject> slice) {
             if (slice.empty()) {
@@ -241,8 +241,8 @@ struct Search {
   void step(const std::shared_ptr<Search>& self, std::size_t cls_idx, PeerId b,
             std::size_t aligned_len, std::uint32_t hops) {
     const FrtSearchClass& cls = classes[cls_idx];
-    const fissione::Peer& peer = net->peer(b);
-    const std::size_t len = peer.peer_id.length();
+    ARMADA_CHECK(net->is_alive(b));
+    const std::size_t len = net->peer_id(b).length();
     if (aligned_len == len) {
       // The whole PeerID prefixes a viable target leaf: destination. (Only
       // reached without a dispatch-time split: at the issuer, or when no
@@ -252,8 +252,8 @@ struct Search {
       return;
     }
     ARMADA_CHECK(aligned_len < len);
-    for (PeerId c : peer.out_neighbors) {
-      const KautzString& cid = net->peer(c).peer_id;
+    for (PeerId c : net->out_neighbors(b)) {
+      const KautzString& cid = net->peer_id(c);
       // C = u2...ub ++ Y with |Y| = m in {0,1,2} (neighborhood invariant).
       ARMADA_CHECK(cid.length() + 1 >= len);
       const std::size_t m = cid.length() + 1 - len;
@@ -344,7 +344,7 @@ void FrtSearch::run_async(
     sim.schedule_at(sim.now(), [search] { search->complete(); });
     return;
   }
-  const KautzString& issuer_id = net_.peer(issuer).peer_id;
+  const KautzString& issuer_id = net_.peer_id(issuer);
   for (std::size_t i = 0; i < search->classes.size(); ++i) {
     const std::size_t j0 =
         start_alignment(issuer_id, search->classes[i].com_t);

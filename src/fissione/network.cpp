@@ -43,17 +43,14 @@ auto covering_entry(Map& map, const KautzString& s) {
 FissioneNetwork::FissioneNetwork(Config config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      ids_(kBase + 1u),
-      alive_flags_(kBase + 1u, 0),
-      out_refs_(kBase + 1u),
-      in_refs_(kBase + 1u),
-      store_refs_(kBase + 1u),
+      peers_(kBase + 1u),
+      in_lists_(kBase + 1u),
       alive_pos_(kBase + 1u) {
   for (std::uint8_t c = 0; c <= kBase; ++c) {
     KautzString label;
     label.push_back(c);
     assign_zone(c, label);
-    alive_flags_[c] = 1;
+    peers_[c].alive = true;
     alive_pos_[c] = alive_.size();
     alive_.push_back(c);
   }
@@ -75,6 +72,9 @@ FissioneNetwork FissioneNetwork::build_snapshot(std::size_t n,
 }
 
 void FissioneNetwork::grow_snapshot(std::size_t n) {
+  // One allocation per column, not a doubling trail of copies.
+  peers_.reserve(n);
+  in_lists_.reserve(n);
   while (num_peers() < n) {
     // Same draws, same split site as join(): route() neither consumes RNG
     // nor influences the site — its endpoint is owner_of(target) — so the
@@ -87,8 +87,8 @@ void FissioneNetwork::grow_snapshot(std::size_t n) {
 }
 
 Peer FissioneNetwork::peer(PeerId id) const {
-  ARMADA_CHECK(id < ids_.size() && alive_flags_[id] != 0);
-  return Peer{ids_[id], out_of(id), in_of(id), store_of(id), true};
+  ARMADA_CHECK(is_alive(id));
+  return Peer{peers_[id].id, out_neighbors(id), in_neighbors(id), store_of(id)};
 }
 
 PeerId FissioneNetwork::random_peer() {
@@ -101,21 +101,16 @@ PeerId FissioneNetwork::allocate_peer() {
     free_ids_.pop_back();
     return id;
   }
-  ids_.emplace_back();
-  alive_flags_.push_back(0);
-  out_refs_.emplace_back();
-  in_refs_.emplace_back();
-  store_refs_.emplace_back();
+  peers_.emplace_back();
+  in_lists_.emplace_back();
   alive_pos_.push_back(0);
-  return static_cast<PeerId>(ids_.size() - 1);
+  return static_cast<PeerId>(peers_.size() - 1);
 }
 
 void FissioneNetwork::release_peer(PeerId id) {
-  ids_[id] = KautzString{};
-  alive_flags_[id] = 0;
-  edges_.release(out_refs_[id]);
-  edges_.release(in_refs_[id]);
-  stores_.release(store_refs_[id]);
+  stores_.release(peers_[id].store);
+  peers_[id] = PeerRecord{};
+  in_lists_[id] = InList{};
   free_ids_.push_back(id);
   if (service_load_ != nullptr) {
     // The id will be recycled: a joiner must not inherit this peer's
@@ -125,7 +120,7 @@ void FissioneNetwork::release_peer(PeerId id) {
 }
 
 void FissioneNetwork::assign_zone(PeerId id, const KautzString& label) {
-  ids_[id] = label;
+  peers_[id].id = label;
   zones_.insert_or_assign(label, id);
 }
 
@@ -133,10 +128,10 @@ PeerId FissioneNetwork::deepest_peer() const {
   // A released id's PeerID is empty, so the scan skips it.
   PeerId best = kNoPeer;
   std::size_t best_len = 0;
-  for (PeerId p = 0; p < ids_.size(); ++p) {
-    if (ids_[p].length() > best_len) {
+  for (PeerId p = 0; p < peers_.size(); ++p) {
+    if (peers_[p].id.length() > best_len) {
       best = p;
-      best_len = ids_[p].length();
+      best_len = peers_[p].id.length();
     }
   }
   ARMADA_CHECK(best != kNoPeer);
@@ -144,7 +139,7 @@ PeerId FissioneNetwork::deepest_peer() const {
 }
 
 PeerId FissioneNetwork::pair_sibling(PeerId p) const {
-  const KautzString& label = ids_[p];
+  const KautzString& label = peers_[p].id;
   if (label.length() < 2) {
     return kNoPeer;
   }
@@ -153,20 +148,20 @@ PeerId FissioneNetwork::pair_sibling(PeerId p) const {
 }
 
 std::vector<StoredObject> FissioneNetwork::take_store(PeerId id) {
-  const std::span<StoredObject> sp = stores_.mut_view(store_refs_[id]);
+  const std::span<StoredObject> sp = stores_.mut_view(peers_[id].store);
   std::vector<StoredObject> out;
   out.reserve(sp.size());
   for (StoredObject& obj : sp) {
     out.push_back(std::move(obj));
   }
-  stores_.clear(store_refs_[id]);
+  stores_.clear(peers_[id].store);
   return out;
 }
 
 std::vector<PeerId> FissioneNetwork::compute_out_neighbors(PeerId id) const {
   // Covers come in PeerID order, and so does their concatenation over
   // increasing first symbols: the out-list is sorted by PeerID.
-  const KautzString& u = ids_[id];
+  const KautzString& u = peers_[id].id;
   if (u.length() > 1) {
     return cover_of_prefix(u.drop_front());
   }
@@ -192,25 +187,39 @@ std::vector<PeerId> FissioneNetwork::refresh_neighbors(
                  affected.end());
   std::vector<PeerId> refreshed;
   for (PeerId p : affected) {
-    if (p >= ids_.size() || !alive(p)) {
-      continue;
+    if (is_alive(p)) {
+      refreshed.push_back(p);
     }
-    // Detach p from its old out-neighbors' in-lists. erase_value never
-    // grows the arena, so walking p's out-span while editing other blocks
-    // is safe.
-    for (PeerId t : out_of(p)) {
-      if (t < ids_.size() && alive(t)) {
-        edges_.erase_value(in_refs_[t], p);
-      }
+  }
+  // Two passes, so no in-list ever holds a third entry; each still ends as
+  // its untouched entries, then the refreshed peers in PeerId order.
+  for (PeerId p : refreshed) {
+    detach_out_edges(p);
+  }
+  for (PeerId p : refreshed) {
+    const std::vector<PeerId> fresh = compute_out_neighbors(p);
+    ARMADA_CHECK_MSG(fresh.size() <= kMaxOutDegree,
+                     "out-degree " << fresh.size() << " at peer " << p);
+    PeerRecord& rec = peers_[p];
+    std::copy(fresh.begin(), fresh.end(), rec.out.begin());
+    rec.out_count = static_cast<std::uint8_t>(fresh.size());
+    for (PeerId t : fresh) {  // never t == p: Kautz, no self-loops
+      InList& in = in_lists_[t];
+      ARMADA_CHECK_MSG(in.count < kMaxInDegree,
+                       "in-degree past " << kMaxInDegree << " at peer " << t);
+      in.ids[in.count++] = p;
     }
-    std::vector<PeerId> fresh = compute_out_neighbors(p);
-    for (PeerId t : fresh) {
-      edges_.push_back(in_refs_[t], p);  // never t == p: Kautz, no self-loops
-    }
-    edges_.assign(out_refs_[p], std::move(fresh));
-    refreshed.push_back(p);
   }
   return refreshed;
+}
+
+void FissioneNetwork::detach_out_edges(PeerId p) {
+  // A released peer's in-list is empty, so a dead out-neighbor is a no-op.
+  for (PeerId t : out_neighbors(p)) {
+    InList& in = in_lists_[t];
+    const auto last = std::remove(in.ids.begin(), in.ids.begin() + in.count, p);
+    in.count = static_cast<std::uint8_t>(last - in.ids.begin());
+  }
 }
 
 PeerId FissioneNetwork::walk_to_local_min(PeerId start, std::uint32_t* hops,
@@ -218,17 +227,17 @@ PeerId FissioneNetwork::walk_to_local_min(PeerId start, std::uint32_t* hops,
   PeerId cur = start;
   for (;;) {
     PeerId best = cur;
-    std::size_t best_len = ids_[cur].length();
+    std::size_t best_len = peers_[cur].id.length();
     auto consider = [&](PeerId cand) {
-      if (ids_[cand].length() < best_len) {
+      if (peers_[cand].id.length() < best_len) {
         best = cand;
-        best_len = ids_[cand].length();
+        best_len = peers_[cand].id.length();
       }
     };
-    for (PeerId n : out_of(cur)) {
+    for (PeerId n : out_neighbors(cur)) {
       consider(n);
     }
-    for (PeerId n : in_of(cur)) {
+    for (PeerId n : in_neighbors(cur)) {
       consider(n);
     }
     if (best == cur) {
@@ -247,13 +256,14 @@ PeerId FissioneNetwork::walk_to_local_min(PeerId start, std::uint32_t* hops,
 PeerId FissioneNetwork::split_peer(PeerId victim, MembershipReport* report) {
   // Collect whose out-lists can change: the victim's in-neighbors plus the
   // two peers at the split site.
-  std::vector<PeerId> affected(in_of(victim).begin(), in_of(victim).end());
+  const std::span<const PeerId> in_victim = in_neighbors(victim);
+  std::vector<PeerId> affected(in_victim.begin(), in_victim.end());
   affected.push_back(victim);
 
   // Fission: the victim keeps the smaller child zone, the joiner takes the
   // larger.
   const PeerId joiner = allocate_peer();
-  const KautzString parent = ids_[victim];
+  const KautzString parent = peers_[victim].id;
   zones_.erase(parent);
   KautzString smaller = parent;
   smaller.push_back(kautz::index_symbol(0, parent.back()));
@@ -261,7 +271,7 @@ PeerId FissioneNetwork::split_peer(PeerId victim, MembershipReport* report) {
   larger.push_back(kautz::index_symbol(1, parent.back()));
   assign_zone(victim, smaller);
   assign_zone(joiner, larger);
-  alive_flags_[joiner] = 1;
+  peers_[joiner].alive = true;
   alive_pos_[joiner] = alive_.size();
   alive_.push_back(joiner);
 
@@ -272,14 +282,14 @@ PeerId FissioneNetwork::split_peer(PeerId victim, MembershipReport* report) {
   std::vector<StoredObject> keep;
   std::vector<std::uint64_t> moved;
   for (StoredObject& obj : old_store) {
-    if (ids_[victim].is_prefix_of(obj.object_id)) {
+    if (smaller.is_prefix_of(obj.object_id)) {
       keep.push_back(std::move(obj));
     } else {
       moved.push_back(obj.payload);
-      stores_.push_back(store_refs_[joiner], std::move(obj));
+      stores_.push_back(peers_[joiner].store, std::move(obj));
     }
   }
-  stores_.assign(store_refs_[victim], std::move(keep));
+  stores_.assign(peers_[victim].store, std::move(keep));
 
   affected.push_back(joiner);
   std::vector<PeerId> rewired = refresh_neighbors(std::move(affected));
@@ -326,14 +336,14 @@ std::vector<std::uint64_t> store_payloads(
 
 std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
                                          MembershipReport* report) {
-  ARMADA_CHECK(leaving < ids_.size() && alive(leaving));
+  ARMADA_CHECK(is_alive(leaving));
   ARMADA_CHECK_MSG(num_peers() > kBase + 1u,
                    "cannot drop below the bootstrap size");
 
   std::size_t dropped = 0;
   if (!transfer) {
     dropped = store_of(leaving).size();
-    stores_.clear(store_refs_[leaving]);
+    stores_.clear(peers_[leaving].store);
   }
   if (report != nullptr) {
     report->objects_dropped = dropped;
@@ -352,14 +362,9 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
           MembershipReport::Handoff{from, to, std::move(payloads)});
     }
   };
-  auto detach_out_edges = [this](PeerId p) {
-    for (PeerId t : out_of(p)) {
-      edges_.erase_value(in_refs_[t], p);
-    }
-  };
   auto append_store = [this](PeerId to, std::vector<StoredObject> objs) {
     for (StoredObject& obj : objs) {
-      stores_.push_back(store_refs_[to], std::move(obj));
+      stores_.push_back(peers_[to].store, std::move(obj));
     }
   };
   // Return a delegation's objects to their structural owners, recording one
@@ -371,7 +376,7 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
       if (owner != d.host) {
         returned[owner].push_back(obj.payload);
       }
-      stores_.push_back(store_refs_[owner], std::move(obj));
+      stores_.push_back(peers_[owner].store, std::move(obj));
     }
     for (auto& [to, payloads] : returned) {
       record_handoff(d.host, to, std::move(payloads));
@@ -384,7 +389,7 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
   auto reconcile_hosted = [this, &dissolve] {
     for (auto it = delegations_.begin(); it != delegations_.end();) {
       Delegation& d = it->second;
-      const KautzString& host_id = ids_[d.host];
+      const KautzString& host_id = peers_[d.host].id;
       if (!host_id.is_prefix_of(d.range) && !d.range.is_prefix_of(host_id)) {
         ++it;
         continue;
@@ -395,10 +400,10 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
   };
   // Fusion of a sibling pair: `survivor` takes their parent zone.
   auto fuse = [this](PeerId gone, PeerId survivor) {
-    zones_.erase(ids_[gone]);
-    zones_.erase(ids_[survivor]);
-    assign_zone(survivor,
-                ids_[survivor].prefix(ids_[survivor].length() - 1));
+    const KautzString& id = peers_[survivor].id;
+    zones_.erase(peers_[gone].id);
+    zones_.erase(id);
+    assign_zone(survivor, id.prefix(id.length() - 1));
   };
 
   // Delegations hosted by the departing peer, resolved before the zone
@@ -434,12 +439,13 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
   const PeerId deepest = deepest_peer();
   const PeerId sibling = pair_sibling(leaving);
   if (sibling != kNoPeer &&
-      ids_[leaving].length() == ids_[deepest].length()) {
+      peers_[leaving].id.length() == peers_[deepest].id.length()) {
     // Fusion: the sibling absorbs the parent zone.
-    std::vector<PeerId> affected(in_of(leaving).begin(),
-                                 in_of(leaving).end());
-    affected.insert(affected.end(), in_of(sibling).begin(),
-                    in_of(sibling).end());
+    std::vector<PeerId> affected;
+    for (PeerId p : {leaving, sibling}) {
+      affected.insert(affected.end(), in_neighbors(p).begin(),
+                      in_neighbors(p).end());
+    }
     affected.push_back(sibling);
 
     std::vector<StoredObject> inherited = take_store(leaving);
@@ -467,9 +473,11 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
   ARMADA_CHECK(b != kNoPeer);  // a max-depth zone's sibling is a zone
   ARMADA_CHECK(a != leaving && b != leaving);
 
-  std::vector<PeerId> affected(in_of(leaving).begin(), in_of(leaving).end());
-  affected.insert(affected.end(), in_of(a).begin(), in_of(a).end());
-  affected.insert(affected.end(), in_of(b).begin(), in_of(b).end());
+  std::vector<PeerId> affected;
+  for (PeerId p : {leaving, a, b}) {
+    affected.insert(affected.end(), in_neighbors(p).begin(),
+                    in_neighbors(p).end());
+  }
   affected.push_back(a);
   affected.push_back(b);
 
@@ -479,10 +487,10 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
   fuse(a, b);
 
   // Relocate A into the departed zone.
-  assign_zone(a, ids_[leaving]);
+  assign_zone(a, peers_[leaving].id);
   std::vector<StoredObject> relocated = take_store(leaving);
   record_handoff(leaving, a, store_payloads(relocated));
-  stores_.assign(store_refs_[a], std::move(relocated));
+  stores_.assign(peers_[a].store, std::move(relocated));
   detach_out_edges(leaving);
   drop_from_alive(leaving);
   release_peer(leaving);
@@ -546,7 +554,7 @@ void FissioneNetwork::publish(const KautzString& object_id,
       return;
     }
   }
-  stores_.push_back(store_refs_[owner_of(object_id)],
+  stores_.push_back(peers_[owner_of(object_id)].store,
                     StoredObject{object_id, payload});
 }
 
@@ -592,7 +600,7 @@ std::vector<StoredObject> FissioneNetwork::detach_range(
         keep.push_back(std::move(obj));
       }
     }
-    stores_.assign(store_refs_[p], std::move(keep));
+    stores_.assign(peers_[p].store, std::move(keep));
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -602,7 +610,7 @@ void FissioneNetwork::delegate_range(const KautzString& range, PeerId host,
                                      std::vector<StoredObject> objects) {
   ARMADA_CHECK(!range.empty() && range.length() < kObjectIdLength);
   ARMADA_CHECK_MSG(is_alive(host), "delegation host must be alive");
-  const KautzString& host_id = ids_[host];
+  const KautzString& host_id = peers_[host].id;
   ARMADA_CHECK_MSG(
       !host_id.is_prefix_of(range) && !range.is_prefix_of(host_id),
       "delegation host must not own part of the range");
@@ -632,7 +640,7 @@ void FissioneNetwork::set_delegation_host(const KautzString& range,
   const auto it = delegations_.find(range);
   ARMADA_CHECK_MSG(it != delegations_.end(), "re-hosting unknown delegation");
   ARMADA_CHECK_MSG(is_alive(host), "delegation host must be alive");
-  const KautzString& host_id = ids_[host];
+  const KautzString& host_id = peers_[host].id;
   ARMADA_CHECK_MSG(
       !host_id.is_prefix_of(range) && !range.is_prefix_of(host_id),
       "delegation host must not own part of the range");
@@ -656,13 +664,13 @@ PeerId FissioneNetwork::proximity_next_hop(PeerId cur,
   // model (deterministically: first-listed neighbor on equal latency).
   // In-neighbors occasionally align *better* than the canonical hop, so the
   // flag can shorten walks as well as cheapen them.
-  const KautzString& id = ids_[cur];
+  const KautzString& id = peers_[cur].id;
   const std::size_t cur_rem = id.length() - id.longest_suffix_prefix(object_id);
   PeerId best = kNoPeer;
   std::size_t best_rem = 0;
   sim::Time best_link = 0.0;
   const auto consider = [&](PeerId n) {
-    const KautzString& nid = ids_[n];
+    const KautzString& nid = peers_[n].id;
     const std::size_t rem =
         nid.length() - nid.longest_suffix_prefix(object_id);
     if (rem >= cur_rem) {
@@ -676,10 +684,10 @@ PeerId FissioneNetwork::proximity_next_hop(PeerId cur,
       best_link = link;
     }
   };
-  for (PeerId n : out_of(cur)) {
+  for (PeerId n : out_neighbors(cur)) {
     consider(n);
   }
-  for (PeerId n : in_of(cur)) {
+  for (PeerId n : in_neighbors(cur)) {
     consider(n);
   }
   ARMADA_CHECK_MSG(best != kNoPeer,
@@ -690,15 +698,16 @@ PeerId FissioneNetwork::proximity_next_hop(PeerId cur,
 
 RouteResult FissioneNetwork::route(PeerId from,
                                    const KautzString& object_id) const {
-  ARMADA_CHECK(from < ids_.size() && alive(from));
+  ARMADA_CHECK(is_alive(from));
   ARMADA_CHECK(object_id.length() == kObjectIdLength);
 
   RouteResult result;
   result.path.push_back(from);
   PeerId cur = from;
   const std::size_t hop_limit = 4 * kObjectIdLength;
-  while (!ids_[cur].is_prefix_of(object_id)) {
-    const KautzString& id = ids_[cur];
+  while (!peers_[cur].id.is_prefix_of(object_id)) {
+    const PeerRecord& rec = peers_[cur];
+    const KautzString& id = rec.id;
     const std::size_t j = id.longest_suffix_prefix(object_id);
     // Shift routing: advance to the owner of id[1..] ++ object_id[j..].
     const KautzString target =
@@ -707,9 +716,9 @@ RouteResult FissioneNetwork::route(PeerId from,
     if (config_.proximity_next_hop) {
       next = proximity_next_hop(cur, object_id, target);
     } else {
-      for (PeerId n : out_of(cur)) {
-        if (ids_[n].is_prefix_of(target)) {
-          next = n;
+      for (std::uint8_t i = 0; i < rec.out_count; ++i) {
+        if (peers_[rec.out[i]].id.is_prefix_of(target)) {
+          next = rec.out[i];
           break;
         }
       }
@@ -756,7 +765,7 @@ void FissioneNetwork::check_invariants() const {
   std::uint64_t covered = 0;
   const KautzString* prev_label = nullptr;
   for (const auto& [label, id] : zones_) {
-    ARMADA_CHECK_MSG(is_alive(id) && ids_[id] == label,
+    ARMADA_CHECK_MSG(is_alive(id) && peer_id(id) == label,
                      "zone " << label.to_string() << " maps to peer " << id);
     ARMADA_CHECK_MSG(prev_label == nullptr || !prev_label->is_prefix_of(label),
                      "zone " << prev_label->to_string() << " prefixes "
@@ -766,38 +775,49 @@ void FissioneNetwork::check_invariants() const {
   }
   ARMADA_CHECK_MSG(covered == space,
                    "zones hold " << covered << " of " << space << " ObjectIDs");
+  // The alive flags mark exactly the peers alive_ lists.
+  ARMADA_CHECK(static_cast<std::size_t>(std::count_if(
+                   peers_.begin(), peers_.end(),
+                   [](const PeerRecord& r) { return r.alive; })) ==
+               alive_.size());
   for (PeerId id : alive_) {
-    ARMADA_CHECK(alive(id));
+    ARMADA_CHECK(is_alive(id) && alive_[alive_pos_[id]] == id);
+    const KautzString& u = peer_id(id);
     // Out-neighbors match a fresh recomputation.
-    const std::span<const PeerId> out = out_of(id);
+    const std::span<const PeerId> out = out_neighbors(id);
     const std::vector<PeerId> fresh = compute_out_neighbors(id);
     ARMADA_CHECK_MSG(
         std::equal(out.begin(), out.end(), fresh.begin(), fresh.end()),
         "stale out-neighbors at peer " << id);
     // Out-neighbor IDs have the form u2...ub q1...qm.
     for (PeerId n : out) {
-      const KautzString& v = ids_[n];
-      if (ids_[id].length() >= 2) {
-        const KautzString shifted = ids_[id].drop_front();
+      const KautzString& v = peer_id(n);
+      if (u.length() >= 2) {
+        const KautzString shifted = u.drop_front();
         ARMADA_CHECK_MSG(
             shifted.is_prefix_of(v) || v.is_prefix_of(shifted),
-            "edge " << ids_[id].to_string() << " -> " << v.to_string());
+            "edge " << u.to_string() << " -> " << v.to_string());
       }
     }
-    // Transpose consistency.
+    // Transpose consistency, within the degree bounds and with no
+    // duplicate in-edge.
+    const std::span<const PeerId> in = in_neighbors(id);
+    ARMADA_CHECK(out.size() <= kMaxOutDegree && in.size() <= kMaxInDegree);
     for (PeerId n : out) {
-      const std::span<const PeerId> in = in_of(n);
-      ARMADA_CHECK(std::find(in.begin(), in.end(), id) != in.end());
+      const std::span<const PeerId> in_n = in_neighbors(n);
+      ARMADA_CHECK(std::find(in_n.begin(), in_n.end(), id) != in_n.end());
     }
-    for (PeerId n : in_of(id)) {
-      const std::span<const PeerId> from_n = out_of(n);
+    for (PeerId n : in) {
+      ARMADA_CHECK_MSG(std::count(in.begin(), in.end(), n) == 1,
+                       "duplicate in-neighbor at peer " << id);
+      const std::span<const PeerId> from_n = out_neighbors(n);
       ARMADA_CHECK(std::find(from_n.begin(), from_n.end(), id) !=
                    from_n.end());
     }
     // Objects are owned by their holder — and never inside a migrated
     // range, whose objects live at the delegation host instead.
     for (const StoredObject& obj : store_of(id)) {
-      ARMADA_CHECK_MSG(ids_[id].is_prefix_of(obj.object_id),
+      ARMADA_CHECK_MSG(u.is_prefix_of(obj.object_id),
                        "misplaced object at peer " << id);
       if (!delegations_.empty()) {
         ARMADA_CHECK_MSG(delegation_covering(obj.object_id) == nullptr,
@@ -814,8 +834,8 @@ void FissioneNetwork::check_invariants() const {
     ARMADA_CHECK(range == d.range);
     ARMADA_CHECK(!range.empty() && range.length() < kObjectIdLength);
     ARMADA_CHECK_MSG(is_alive(d.host), "dead delegation host");
-    ARMADA_CHECK(!ids_[d.host].is_prefix_of(range) &&
-                 !range.is_prefix_of(ids_[d.host]));
+    ARMADA_CHECK(!peer_id(d.host).is_prefix_of(range) &&
+                 !range.is_prefix_of(peer_id(d.host)));
     if (prev_range != nullptr) {
       ARMADA_CHECK_MSG(!prev_range->is_prefix_of(range),
                        "overlapping delegated ranges");
@@ -835,9 +855,9 @@ void FissioneNetwork::check_invariants() const {
 std::size_t FissioneNetwork::max_neighbor_length_gap() const {
   std::size_t gap = 0;
   for (PeerId id : alive_) {
-    const std::size_t lu = ids_[id].length();
-    for (PeerId n : out_of(id)) {
-      const std::size_t lv = ids_[n].length();
+    const std::size_t lu = peer_id(id).length();
+    for (PeerId n : out_neighbors(id)) {
+      const std::size_t lv = peer_id(n).length();
       gap = std::max(gap, lu > lv ? lu - lv : lv - lu);
     }
   }
@@ -847,7 +867,7 @@ std::size_t FissioneNetwork::max_neighbor_length_gap() const {
 double FissioneNetwork::average_degree() const {
   std::uint64_t total = 0;
   for (PeerId id : alive_) {
-    total += out_of(id).size() + in_of(id).size();
+    total += out_neighbors(id).size() + in_neighbors(id).size();
   }
   return static_cast<double>(total) / static_cast<double>(alive_.size());
 }
@@ -855,7 +875,7 @@ double FissioneNetwork::average_degree() const {
 Histogram FissioneNetwork::peer_id_length_histogram() const {
   Histogram h;
   for (PeerId id : alive_) {
-    h.add(static_cast<std::int64_t>(ids_[id].length()));
+    h.add(static_cast<std::int64_t>(peer_id(id).length()));
   }
   return h;
 }

@@ -9,6 +9,8 @@
 // average < log2 N, routing delay bounded by the source PeerID length.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <string_view>
@@ -27,13 +29,15 @@ namespace armada::fissione {
 /// the per-peer neighbor tables exactly consistent with the zone partition,
 /// mirroring the paper's self-stabilization at quiescence.
 ///
-/// Peer state is stored struct-of-arrays: PeerIDs, liveness flags, neighbor
-/// lists, and object stores each live in their own contiguous array, with
-/// the variable-length lists packed into two shared arenas (ArenaPool).
-/// Routing and the query layers touch only the arrays they need — IDs and
-/// out-edges — so the hot path walks dense memory instead of hopping
-/// between per-peer heap nodes. peer() assembles the classic record view
-/// on demand.
+/// Peer state is one 64-byte record per peer: the PeerID, the liveness
+/// flag, the out-list inline and the reference to the peer's object store,
+/// which lives in a shared arena (ArenaPool). A sender reads a child's
+/// record to test its PeerID, so when the message lands there the FRT hop
+/// (or route() step) finds everything it reads in that cache line. The
+/// in-lists, which only churn and join placement read, sit in a cold
+/// column of inline pairs. The neighborhood invariant bounds both lists: at
+/// most kMaxOutDegree out- and kMaxInDegree in-neighbors. peer() assembles
+/// the classic record view on demand.
 class FissioneNetwork final : public overlay::RoutedOverlay {
  public:
   /// Length of ObjectIDs (the paper uses k = 100; any k comfortably above
@@ -42,6 +46,11 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   // The longest shift-routing target is a PeerID tail plus an ObjectID
   // suffix; with PeerIDs no longer than ObjectIDs it fits inline.
   static_assert(2 * kObjectIdLength <= kautz::KautzString::kMaxLength);
+  /// Out-neighbors of U = u1...ub extend u2...ub by at most two symbols;
+  /// in-neighbors are the one peer per first symbol x != u1 whose zone
+  /// meets x u1...ub. Both follow from the neighborhood invariant.
+  static constexpr std::size_t kMaxOutDegree = 4;
+  static constexpr std::size_t kMaxInDegree = 2;
 
   struct Config {
     /// Proximity-aware next-hop tie-breaking in exact-match routing: among
@@ -139,22 +148,28 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   // --- accessors ---------------------------------------------------------
   std::size_t num_peers() const { return alive_.size(); }
   bool is_alive(PeerId id) const {
-    return id < ids_.size() && alive_flags_[id] != 0;
+    return id < peers_.size() && peers_[id].alive;
   }
-  /// Record view of one peer, assembled from the column arrays. The spans
-  /// inside are valid until the next membership or publish operation.
+  /// Record view of one peer. The spans inside are valid until the next
+  /// membership or publish operation.
   Peer peer(PeerId id) const;
-  /// One column of the view: the PeerID, or the native object store (valid
-  /// like the view's spans). For callers that read one column of many peers.
-  const kautz::KautzString& peer_id(PeerId id) const { return ids_[id]; }
+  /// One field of the view: the PeerID, the native object store or a
+  /// neighbor list (spans valid like the view's). No liveness check.
+  const kautz::KautzString& peer_id(PeerId id) const { return peers_[id].id; }
   std::span<const StoredObject> store_of(PeerId id) const {
-    return stores_.view(store_refs_[id]);
+    return stores_.view(peers_[id].store);
+  }
+  std::span<const PeerId> out_neighbors(PeerId id) const {
+    return {peers_[id].out.data(), peers_[id].out_count};
+  }
+  std::span<const PeerId> in_neighbors(PeerId id) const {
+    return {in_lists_[id].ids.data(), in_lists_[id].count};
   }
   const std::vector<PeerId>& alive_peers() const { return alive_; }
   /// Position of an alive peer in alive_peers().
   std::size_t alive_index(PeerId id) const { return alive_pos_[id]; }
   /// One past the largest PeerId ever allocated (alive or free).
-  std::size_t peer_id_bound() const { return ids_.size(); }
+  std::size_t peer_id_bound() const { return peers_.size(); }
   /// Released PeerIds awaiting reuse: exactly the ids below
   /// peer_id_bound() that are not alive.
   const std::vector<PeerId>& free_peers() const { return free_ids_; }
@@ -237,8 +252,8 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
     }
     if (!delegations_.empty()) {
       visit_delegation_slices(
-          ids_[p], [&fn](const kautz::KautzString&,
-                         std::span<const StoredObject> slice) {
+          peer_id(p), [&fn](const kautz::KautzString&,
+                            std::span<const StoredObject> slice) {
             for (const StoredObject& obj : slice) {
               fn(obj);
             }
@@ -274,9 +289,10 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   kautz::KautzString random_object_id();
 
   // --- introspection / validation ----------------------------------------
-  /// Full structural validation: the zone index is exactly the alive
-  /// PeerIDs and partitions the space, neighbor tables equal a fresh
-  /// recomputation, in/out transpose consistency, object placement.
+  /// Full structural validation: the alive flags are exactly alive_peers(),
+  /// the zone index is exactly the alive PeerIDs and partitions the space,
+  /// neighbor tables equal a fresh recomputation within the degree bounds,
+  /// in/out transpose consistency, object placement.
   void check_invariants() const;
   /// Max PeerID-length difference across neighbor links (the neighborhood
   /// invariant holds iff this is <= 1).
@@ -287,24 +303,27 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   std::size_t total_objects() const;
 
  private:
-  using EdgeRef = util::ArenaPool<PeerId>::Ref;
   using StoreRef = util::ArenaPool<StoredObject>::Ref;
 
-  // Column accessors (SoA). The spans are invalidated by pool growth — copy
-  // a list out before mutating the same pool while walking it.
-  bool alive(PeerId id) const { return alive_flags_[id] != 0; }
-  std::span<const PeerId> out_of(PeerId id) const {
-    return edges_.view(out_refs_[id]);
-  }
-  std::span<const PeerId> in_of(PeerId id) const {
-    return edges_.view(in_refs_[id]);
-  }
+  struct alignas(64) PeerRecord {
+    kautz::KautzString id;  ///< empty while the PeerId is free
+    StoreRef store;
+    std::array<PeerId, kMaxOutDegree> out{};  ///< sorted by PeerID
+    std::uint8_t out_count = 0;
+    bool alive = false;
+  };
+  static_assert(sizeof(PeerRecord) == 64, "one cache line per peer");
+  struct InList {
+    std::array<PeerId, kMaxInDegree> ids{};
+    std::uint8_t count = 0;
+  };
+
   /// Move a peer's store out of the arena (the block is kept for reuse).
   std::vector<StoredObject> take_store(PeerId id);
 
   PeerId allocate_peer();
   void release_peer(PeerId id);
-  /// Give `id` the zone `label`: writes ids_ and the zone index.
+  /// Give `id` the zone `label`: writes its record and the zone index.
   void assign_zone(PeerId id, const kautz::KautzString& label);
   /// The alive peer with the longest PeerID; among several, the lowest
   /// PeerId. A scan: only departures call it.
@@ -314,9 +333,13 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   PeerId pair_sibling(PeerId p) const;
   std::vector<PeerId> compute_out_neighbors(PeerId id) const;
   /// Recompute out-lists of `affected` (dedup, skips dead peers) and patch
-  /// in-list transposes. Returns the peers actually refreshed — the rewired
-  /// set a timed repair protocol must update.
+  /// in-list transposes: every stale in-edge of the refreshed set goes
+  /// before any new one is added, so no in-list ever holds more than
+  /// kMaxInDegree entries. Returns the peers actually refreshed — the
+  /// rewired set a timed repair protocol must update.
   std::vector<PeerId> refresh_neighbors(std::vector<PeerId> affected);
+  /// Remove `p` from the in-list of each of its out-neighbors.
+  void detach_out_edges(PeerId p);
   /// Split the zone of `victim`, assigning the new half to a fresh peer.
   PeerId split_peer(PeerId victim, MembershipReport* report);
   /// Remove `leaving` from the overlay; `transfer_objects` selects graceful
@@ -338,14 +361,10 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
 
   Config config_;
   Rng rng_;
-  // Per-peer columns, indexed by PeerId (parallel arrays).
-  std::vector<kautz::KautzString> ids_;
-  std::vector<std::uint8_t> alive_flags_;
-  std::vector<EdgeRef> out_refs_;
-  std::vector<EdgeRef> in_refs_;
-  std::vector<StoreRef> store_refs_;
-  util::ArenaPool<PeerId> edges_;        ///< out- and in-lists, one arena
-  util::ArenaPool<StoredObject> stores_; ///< per-peer object stores
+  // Indexed by PeerId.
+  std::vector<PeerRecord> peers_;
+  std::vector<InList> in_lists_;          ///< cold: churn and placement
+  util::ArenaPool<StoredObject> stores_;  ///< per-peer object stores
   std::vector<PeerId> free_ids_;
   std::vector<PeerId> alive_;
   std::vector<std::size_t> alive_pos_;  ///< index of peer in alive_

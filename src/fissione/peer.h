@@ -9,10 +9,12 @@
 
 namespace armada::fissione {
 
-/// Read-only view of one FISSIONE peer's state. The network stores peers
-/// struct-of-arrays (IDs, liveness, neighbor lists, and object stores each
-/// in their own contiguous array/arena — see FissioneNetwork); this view is
-/// assembled on access so call sites keep the record-like shape.
+/// Read-only view of one FISSIONE peer's state. The network keeps each
+/// peer's PeerID, liveness, out-list and store reference in one 64-byte
+/// record, its in-list in a cold column and its objects in a shared arena
+/// (see FissioneNetwork); this view is assembled on access for callers
+/// that want the whole peer. Code that reads one field of many peers reads
+/// it directly (FissioneNetwork::peer_id, out_neighbors, store_of).
 ///
 /// PeerIDs are variable-length base-2 Kautz strings; the peer owns every
 /// ObjectID it prefixes. Out-neighbors have PeerIDs of the form
@@ -20,14 +22,14 @@ namespace armada::fissione {
 /// sorted by PeerID — the order the forward routing tree relies on
 /// (paper §4.2, FRT rule 3).
 ///
-/// The spans point into the network's arenas: they are valid until the next
-/// membership or publish operation, like iterators into a container.
+/// The spans point into the network's records and arena: they are valid
+/// until the next membership or publish operation, like iterators into a
+/// container.
 struct Peer {
   const kautz::KautzString& peer_id;
   std::span<const PeerId> out_neighbors;
   std::span<const PeerId> in_neighbors;
   std::span<const StoredObject> store;
-  bool alive = false;
 };
 
 /// What a query's destination scan iterates: one or more contiguous runs of

@@ -224,7 +224,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
       std::uint64_t count;
     };
     std::vector<Candidate> candidates;
-    const KautzString zone = net_.peer(donor.peer).peer_id;
+    const KautzString zone = net_.peer_id(donor.peer);
     const auto consider_native = [&](const KautzString& range,
                                      bool whole_zone) {
       if (range.empty() ||
@@ -244,7 +244,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
         }
       }
       std::uint64_t count = 0;
-      for (const StoredObject& obj : net_.peer(donor.peer).store) {
+      for (const StoredObject& obj : net_.store_of(donor.peer)) {
         if (range.is_prefix_of(obj.object_id)) {
           ++count;
         }
@@ -301,11 +301,10 @@ void Rebalancer::sweep(sim::Simulator& sim) {
       // moves the range downhill, and the per-range cooldown spaces moves
       // out — together the hysteresis band that turns a stationary hot spot
       // into a bounded rotation instead of a ping-pong storm.
-      const fissione::Peer donor_peer = net_.peer(donor.peer);
-      std::vector<PeerId> neighbors(donor_peer.out_neighbors.begin(),
-                                    donor_peer.out_neighbors.end());
-      neighbors.insert(neighbors.end(), donor_peer.in_neighbors.begin(),
-                       donor_peer.in_neighbors.end());
+      const std::span<const PeerId> out = net_.out_neighbors(donor.peer);
+      const std::span<const PeerId> in = net_.in_neighbors(donor.peer);
+      std::vector<PeerId> neighbors(out.begin(), out.end());
+      neighbors.insert(neighbors.end(), in.begin(), in.end());
       std::sort(neighbors.begin(), neighbors.end());
       neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
                       neighbors.end());
@@ -315,7 +314,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
         if (a == donor.peer || !net_.is_alive(a)) {
           continue;
         }
-        const KautzString& aid = net_.peer(a).peer_id;
+        const KautzString& aid = net_.peer_id(a);
         if (aid.is_prefix_of(cand.range) || cand.range.is_prefix_of(aid)) {
           continue;  // a host must be zone-disjoint from the range
         }
@@ -378,7 +377,7 @@ void Rebalancer::finish_migration(sim::Simulator& sim,
   // The membership hook cancels flights at the churn event itself, but the
   // id may have been recycled since: re-verify every delegation
   // precondition and abort instead of corrupting the registry.
-  const KautzString& aid = net_.peer(flight->acceptor).peer_id;
+  const KautzString& aid = net_.peer_id(flight->acceptor);
   if (aid.is_prefix_of(flight->range) || flight->range.is_prefix_of(aid)) {
     ++stats_.migrations_cancelled;
     return;
@@ -411,9 +410,8 @@ void Rebalancer::finish_migration(sim::Simulator& sim,
   // Queries need no acknowledgement — the FRT split reads the registry —
   // so the notices are pure accounting, like the replica release notices.
   net::Transport& transport = net_.transport();
-  const fissione::Peer donor_peer = net_.peer(flight->donor);
-  const std::vector<PeerId> notified(donor_peer.in_neighbors.begin(),
-                                     donor_peer.in_neighbors.end());
+  const std::span<const PeerId> in = net_.in_neighbors(flight->donor);
+  const std::vector<PeerId> notified(in.begin(), in.end());
   for (PeerId nb : notified) {
     // The approximate Kautz overlay admits self-edges; a donor does not
     // notify itself.

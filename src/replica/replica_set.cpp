@@ -27,7 +27,7 @@ ReplicaSet::ReplicaSet(fissione::FissioneNetwork& net,
 }
 
 bool ReplicaSet::is_primary(PeerId peer, const KautzString& prefix) const {
-  const KautzString& pid = net_.peer(peer).peer_id;
+  const KautzString& pid = net_.peer_id(peer);
   return pid.is_prefix_of(prefix) || prefix.is_prefix_of(pid);
 }
 

@@ -1,11 +1,9 @@
-// ArenaPool: shared backing storage for the many small dynamic arrays of a
-// struct-of-arrays overlay (per-peer neighbor lists, per-peer object
-// stores). Each logical array is a Ref — {offset, size, capacity} into one
-// contiguous vector — so iterating the lists of consecutive peers walks
-// contiguous memory, and the per-list heap allocation of the
-// vector-of-vectors layout disappears. Capacities are powers of two
-// recycled through per-size free lists, so membership churn reuses blocks
-// instead of round-tripping the allocator.
+// ArenaPool: shared backing storage for many small dynamic arrays — in
+// this codebase, FISSIONE's per-peer object stores. Each logical array is
+// a Ref — {offset, size, capacity} into one contiguous vector — so the
+// per-array heap allocation of a vector-of-vectors layout disappears.
+// Capacities are powers of two recycled through per-size free lists, so
+// membership churn reuses blocks instead of round-tripping the allocator.
 //
 // Refs stay valid across every operation; spans/pointers into the pool are
 // invalidated by any operation that can grow it (push_back, assign,
@@ -56,13 +54,6 @@ class ArenaPool {
     r.size = static_cast<std::uint32_t>(src.size());
   }
 
-  /// Remove every element equal to `v`, preserving the order of the rest.
-  void erase_value(Ref& r, const T& v) {
-    T* b = data_.data() + r.off;
-    T* w = std::remove(b, b + r.size, v);
-    r.size = static_cast<std::uint32_t>(w - b);
-  }
-
   void clear(Ref& r) { r.size = 0; }
 
   /// Return the block to its free list; the Ref becomes unallocated.
@@ -88,9 +79,6 @@ class ArenaPool {
     r.off = off;
     r.cap_log2 = log2;
   }
-
-  /// Elements in the backing vector (live lists plus free blocks).
-  std::size_t capacity() const { return data_.size(); }
 
  private:
   static constexpr std::uint8_t kUnallocated = 0xff;

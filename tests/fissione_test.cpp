@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -290,6 +291,44 @@ TEST_P(FissioneChurnTest, InvariantsUnderRandomChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FissioneChurnTest,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 42, 1234));
+
+// The inline neighbor lists hold every table the neighborhood invariant
+// allows: at most 4 out- and 2 in-neighbors, after every step of a long
+// join/leave/crash cycle. Refreshing a rewired set adds in-edges only after
+// dropping all stale ones; interleaving the two overfills an in-list.
+TEST(FissioneChurn, DegreeBoundsHoldAfterEveryStep) {
+  auto net = FissioneNetwork::build(2000, 5);
+  std::size_t peak_in = 0;  // not vacuous: in-lists reach the bound
+  for (int step = 0; step < 3000; ++step) {
+    switch (step % 3) {
+      case 0:
+        net.join();
+        break;
+      case 1:
+        net.leave(net.random_peer());
+        break;
+      default:
+        net.crash(net.random_peer());
+        break;
+    }
+    std::size_t max_out = 0;
+    std::size_t max_in = 0;
+    bool duplicate_in = false;
+    for (PeerId p : net.alive_peers()) {
+      const std::span<const PeerId> in = net.in_neighbors(p);
+      max_out = std::max(max_out, net.out_neighbors(p).size());
+      max_in = std::max(max_in, in.size());
+      duplicate_in = duplicate_in || (in.size() == 2 && in[0] == in[1]);
+    }
+    ASSERT_LE(max_out, 4u) << "step " << step;
+    ASSERT_LE(max_in, 2u) << "step " << step;
+    ASSERT_FALSE(duplicate_in) << "step " << step;
+    ASSERT_NO_THROW(net.check_invariants()) << "step " << step;
+    peak_in = std::max(peak_in, max_in);
+  }
+  EXPECT_EQ(net.num_peers(), 1000u);
+  EXPECT_EQ(peak_in, 2u);
+}
 
 // The zone index agrees with full scans of the alive peers after every step
 // of a seeded churn run: cover_of_prefix — in alive_peers() order — with

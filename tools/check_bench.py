@@ -11,10 +11,10 @@ Checks the cross-scheme table1 feed (every scheme under all four latency
 models, ConstantHop latency == hop-count delay), the timed-churn cells, the
 congestion tiers and closed-loop goodput plateau, the load-balance and
 rebalancing claims, the scale trajectory against the 2*log2(N) hop bound,
-the inline KautzString capacity and a non-decreasing peak RSS, the
-event-dispatch row, and the packed-KautzString microbench; the committed
-snapshots must satisfy the same invariants at full scale.  Exits nonzero
-on the first failed assertion.  Stdlib only.
+the inline KautzString capacity, the neighbor-list degree bounds and a
+non-decreasing peak RSS, the event-dispatch row, and the packed-KautzString
+microbench; the committed snapshots must satisfy the same invariants at
+full scale.  Exits nonzero on the first failed assertion.  Stdlib only.
 """
 
 import collections
@@ -26,12 +26,22 @@ import sys
 # FissioneNetwork::kObjectIdLength and KautzString::kMaxLength.
 OBJECT_ID_LENGTH = 48
 KAUTZ_MAX_LENGTH = 96
+# FissioneNetwork::kMaxOutDegree and kMaxInDegree.
+MAX_OUT_DEGREE = 4
+MAX_IN_DEGREE = 2
 
 
 def fits_inline(max_peer_id_len):
     """The deepest PeerID's shift-routing target, its tail after the first
     digit plus an ObjectID suffix, fits in a KautzString."""
     return max_peer_id_len - 1 + OBJECT_ID_LENGTH <= KAUTZ_MAX_LENGTH
+
+
+def within_degree_bounds(m):
+    """Every neighbor list fits the inline lists of a peer's record, as the
+    neighborhood invariant promises."""
+    return (0 < m['max_out_degree'] <= MAX_OUT_DEGREE
+            and 0 < m['max_in_degree'] <= MAX_IN_DEGREE)
 
 
 def check(records_path, root):
@@ -265,6 +275,7 @@ def check(records_path, root):
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(peers), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(peers), r
         assert fits_inline(m['max_peer_id_len']), r
+        assert within_degree_bounds(m), r
     assert dispatch_series in scale_rows, 'scale feed missing dispatch row'
     assert scale_rows[dispatch_series]['metrics']['events_per_second'] > 0
 
@@ -294,6 +305,7 @@ def check(records_path, root):
         assert 0 < m['route_hops_mean'] <= 2 * math.log2(n), r
         assert 0 < m['max_peer_id_len'] < 2 * math.log2(n), r
         assert fits_inline(m['max_peer_id_len']), r
+        assert within_degree_bounds(m), r
 
     # Packed-ID microbench: the packed KautzString must beat the
     # digit-vector reference on the shift-routing composite op
