@@ -783,21 +783,37 @@ void FissioneNetwork::check_invariants() const {
   for (PeerId id : alive_) {
     ARMADA_CHECK(is_alive(id) && alive_[alive_pos_[id]] == id);
     const KautzString& u = peer_id(id);
-    // Out-neighbors match a fresh recomputation.
     const std::span<const PeerId> out = out_neighbors(id);
-    const std::vector<PeerId> fresh = compute_out_neighbors(id);
-    ARMADA_CHECK_MSG(
-        std::equal(out.begin(), out.end(), fresh.begin(), fresh.end()),
-        "stale out-neighbors at peer " << id);
-    // Out-neighbor IDs have the form u2...ub q1...qm.
-    for (PeerId n : out) {
-      const KautzString& v = peer_id(n);
-      if (u.length() >= 2) {
-        const KautzString shifted = u.drop_front();
-        ARMADA_CHECK_MSG(
-            shifted.is_prefix_of(v) || v.is_prefix_of(shifted),
-            "edge " << u.to_string() << " -> " << v.to_string());
+    if (u.length() == 1) {
+      // K(2,1): the out-list is the covers of the other two symbols.
+      const std::vector<PeerId> fresh = compute_out_neighbors(id);
+      ARMADA_CHECK_MSG(
+          std::equal(out.begin(), out.end(), fresh.begin(), fresh.end()),
+          "stale out-neighbors at peer " << id);
+    } else {
+      // The out-list is cover_of_prefix(s) for s = u2...ub, checked against
+      // the partition validated above: alive peers (so zones) in strict
+      // PeerID order, each comparable with s, that are either the one zone
+      // prefixing s or zones extending s whose ObjectIDs add up to s's —
+      // which, the zones being disjoint, makes them all such zones.
+      const KautzString s = u.drop_front();
+      std::uint64_t held = 0;
+      const KautzString* prev = nullptr;
+      for (PeerId n : out) {
+        ARMADA_CHECK_MSG(is_alive(n),
+                         "dead out-neighbor " << n << " at peer " << id);
+        const KautzString& v = peer_id(n);
+        ARMADA_CHECK_MSG(prev == nullptr || *prev < v,
+                         "out-neighbors out of order at peer " << id);
+        ARMADA_CHECK_MSG(s.is_prefix_of(v) || v.is_prefix_of(s),
+                         "edge " << u.to_string() << " -> " << v.to_string());
+        prev = &v;
+        held += space / kautz::space_size(v.length());
       }
+      const bool owner = out.size() == 1 && peer_id(out[0]).is_prefix_of(s);
+      ARMADA_CHECK_MSG(
+          owner || held == space / kautz::space_size(s.length()),
+          "stale out-neighbors at peer " << id);
     }
     // Transpose consistency, within the degree bounds and with no
     // duplicate in-edge.

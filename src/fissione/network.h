@@ -291,8 +291,8 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   // --- introspection / validation ----------------------------------------
   /// Full structural validation: the alive flags are exactly alive_peers(),
   /// the zone index is exactly the alive PeerIDs and partitions the space,
-  /// neighbor tables equal a fresh recomputation within the degree bounds,
-  /// in/out transpose consistency, object placement.
+  /// every out-list is the cover of u2...ub read against that partition,
+  /// the degree bounds, in/out transpose consistency, object placement.
   void check_invariants() const;
   /// Max PeerID-length difference across neighbor links (the neighborhood
   /// invariant holds iff this is <= 1).

@@ -6,10 +6,10 @@
 // observed: messages and the link departures (batches) that carried them,
 // payload bytes on the wire, the queueing delay each message accrued beyond
 // pure propagation, per-node backlog peaks, accumulated service busy time,
-// per-class traffic accounting, and the flow-control counters (admission
-// sheds, hedged duplicates). Every overlay surfaces its transport's
-// instance through overlay::RoutedOverlay::congestion(), so benches read
-// hot-node and hot-link pressure in the same way for all four DHTs.
+// per-class traffic accounting, and the admission-shed counter. Every
+// overlay surfaces its transport's instance through
+// overlay::RoutedOverlay::congestion(), so benches read hot-node and
+// hot-link pressure in the same way for all four DHTs.
 #pragma once
 
 #include <array>
@@ -21,16 +21,13 @@ namespace armada::net {
 /// Traffic classes priced by the queueing network. Under the default
 /// (FIFO) discipline the class is pure accounting — timing is identical
 /// for every mix — while the strict discipline schedules each node server
-/// per class (see QueueingConfig::scheduling). kHedge is the
-/// retry lane used by hedged sends: above queries, below repair, so a
-/// hedge can jump a query backlog without ever delaying repair.
+/// per class (see QueueingConfig::scheduling).
 enum class TrafficClass : std::uint8_t {
   kQuery = 0,
   kRepair = 1,
   kHandoff = 2,
-  kHedge = 3,
 };
-inline constexpr std::size_t kNumTrafficClasses = 4;
+inline constexpr std::size_t kNumTrafficClasses = 3;
 
 inline constexpr std::size_t class_index(TrafficClass c) {
   return static_cast<std::size_t>(c);
@@ -67,9 +64,9 @@ struct CongestionStats {
   /// Query-class sends refused admission (the sender shed or degraded the
   /// work instead of queueing it); they consumed no network resources.
   std::uint64_t shed_messages = 0;
-  /// Hedged duplicates launched by senders, and those that won their race
-  /// (arrived before the primary; the loser's continuation is cancelled
-  /// but its reservations were consumed).
+  /// Never incremented: no sender hedges. perfbench's
+  /// `net.hedges_won_ratio` is their only reader; both go when the
+  /// benchmark drops that metric (ROADMAP item 1).
   std::uint64_t hedges_launched = 0;
   std::uint64_t hedges_won = 0;
 

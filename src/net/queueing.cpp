@@ -11,10 +11,10 @@ namespace armada::net {
 namespace {
 
 /// Priority tiers of the kStrict discipline: lower rank is served first.
-/// kRepair > kHandoff > kHedge > kQuery, so repair is never starved by
-/// query backlog and a hedged retry jumps queries without touching repair.
+/// kRepair > kHandoff > kQuery, so repair is never starved by query
+/// backlog.
 constexpr std::array<int, kNumTrafficClasses> kStrictRank = {
-    /*kQuery=*/3, /*kRepair=*/0, /*kHandoff=*/1, /*kHedge=*/2};
+    /*kQuery=*/2, /*kRepair=*/0, /*kHandoff=*/1};
 
 }  // namespace
 
@@ -48,8 +48,6 @@ Queueing::Queueing(QueueingConfig config) : config_(config) {
   ARMADA_CHECK(config_.link_bandwidth > 0.0);
   ARMADA_CHECK(config_.coalesce_window >= 0.0);
   ARMADA_CHECK(config_.flow.backoff >= 0.0);
-  ARMADA_CHECK(config_.flow.hedge_delay >= 0.0);
-  ARMADA_CHECK(config_.flow.hedge_threshold >= 0.0);
 }
 
 std::uint64_t Queueing::sent() const { return state_.sent; }
@@ -221,12 +219,5 @@ Queueing::Admission Queueing::admit_query(const sim::Simulator& sim,
 }
 
 void Queueing::record_shed() { ++stats_.shed_messages; }
-
-void Queueing::record_hedge(bool won) {
-  ++stats_.hedges_launched;
-  if (won) {
-    ++stats_.hedges_won;
-  }
-}
 
 }  // namespace armada::net

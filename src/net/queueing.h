@@ -35,12 +35,9 @@
 // ingress reservations once and answers both questions from that count —
 // shed the query-class work once the backlog reaches the admission limit
 // (partial answers with an explicit coverage fraction), else back off,
-// delaying the send in proportion to the excess backlog. A sender also
-// launches a hedged duplicate in the kHedge lane when the
-// synchronously-known queueing delay crosses a threshold (first arrival
-// wins, the loser's continuation is cancelled). All knobs default to off;
-// the default config prices every class identically and reproduces every
-// pre-existing golden bitwise.
+// delaying the send in proportion to the excess backlog. Both default to
+// off; the default config prices every class identically and reproduces
+// every pre-existing golden bitwise.
 //
 // The zero-queue configuration (unlimited rates, zero window, zero-size
 // messages) degenerates structurally to pure propagation: every reservation
@@ -82,8 +79,6 @@ namespace armada::net {
 /// Service/bandwidth value meaning "no limit".
 inline constexpr double kUnlimitedRate =
     std::numeric_limits<double>::infinity();
-/// Flow-control threshold meaning "never".
-inline constexpr double kNeverHedge = std::numeric_limits<double>::infinity();
 
 /// Sender-side closed-loop knobs. Everything defaults to off; query senders
 /// (Transport::deliver_walk, FrtSearch) consult these through
@@ -95,19 +90,12 @@ struct FlowControlConfig {
   /// Backoff delay applied per message of backlog beyond the threshold
   /// (linear, so deeper queues push senders off harder).
   sim::Time backoff = 0.0;
-  /// Queueing delay of a reserved primary send beyond which the sender
-  /// launches one hedged duplicate in the kHedge lane; kNeverHedge
-  /// disables hedging.
-  sim::Time hedge_threshold = kNeverHedge;
-  /// The hedge departs this long after the primary's enqueue.
-  sim::Time hedge_delay = 0.0;
   /// Ingress-backlog depth at the target at or above which query-class
   /// sends are refused admission (the sender sheds or degrades the work);
   /// 0 disables admission control. Repair/handoff traffic is never shed.
   std::uint32_t admission_limit = 0;
 
   bool backoff_enabled() const { return backoff_threshold > 0; }
-  bool hedge_enabled() const { return hedge_threshold < kNeverHedge; }
   bool admission_enabled() const { return admission_limit > 0; }
 
   friend bool operator==(const FlowControlConfig&,
@@ -123,8 +111,8 @@ struct QueueingConfig {
     /// One shared FIFO per server; classes are accounting-only. Default —
     /// bit-identical to the pre-class engine for any traffic mix.
     kFifo,
-    /// Strict priority kRepair > kHandoff > kHedge > kQuery: a class
-    /// serializes behind its own tier and all higher tiers only.
+    /// Strict priority kRepair > kHandoff > kQuery: a class serializes
+    /// behind its own tier and all higher tiers only.
     kStrict,
   };
 
@@ -194,7 +182,7 @@ class Queueing {
   std::size_t egress_backlog(const sim::Simulator& sim, NodeId node) const;
   /// The flow-control verdict on one more query-class message to a target,
   /// both halves read from one count of its ingress backlog. Only query
-  /// traffic asks: repair, handoff and hedge sends are never shed.
+  /// traffic asks: repair and handoff sends are never shed.
   struct Admission {
     /// Admission control is on and the backlog is at or above the limit.
     bool shed = false;
@@ -206,8 +194,6 @@ class Queueing {
   /// Account one admission-control shed (the message never touched the
   /// queues, so the sender reports it here to keep one shared currency).
   void record_shed();
-  /// Account a hedged duplicate launch / a hedge winning its race.
-  void record_hedge(bool won);
 
   /// Sets the engine's queue state aside for one synchronous run, which
   /// starts from empty queues, and restores it on destruction — also when

@@ -109,24 +109,14 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
         finish();
         return;
       }
-      const NodeId u = path[i];
-      const NodeId v = path[i + 1];
-      // First arrival continues the walk; a cancelled (losing) copy is
-      // dropped here — its reservations were consumed, its continuation
-      // never runs.
-      auto raced = std::make_shared<bool>(false);
-      auto arrive = [self, i, raced](sim::Time queue_delay) {
-        if (*raced) {
-          return;
-        }
-        *raced = true;
-        self->stats.queue_delay += queue_delay;
-        self->stats.latency = self->sim->now() - self->start;
-        self->hop(self, i + 1);
-      };
-      const std::optional<Sent> primary =
-          transport->send_query(*sim, u, v, stats, arrive);
-      if (!primary) {
+      const bool sent = transport->send_query(
+          *sim, path[i], path[i + 1], stats,
+          [self, i](sim::Time queue_delay) {
+            self->stats.queue_delay += queue_delay;
+            self->stats.latency = self->sim->now() - self->start;
+            self->hop(self, i + 1);
+          });
+      if (!sent) {
         // Admission refused: shed the whole walk. The hops already spent
         // stay in the stats; the answer carries zero coverage.
         stats.coverage = 0.0;
@@ -134,26 +124,6 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
         return;
       }
       stats.delay += 1.0;
-      const Queueing* queueing = transport->queueing();
-      if (queueing != nullptr && queueing->config().flow.hedge_enabled()) {
-        const Time primary_delay =
-            primary->delivery - primary->enqueue - transport->link(u, v);
-        if (primary_delay > queueing->config().flow.hedge_threshold) {
-          // Hedge in the kHedge lane: under priority scheduling the
-          // duplicate jumps the query backlog and can land first.
-          if (transport->trace_ != nullptr) {
-            transport->trace_->annotate(obs::kFlagHedge);
-          }
-          const std::uint32_t bytes = transport->default_message_bytes();
-          ++stats.messages;
-          stats.bytes_on_wire += bytes;
-          const Time hedge = transport->deliver(
-              *sim, u, v, bytes, arrive,
-              sim->now() + queueing->config().flow.hedge_delay,
-              TrafficClass::kHedge);
-          transport->queueing_->record_hedge(hedge < primary->delivery);
-        }
-      }
     }
   };
   auto walk = std::make_shared<Walk>(Walk{this, &sim, std::move(path),

@@ -27,16 +27,14 @@
 // one count of the next hop's ingress backlog (a no-op without queueing),
 // and `send_query` applies it — shed when the next hop is at the admission
 // limit, else backed off into a saturated one. The FRT search sends every
-// branch through it, and `deliver_walk` every hop, adding hedged duplicates
-// in the kHedge lane with first-arrival-wins cancellation and shedding the
-// whole walk (coverage 0) on a refused hop.
+// branch through it, and `deliver_walk` every hop, shedding the whole walk
+// (coverage 0) on a refused hop.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/latency_model.h"
@@ -88,10 +86,8 @@ class Transport {
   /// start, plus the accumulated queue_delay and bytes_on_wire — when the
   /// final hop lands (immediately for an empty or single-node path). The
   /// walk obeys the installed flow-control policy: hops back off into
-  /// backlogged targets, a hop whose reserved queueing delay crosses the
-  /// hedge threshold races a kHedge duplicate (first arrival wins, the
-  /// loser is cancelled and counted), and a hop refused admission sheds the
-  /// walk — `done` then reports coverage 0 with the hops already spent.
+  /// backlogged targets, and a hop refused admission sheds the walk —
+  /// `done` then reports coverage 0 with the hops already spent.
   void deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
                     std::function<void(const sim::QueryStats&)> done);
 
@@ -119,7 +115,6 @@ class Transport {
   /// from zero. Copies of this transport share the engine.
   void install_queueing(const QueueingConfig& config);
   void uninstall_queueing();
-  bool queueing_installed() const { return queueing_ != nullptr; }
   /// True when an installed config prices messages: one that is not the
   /// zero-queue degenerate.
   bool queueing_active() const {
@@ -145,23 +140,18 @@ class Transport {
                                 : queueing_->admit_query(sim, to);
   }
 
-  /// Instants of one query message that `send_query` sent.
-  struct Sent {
-    Time enqueue;   ///< max(now(), the end of the sender's backoff)
-    Time delivery;  ///< as returned by `deliver`
-  };
   /// The one sender policy of query traffic (the FRT search and
   /// `deliver_walk`): send a default-size query-class message from `from`
   /// to `to` under the installed flow-control policy, charged to `stats`.
   /// A message refused admission is shed — counted in `stats.shed`, the
-  /// congestion currency and the trace — and nothing is sent (nullopt).
+  /// congestion currency and the trace — and nothing is sent (false).
   /// Otherwise it backs off into a backlogged `to`, counts one message and
-  /// its bytes in `stats`, and is delivered; `on_arrival` runs there.
-  /// Defined here so the FRT search's per-branch call inlines: out of line
-  /// it cost about 2% of wide_100k's queries/s.
+  /// its bytes in `stats`, and is delivered (true); `on_arrival` runs
+  /// there. Defined here so the FRT search's per-branch call inlines: out
+  /// of line it cost about 2% of wide_100k's queries/s.
   template <typename Fn>
-  std::optional<Sent> send_query(sim::Simulator& sim, NodeId from, NodeId to,
-                                 sim::QueryStats& stats, Fn&& on_arrival) {
+  bool send_query(sim::Simulator& sim, NodeId from, NodeId to,
+                  sim::QueryStats& stats, Fn&& on_arrival) {
     const Queueing::Admission admission = admit_query(sim, to);
     if (admission.shed) {
       queueing_->record_shed();
@@ -169,7 +159,7 @@ class Transport {
         trace_->annotate(obs::kFlagShed);
       }
       ++stats.shed;
-      return std::nullopt;
+      return false;
     }
     Time not_before = 0.0;
     if (admission.backoff > 0.0) {
@@ -178,10 +168,9 @@ class Transport {
     const std::uint32_t bytes = default_message_bytes();
     ++stats.messages;
     stats.bytes_on_wire += bytes;
-    const Time delivery =
-        deliver(sim, from, to, bytes, std::forward<Fn>(on_arrival), not_before,
-                TrafficClass::kQuery);
-    return Sent{std::max(sim.now(), not_before), delivery};
+    deliver(sim, from, to, bytes, std::forward<Fn>(on_arrival), not_before,
+            TrafficClass::kQuery);
+    return true;
   }
 
   // --- tracing seam ----------------------------------------------------------

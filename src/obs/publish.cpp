@@ -26,10 +26,6 @@ void publish(Registry& reg, std::string_view prefix,
   reg.count(dotted(prefix, "queue_delay_total"), stats.queue_delay_total);
   reg.count(dotted(prefix, "shed_messages"),
             static_cast<double>(stats.shed_messages));
-  reg.count(dotted(prefix, "hedges_launched"),
-            static_cast<double>(stats.hedges_launched));
-  reg.count(dotted(prefix, "hedges_won"),
-            static_cast<double>(stats.hedges_won));
   reg.set(dotted(prefix, "queue_delay_max"), stats.queue_delay_max);
   reg.set(dotted(prefix, "egress_depth_peak"),
           static_cast<double>(stats.egress_depth_peak));

@@ -19,7 +19,7 @@
 namespace armada::obs {
 
 /// Transport congestion counters under `<prefix>.*`, including the
-/// per-class `<prefix>.class.<query|repair|handoff|hedge>.messages` /
+/// per-class `<prefix>.class.<query|repair|handoff>.messages` /
 /// `.queue_delay` series the backlog dashboards read.
 void publish(Registry& reg, std::string_view prefix,
              const net::CongestionStats& stats);

@@ -26,7 +26,6 @@ std::string flag_names(std::uint32_t flags) {
     const char* name;
   } kNames[] = {
       {kFlagShed, "shed"},
-      {kFlagHedge, "hedge"},
       {kFlagCacheHit, "cache_hit"},
       {kFlagReplicaRoute, "replica_route"},
       {kFlagDelegationSplit, "delegation_split"},
@@ -62,8 +61,6 @@ const char* traffic_class_name(net::TrafficClass cls) {
       return "repair";
     case net::TrafficClass::kHandoff:
       return "handoff";
-    case net::TrafficClass::kHedge:
-      return "hedge";
   }
   return "query";
 }

@@ -37,10 +37,10 @@ namespace armada::obs {
 
 /// Per-span annotation bits. Annotations set on the current span are
 /// mirrored onto its trace root so slow-query dumps can summarise a
-/// query ("hedged, split, 3 sheds") without walking the tree.
+/// query ("split, served, shed") without walking the tree. Bit 1 is
+/// unused.
 enum SpanFlag : std::uint32_t {
   kFlagShed = 1u << 0,          ///< a send from this span was shed
-  kFlagHedge = 1u << 1,         ///< a hedged retry launched here
   kFlagCacheHit = 1u << 2,      ///< answered from the result cache
   kFlagReplicaRoute = 1u << 3,  ///< routed to a cheaper replica
   kFlagDelegationSplit = 1u << 4,  ///< FRT split the last hop across hosts
@@ -227,8 +227,8 @@ class TraceRecorder {
   std::uint64_t violations_ = 0;
 };
 
-/// Static label for a traffic class ("query", "repair", "handoff",
-/// "hedge") — the enum the CI trace schema pins.
+/// Static label for a traffic class ("query", "repair", "handoff") — the
+/// enum the CI trace schema pins.
 const char* traffic_class_name(net::TrafficClass cls);
 
 }  // namespace armada::obs

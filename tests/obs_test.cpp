@@ -113,7 +113,6 @@ TEST(Publish, CongestionStatsIncludePerClassSeries) {
   EXPECT_DOUBLE_EQ(reg.value("net.class.repair.messages"), 3.0);
   EXPECT_DOUBLE_EQ(reg.value("net.class.query.messages"), 0.0);
   EXPECT_TRUE(reg.contains("net.class.handoff.messages"));
-  EXPECT_TRUE(reg.contains("net.class.hedge.messages"));
   EXPECT_DOUBLE_EQ(reg.value("net.queue_delay_max"), 1.5);
 }
 
@@ -122,7 +121,6 @@ TEST(Publish, TrafficClassNamesArePinned) {
   EXPECT_STREQ(obs::traffic_class_name(net::TrafficClass::kRepair), "repair");
   EXPECT_STREQ(obs::traffic_class_name(net::TrafficClass::kHandoff),
                "handoff");
-  EXPECT_STREQ(obs::traffic_class_name(net::TrafficClass::kHedge), "hedge");
 }
 
 // --- Sampler ----------------------------------------------------------------
@@ -213,10 +211,10 @@ TEST(TraceRecorder, AnnotationsMirrorOntoTheRoot) {
   rec.span_delivered(hop, 1.0, 0.0);
   {
     const auto hop_scope = rec.enter(hop);
-    rec.annotate(obs::kFlagHedge);
+    rec.annotate(obs::kFlagShed);
   }
-  EXPECT_EQ(rec.find(hop)->flags & obs::kFlagHedge, obs::kFlagHedge);
-  EXPECT_EQ(rec.find(root)->flags & obs::kFlagHedge, obs::kFlagHedge);
+  EXPECT_EQ(rec.find(hop)->flags & obs::kFlagShed, obs::kFlagShed);
+  EXPECT_EQ(rec.find(root)->flags & obs::kFlagShed, obs::kFlagShed);
 }
 
 // --- tracing at the Transport seam ------------------------------------------

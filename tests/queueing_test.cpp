@@ -15,12 +15,11 @@
 //  * repair batching — churn-driver repair through the coalescer saves
 //    departures and stays deterministic;
 //  * traffic classes — kFifo timing is class-blind, kStrict serves repair
-//    ahead of query backlog;
+//    ahead of handoff and both ahead of query backlog;
 //  * closed-loop flow control — the admission probe's shed and backoff
-//    track ingress backlog, hedged retries win via the kHedge lane with
-//    the losing copy cancelled, and admission control degrades range
-//    queries into partial answers whose stats.coverage is the exact
-//    served fraction;
+//    track ingress backlog, and admission control degrades range queries
+//    into partial answers whose stats.coverage is the exact served
+//    fraction;
 //  * one queue state per engine — a synchronous query nested inside a
 //    shared simulator's event starts from empty queues and leaves that
 //    simulator's backlog untouched, and in-flight deliveries survive the
@@ -31,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <vector>
@@ -291,9 +291,9 @@ TEST(QueueingInvariants, PerLinkFifoAndConservationUnderRandomLoad) {
 }
 
 TEST(QueueingInvariants, BacklogProbesAndDepthPeakMatchBruteForceModels) {
-  constexpr net::TrafficClass kClasses[4] = {
-      net::TrafficClass::kQuery, net::TrafficClass::kRepair,
-      net::TrafficClass::kHandoff, net::TrafficClass::kHedge};
+  constexpr net::TrafficClass kClasses[] = {net::TrafficClass::kQuery,
+                                            net::TrafficClass::kRepair,
+                                            net::TrafficClass::kHandoff};
   constexpr std::size_t kReceivers = 3;
   constexpr std::size_t kSenders = 24;
   for (const std::uint64_t seed : fuzz_seeds()) {
@@ -323,7 +323,7 @@ TEST(QueueingInvariants, BacklogProbesAndDepthPeakMatchBruteForceModels) {
         const auto bytes = static_cast<std::uint32_t>(rng.next_index(257));
         const sim::Time at =
             queueing.send(sim, from, to, bytes, rng.next_double(0.5, 1.5), {},
-                          0.0, kClasses[rng.next_index(4)]);
+                          0.0, kClasses[rng.next_index(std::size(kClasses))]);
         delivered[to].push_back(at);
         std::deque<sim::Time>& model = fifo[to];
         while (!model.empty() && model.front() <= sim.now()) {
@@ -640,7 +640,7 @@ TEST(QueueingInvariants, InFlightDeliveriesSurviveEngineReplacement) {
       EXPECT_EQ(transport.queueing()->sent(), 0u);
       EXPECT_EQ(transport.queueing()->delivered(), 0u);
     } else {
-      EXPECT_FALSE(transport.queueing_installed());
+      EXPECT_EQ(transport.queueing(), nullptr);
     }
   }
 
@@ -664,9 +664,9 @@ TEST(QueueingInvariants, InFlightDeliveriesSurviveEngineReplacement) {
 // ---------------------------------------------------------------------------
 
 TEST(TrafficClasses, FifoTimingIsClassBlind) {
-  constexpr net::TrafficClass kMix[4] = {
-      net::TrafficClass::kQuery, net::TrafficClass::kRepair,
-      net::TrafficClass::kHandoff, net::TrafficClass::kHedge};
+  constexpr net::TrafficClass kMix[] = {net::TrafficClass::kQuery,
+                                        net::TrafficClass::kRepair,
+                                        net::TrafficClass::kHandoff};
   auto run = [&](bool tagged, net::CongestionStats* stats) {
     net::Transport transport;
     transport.install_queueing(loaded_config());
@@ -676,7 +676,7 @@ TEST(TrafficClasses, FifoTimingIsClassBlind) {
       transport.deliver(
           sim, 0, 1, 64,
           [&delivered, &sim](sim::Time) { delivered.push_back(sim.now()); },
-          0.0, tagged ? kMix[i % 4] : net::TrafficClass::kQuery);
+          0.0, tagged ? kMix[i % std::size(kMix)] : net::TrafficClass::kQuery);
     }
     sim.run();
     *stats = transport.congestion();
@@ -689,7 +689,7 @@ TEST(TrafficClasses, FifoTimingIsClassBlind) {
   EXPECT_EQ(run(true, &tagged_stats), run(false, &untagged_stats));
   EXPECT_EQ(tagged_stats.queue_delay_total, untagged_stats.queue_delay_total);
   for (const net::TrafficClass cls : kMix) {
-    EXPECT_EQ(tagged_stats.class_messages[net::class_index(cls)], 3u);
+    EXPECT_EQ(tagged_stats.class_messages[net::class_index(cls)], 4u);
   }
   EXPECT_EQ(untagged_stats.class_messages[net::class_index(
                 net::TrafficClass::kQuery)],
@@ -705,6 +705,7 @@ TEST(TrafficClasses, StrictPriorityServesRepairAheadOfQueryBacklog) {
   sim::Simulator sim;
   std::vector<sim::Time> query;
   std::vector<sim::Time> repair;
+  std::vector<sim::Time> handoff;
   for (int i = 0; i < 3; ++i) {
     transport.deliver(
         sim, 0, 1, 0,
@@ -715,12 +716,18 @@ TEST(TrafficClasses, StrictPriorityServesRepairAheadOfQueryBacklog) {
       sim, 0, 1, 0,
       [&repair, &sim](sim::Time) { repair.push_back(sim.now()); }, 0.0,
       net::TrafficClass::kRepair);
+  transport.deliver(
+      sim, 0, 1, 0,
+      [&handoff, &sim](sim::Time) { handoff.push_back(sim.now()); }, 0.0,
+      net::TrafficClass::kHandoff);
   sim.run();
   // Queries serialize behind each other (delivered 3/4/5). The repair —
-  // sent last — only waits for its own tier, so it lands at 3, ahead of
-  // two-thirds of the query backlog.
+  // sent after them — only waits for its own tier, so it lands at 3, ahead
+  // of two-thirds of the query backlog. The handoff, sent last, waits for
+  // the repair above it but not for the queries below: it lands at 4.
   EXPECT_EQ(query, (std::vector<sim::Time>{3.0, 4.0, 5.0}));
   EXPECT_EQ(repair, (std::vector<sim::Time>{3.0}));
+  EXPECT_EQ(handoff, (std::vector<sim::Time>{4.0}));
   const net::CongestionStats& stats = transport.congestion();
   EXPECT_LT(stats.class_queue_delay_mean(net::TrafficClass::kRepair),
             stats.class_queue_delay_mean(net::TrafficClass::kQuery));
@@ -758,19 +765,18 @@ TEST(FlowControl, BackoffAndAdmissionProbesTrackIngressBacklog) {
     ASSERT_EQ(transport.queueing()->ingress_backlog(sim, 1), depth);
     EXPECT_EQ(verdict(1), expected[depth - 1]) << "depth " << depth;
   }
-  // At the limit a query message is shed, untouched by the queues; repair,
-  // handoff and hedge traffic is never asked and still queues.
+  // At the limit a query message is shed, untouched by the queues; repair
+  // and handoff traffic is never asked and still queues.
   sim::QueryStats stats;
   EXPECT_FALSE(transport.send_query(sim, 0, 1, stats, [](sim::Time) {}));
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(transport.congestion().shed_messages, 1u);
   for (const net::TrafficClass cls :
-       {net::TrafficClass::kRepair, net::TrafficClass::kHandoff,
-        net::TrafficClass::kHedge}) {
+       {net::TrafficClass::kRepair, net::TrafficClass::kHandoff}) {
     transport.deliver(sim, 0, 1, 0, [](sim::Time) {}, 0.0, cls);
   }
-  EXPECT_EQ(transport.queueing()->ingress_backlog(sim, 1), 6u);
-  EXPECT_EQ(transport.congestion().messages, 6u);
+  EXPECT_EQ(transport.queueing()->ingress_backlog(sim, 1), 5u);
+  EXPECT_EQ(transport.congestion().messages, 5u);
   // Unloaded target: no policy pressure.
   EXPECT_EQ(verdict(2), (std::pair<bool, sim::Time>{false, 0.0}));
   sim.run();
@@ -802,37 +808,6 @@ TEST(FlowControl, AdmissionShedsWalkWithZeroCoverage) {
   EXPECT_EQ(walk.shed, 1u);
   EXPECT_EQ(walk.messages, 0u);
   EXPECT_EQ(transport.congestion().shed_messages, 1u);
-}
-
-TEST(FlowControl, HedgedRetryWinsViaPriorityLaneAndCancelsLoser) {
-  net::Transport transport;  // ConstantHop (unit cost)
-  net::QueueingConfig cfg;
-  cfg.service_rate = 1.0;
-  cfg.scheduling = net::QueueingConfig::Scheduling::kStrict;
-  cfg.flow.hedge_threshold = 1.0;
-  transport.install_queueing(cfg);
-  sim::Simulator sim;
-  for (int i = 0; i < 4; ++i) {
-    transport.deliver(sim, 0, 1, 0, [](sim::Time) {});
-  }
-  sim::QueryStats walk;
-  int completions = 0;
-  transport.deliver_walk(sim, {0, 1}, [&](const sim::QueryStats& s) {
-    walk = s;
-    ++completions;
-  });
-  sim.run();
-  // The primary reservation sits behind four queued query messages
-  // (delivered at 7) — over the hedge threshold, so a duplicate departs in
-  // the kHedge lane, jumps the query backlog, and lands at 3. First
-  // arrival wins; the losing copy is cancelled, not re-completed.
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(walk.latency, 3.0);
-  EXPECT_EQ(walk.queue_delay, 2.0);  // the winner's queueing delay only
-  EXPECT_EQ(walk.delay, 1.0);        // one hop, however many copies raced
-  EXPECT_EQ(walk.messages, 2u);
-  EXPECT_EQ(transport.congestion().hedges_launched, 1u);
-  EXPECT_EQ(transport.congestion().hedges_won, 1u);
 }
 
 TEST(FlowControl, AdmissionDegradesRangeQueriesIntoPartialCoverage) {
