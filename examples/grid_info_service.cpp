@@ -42,7 +42,7 @@ int main() {
               static_cast<unsigned long long>(r.stats.messages));
   for (std::size_t i = 0; i < std::min<std::size_t>(5, r.matches.size());
        ++i) {
-    const auto& m = index.attributes(r.matches[i]);
+    const auto m = index.attributes(r.matches[i]);
     std::printf("  candidate: %.0f MB memory, %.0f GB disk\n", m[0], m[1]);
   }
 

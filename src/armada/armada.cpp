@@ -114,10 +114,18 @@ ArmadaIndex ArmadaIndex::multi(fissione::FissioneNetwork& net,
 }
 
 std::uint64_t ArmadaIndex::publish(const std::vector<double>& point) {
-  const std::uint64_t handle = objects_.size();
+  return publish_point(point);
+}
+
+std::uint64_t ArmadaIndex::publish(double value) {
+  return publish_point({&value, 1});
+}
+
+std::uint64_t ArmadaIndex::publish_point(std::span<const double> point) {
   const kautz::KautzString object_id = tree_.multiple_hash(point);
+  const std::uint64_t handle = values_.size() / point.size();
   net_.publish(object_id, handle);
-  objects_.push_back(point);
+  values_.insert(values_.end(), point.begin(), point.end());
   if (replicas_ != nullptr) {
     // Currency: replica snapshots pick up the new object, cached results
     // whose subregion covers it are invalidated.
@@ -126,18 +134,14 @@ std::uint64_t ArmadaIndex::publish(const std::vector<double>& point) {
   return handle;
 }
 
-std::uint64_t ArmadaIndex::publish(double value) {
-  return publish(std::vector<double>{value});
+std::span<const double> ArmadaIndex::attributes(std::uint64_t handle) const {
+  const std::size_t m = num_attributes();
+  ARMADA_CHECK(handle < values_.size() / m);
+  return {values_.data() + handle * m, m};
 }
 
-const std::vector<double>& ArmadaIndex::attributes(
-    std::uint64_t handle) const {
-  ARMADA_CHECK(handle < objects_.size());
-  return objects_[handle];
-}
-
-bool ArmadaIndex::point_in_box(const std::vector<double>& p,
-                               const Box& box) const {
+bool ArmadaIndex::point_in_box(std::uint64_t handle, const Box& box) const {
+  const double* p = values_.data() + handle * box.size();
   for (std::size_t i = 0; i < box.size(); ++i) {
     if (p[i] < box[i].lo || p[i] > box[i].hi) {
       return false;
@@ -153,7 +157,7 @@ RangeQueryResult ArmadaIndex::range_query(PeerId issuer, double lo,
   const Box box{{lo, hi}};
   return search({"pira", tree_.region_for(lo, hi), box}, issuer,
                 [this, &box](const fissione::StoredObject& obj) {
-                  return point_in_box(objects_[obj.payload], box);
+                  return point_in_box(obj.payload, box);
                 });
 }
 
@@ -166,7 +170,7 @@ void ArmadaIndex::range_query_async(
   const Box box{{lo, hi}};
   search_async(sim, {"pira", tree_.region_for(lo, hi), box}, issuer,
                [this, box](const fissione::StoredObject& obj) {
-                 return point_in_box(objects_[obj.payload], box);
+                 return point_in_box(obj.payload, box);
                },
                std::move(done));
 }
@@ -175,15 +179,16 @@ RangeQueryResult ArmadaIndex::box_query(PeerId issuer, const Box& box) const {
   ARMADA_CHECK(box.size() == tree_.num_attributes());
   return search({"mira", tree_.bounding_region(box), box, &box}, issuer,
                 [this, &box](const fissione::StoredObject& obj) {
-                  return point_in_box(objects_[obj.payload], box);
+                  return point_in_box(obj.payload, box);
                 });
 }
 
 std::vector<std::uint64_t> ArmadaIndex::scan_matches(const Box& box) const {
   ARMADA_CHECK(box.size() == tree_.num_attributes());
   std::vector<std::uint64_t> out;
-  for (std::uint64_t h = 0; h < objects_.size(); ++h) {
-    if (point_in_box(objects_[h], box)) {
+  const std::uint64_t count = values_.size() / box.size();
+  for (std::uint64_t h = 0; h < count; ++h) {
+    if (point_in_box(h, box)) {
       out.push_back(h);
     }
   }
@@ -208,7 +213,7 @@ TopKResult ArmadaIndex::top_k(PeerId issuer, double lo, double hi,
                        if (!region.contains(obj.object_id)) {
                          return;
                        }
-                       const double v = objects_[obj.payload][0];
+                       const double v = values_[obj.payload];
                        if (v >= lo && v <= hi) {
                          found.emplace_back(-v, obj.payload);
                        }
@@ -250,7 +255,7 @@ KnnResult ArmadaIndex::nearest(PeerId issuer, double q, std::size_t k) const {
   auto annex = [&](const KautzString& to, Side side) {
     cur = visit_zone(net_, cur, to, result.stats,
                      [&](const fissione::StoredObject& obj) {
-                       const double v = objects_[obj.payload][0];
+                       const double v = values_[obj.payload];
                        candidates.emplace_back(std::abs(v - q), obj.payload);
                      });
     const KautzString& id = net_.peer_id(cur);
@@ -319,7 +324,7 @@ AggregateResult ArmadaIndex::range_aggregate(PeerId issuer, double lo,
        .bounds = box,
        .subsystems = false},
       issuer, [this, &agg, lo, hi](const fissione::StoredObject& obj) {
-        const double v = objects_[obj.payload][0];
+        const double v = values_[obj.payload];
         if (v < lo || v > hi) {
           return false;
         }

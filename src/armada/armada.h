@@ -62,8 +62,9 @@ class ArmadaIndex {
   std::uint64_t publish(const std::vector<double>& point);
   std::uint64_t publish(double value);
 
-  /// Attribute vector of a published object.
-  const std::vector<double>& attributes(std::uint64_t handle) const;
+  /// Attribute values of a published object: a view into the attribute
+  /// column, valid until the next publish (which may reallocate it).
+  std::span<const double> attributes(std::uint64_t handle) const;
 
   /// Single-attribute range query via PIRA (inclusive bounds).
   RangeQueryResult range_query(fissione::PeerId issuer, double lo,
@@ -156,7 +157,11 @@ class ArmadaIndex {
 
   ArmadaIndex(fissione::FissioneNetwork& net, kautz::PartitionTree tree);
 
-  bool point_in_box(const std::vector<double>& p, const kautz::Box& box) const;
+  /// Hashes `point` first, so a rejected point leaves the column alone.
+  std::uint64_t publish_point(std::span<const double> point);
+
+  /// Do object `handle`'s values lie in `box` (one interval per attribute)?
+  bool point_in_box(std::uint64_t handle, const kautz::Box& box) const;
 
   /// Runs `spec` to completion on its own simulator
   /// (net::Transport::run_sync).
@@ -174,7 +179,9 @@ class ArmadaIndex {
 
   fissione::FissioneNetwork& net_;
   kautz::PartitionTree tree_;
-  std::vector<std::vector<double>> objects_;
+  /// The attribute column, stride m = num_attributes(): object h's values
+  /// sit at [h*m, h*m + m), and size() / m objects are published.
+  std::vector<double> values_;
   std::unique_ptr<replica::ReplicaSet> replicas_;  ///< null until enabled
   std::unique_ptr<rebalance::Rebalancer> rebalancer_;  ///< null until enabled
 };

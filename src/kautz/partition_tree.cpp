@@ -36,7 +36,7 @@ Interval PartitionTree::child_interval(const Interval& parent,
   return child;
 }
 
-KautzString PartitionTree::multiple_hash(const std::vector<double>& point) const {
+KautzString PartitionTree::multiple_hash(std::span<const double> point) const {
   ARMADA_CHECK_MSG(point.size() == ranges_.size(),
                    "point has " << point.size() << " coordinates, tree has "
                                 << ranges_.size() << " attributes");
@@ -70,7 +70,7 @@ KautzString PartitionTree::multiple_hash(const std::vector<double>& point) const
 
 KautzString PartitionTree::single_hash(double value) const {
   ARMADA_CHECK(ranges_.size() == 1);
-  return multiple_hash({value});
+  return multiple_hash({&value, 1});
 }
 
 Box PartitionTree::box_for(const KautzString& label) const {

@@ -14,6 +14,7 @@
 // j mod m) and is partial-order preserving (Definition 4).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "kautz/kautz_region.h"
@@ -48,7 +49,7 @@ class PartitionTree {
 
   /// Multiple_hash: ObjectID (leaf label) of a point; every coordinate must
   /// lie within its attribute range.
-  KautzString multiple_hash(const std::vector<double>& point) const;
+  KautzString multiple_hash(std::span<const double> point) const;
 
   /// Single_hash(c, L, H, k); requires a single-attribute tree.
   KautzString single_hash(double value) const;

@@ -36,15 +36,15 @@ Cell Scrap::cell_of(const std::vector<double>& p) const {
 }
 
 std::uint64_t Scrap::publish(const std::vector<double>& point) {
-  const std::uint64_t handle = points_.size();
-  points_.push_back(point);
   const std::uint64_t idx =
       sfc::curve_index(sfc::Curve::kMorton, config_.order, cell_of(point));
+  const std::uint64_t handle = points_.size();
+  points_.push_back({point[0], point[1]});
   store_[graph_.owner_of(static_cast<double>(idx))].emplace_back(idx, handle);
   return handle;
 }
 
-const std::vector<double>& Scrap::point(std::uint64_t handle) const {
+const std::array<double, 2>& Scrap::point(std::uint64_t handle) const {
   ARMADA_CHECK(handle < points_.size());
   return points_[handle];
 }

@@ -8,6 +8,7 @@
 // parallel, so delay = max over segments, messages = sum.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,7 @@ class Scrap {
   Scrap(const skipgraph::SkipGraph& graph, Config config);
 
   std::uint64_t publish(const std::vector<double>& point);
-  const std::vector<double>& point(std::uint64_t handle) const;
+  const std::array<double, 2>& point(std::uint64_t handle) const;
 
   core::RangeQueryResult query(skipgraph::NodeId issuer,
                                const kautz::Box& box) const;
@@ -41,7 +42,7 @@ class Scrap {
   const skipgraph::SkipGraph& graph_;
   Config config_;
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> store_;
-  std::vector<std::vector<double>> points_;
+  std::vector<std::array<double, 2>> points_;  // by handle
 };
 
 }  // namespace armada::rq

@@ -40,14 +40,14 @@ Key Squid::ring_key(std::uint64_t hilbert_index) const {
 }
 
 std::uint64_t Squid::publish(const std::vector<double>& point) {
-  const std::uint64_t handle = points_.size();
-  points_.push_back(point);
   const std::uint64_t idx = sfc::hilbert_index(config_.order, cell_of(point));
+  const std::uint64_t handle = points_.size();
+  points_.push_back({point[0], point[1]});
   store_[net_.owner_of(ring_key(idx))].emplace_back(idx, handle);
   return handle;
 }
 
-const std::vector<double>& Squid::point(std::uint64_t handle) const {
+const std::array<double, 2>& Squid::point(std::uint64_t handle) const {
   ARMADA_CHECK(handle < points_.size());
   return points_[handle];
 }

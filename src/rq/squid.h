@@ -9,6 +9,7 @@
 // compared with Armada.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,7 @@ class Squid {
   Squid(const chord::ChordNetwork& net, Config config);
 
   std::uint64_t publish(const std::vector<double>& point);
-  const std::vector<double>& point(std::uint64_t handle) const;
+  const std::array<double, 2>& point(std::uint64_t handle) const;
 
   core::RangeQueryResult query(chord::NodeId issuer,
                                const kautz::Box& box) const;
@@ -61,7 +62,7 @@ class Squid {
   Config config_;
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       store_;  // per node: (hilbert index, handle)
-  std::vector<std::vector<double>> points_;
+  std::vector<std::array<double, 2>> points_;  // by handle
 };
 
 }  // namespace armada::rq

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_set>
 
 #include "support/test_networks.h"
@@ -28,6 +29,10 @@ std::vector<std::uint64_t> sorted(std::vector<std::uint64_t> v) {
 std::vector<PeerId> sorted(std::vector<PeerId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+std::vector<double> values_of(std::span<const double> attributes) {
+  return {attributes.begin(), attributes.end()};
 }
 
 class PiraExactnessTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -190,8 +195,66 @@ TEST(ArmadaIndex, PublishAttributesRoundTrip) {
   const auto h0 = fx->index.publish(1.5);
   const auto h1 = fx->index.publish(9.25);
   EXPECT_NE(h0, h1);
-  EXPECT_EQ(fx->index.attributes(h0), std::vector<double>{1.5});
-  EXPECT_EQ(fx->index.attributes(h1), std::vector<double>{9.25});
+  EXPECT_EQ(values_of(fx->index.attributes(h0)), std::vector<double>{1.5});
+  EXPECT_EQ(values_of(fx->index.attributes(h1)), std::vector<double>{9.25});
+}
+
+// The attribute column grows by reallocation; every handle must still read
+// back its own point, and the global scan must still see every object.
+TEST(ArmadaIndex, AttributeColumnKeepsEveryPointAcrossReallocations) {
+  const Box domain{{0.0, 1.0}, {0.0, 10.0}, {-5.0, 5.0}};
+  auto fx = make_multi_index(120, 38, domain);
+  Rng rng(39);
+  std::vector<std::vector<double>> points;
+  for (std::uint64_t i = 0; i < 1200; ++i) {
+    std::vector<double> p;
+    for (const auto& iv : domain) {
+      p.push_back(rng.next_double(iv.lo, iv.hi));
+    }
+    ASSERT_EQ(fx->index.publish(p), i);
+    points.push_back(std::move(p));
+  }
+  for (std::uint64_t h = 0; h < points.size(); ++h) {
+    ASSERT_EQ(values_of(fx->index.attributes(h)), points[h]) << "handle " << h;
+  }
+  EXPECT_THROW(fx->index.attributes(points.size()), CheckError);
+
+  for (const Box& q : {Box{{0.2, 0.7}, {2.0, 6.0}, {-1.0, 3.0}},
+                       Box{{0.0, 1.0}, {0.0, 10.0}, {-5.0, 5.0}},
+                       Box{{0.5, 0.5}, {0.0, 10.0}, {-5.0, 5.0}},
+                       Box{{0.9, 1.0}, {9.0, 10.0}, {0.0, 5.0}}}) {
+    std::vector<std::uint64_t> brute;
+    for (std::uint64_t h = 0; h < points.size(); ++h) {
+      bool in = true;
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        in = in && points[h][i] >= q[i].lo && points[h][i] <= q[i].hi;
+      }
+      if (in) {
+        brute.push_back(h);
+      }
+    }
+    EXPECT_EQ(fx->index.scan_matches(q), brute);
+  }
+}
+
+// A point rejected for its dimension or range throws before anything is
+// stored: the next valid publish takes the next handle and reads back.
+TEST(ArmadaIndex, RejectedPublishLeavesColumnAndStoresUnchanged) {
+  auto fx = make_multi_index(80, 40, Box{{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}});
+  const auto points = publish_uniform_points(fx->index, 10, 41);
+  EXPECT_THROW(fx->index.publish({0.5, 0.5}), CheckError);
+  EXPECT_THROW(fx->index.publish({0.5, 1.5, 0.5}), CheckError);
+  EXPECT_EQ(fx->net.total_objects(), points.size());
+
+  const std::vector<double> next{0.25, 0.5, 0.75};
+  EXPECT_EQ(fx->index.publish(next), points.size());
+  EXPECT_EQ(values_of(fx->index.attributes(points.size())), next);
+  EXPECT_EQ(values_of(fx->index.attributes(points.size() - 1)),
+            points.back());
+  EXPECT_EQ(fx->net.total_objects(), points.size() + 1);
+  EXPECT_EQ(fx->index.scan_matches(Box{{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}})
+                .size(),
+            points.size() + 1);
 }
 
 TEST(ArmadaIndex, RejectsMismatchedDimensions) {

@@ -207,7 +207,7 @@ TEST(PartitionTree, RejectsBadInput) {
   EXPECT_THROW(PartitionTree(4, Box{}), CheckError);
   const auto tree = PartitionTree::single(4, {0.0, 1.0});
   EXPECT_THROW(tree.single_hash(1.5), CheckError);
-  EXPECT_THROW(tree.multiple_hash({0.5, 0.5}), CheckError);
+  EXPECT_THROW(tree.multiple_hash(std::vector<double>{0.5, 0.5}), CheckError);
   EXPECT_THROW(tree.region_for(0.9, 0.1), CheckError);
 }
 
@@ -216,7 +216,7 @@ TEST(PartitionTree, SingleHashIsMultipleHashWithOneAttribute) {
   Rng rng(47);
   for (int i = 0; i < 200; ++i) {
     const double v = rng.next_double(0, 1000);
-    EXPECT_EQ(tree.single_hash(v), tree.multiple_hash({v}));
+    EXPECT_EQ(tree.single_hash(v), tree.multiple_hash(std::vector<double>{v}));
   }
 }
 
