@@ -349,22 +349,11 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
     report->objects_dropped = dropped;
   }
 
-  auto drop_from_alive = [this](PeerId p) {
-    const std::size_t pos = alive_pos_[p];
-    alive_[pos] = alive_.back();
-    alive_pos_[alive_[pos]] = pos;
-    alive_.pop_back();
-  };
   auto record_handoff = [report](PeerId from, PeerId to,
                                  std::vector<std::uint64_t> payloads) {
     if (report != nullptr && !payloads.empty()) {
       report->handoffs.push_back(
           MembershipReport::Handoff{from, to, std::move(payloads)});
-    }
-  };
-  auto append_store = [this](PeerId to, std::vector<StoredObject> objs) {
-    for (StoredObject& obj : objs) {
-      stores_.push_back(peers_[to].store, std::move(obj));
     }
   };
   // Return a delegation's objects to their structural owners, recording one
@@ -382,30 +371,6 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
       record_handoff(d.host, to, std::move(payloads));
     }
   };
-  // Zone surgery can hand a host (part of) the very range it hosts — a
-  // sibling merge shortens its PeerID, a takeover relocates it. Such a
-  // delegation dissolves back to the structural owners, restoring the
-  // host-disjointness invariant. Runs after the zones are final.
-  auto reconcile_hosted = [this, &dissolve] {
-    for (auto it = delegations_.begin(); it != delegations_.end();) {
-      Delegation& d = it->second;
-      const KautzString& host_id = peers_[d.host].id;
-      if (!host_id.is_prefix_of(d.range) && !d.range.is_prefix_of(host_id)) {
-        ++it;
-        continue;
-      }
-      dissolve(d);
-      it = delegations_.erase(it);
-    }
-  };
-  // Fusion of a sibling pair: `survivor` takes their parent zone.
-  auto fuse = [this](PeerId gone, PeerId survivor) {
-    const KautzString& id = peers_[survivor].id;
-    zones_.erase(peers_[gone].id);
-    zones_.erase(id);
-    assign_zone(survivor, id.prefix(id.length() - 1));
-  };
-
   // Delegations hosted by the departing peer, resolved before the zone
   // surgery (owners are still the pre-departure ones): a graceful leave
   // hands every hosted object back to its structural owner — recorded as
@@ -432,74 +397,75 @@ std::size_t FissioneNetwork::remove_peer(PeerId leaving, bool transfer,
     }
   }
 
-  // A local sibling merge is only safe at maximum depth: merging a pair at
-  // depth d produces a peer at d-1, and a neighbor at d+1 would then violate
-  // the neighborhood invariant. A max-depth zone's sibling is always a zone
-  // too, and it has no deeper neighbors, so the invariant survives.
+  // Every departure fuses one sibling pair (loser, winner) into its parent
+  // zone, which the winner takes. Fusion is only safe at maximum depth:
+  // fusing a pair at depth d leaves a peer at d-1, and a neighbor at d+1
+  // would then violate the neighborhood invariant. A max-depth zone's
+  // sibling is always a zone too, and it has no deeper neighbors, so the
+  // invariant survives. The pair is the leaving peer's own when it is at
+  // maximum depth; otherwise it is the deepest pair, and the loser then
+  // takes over the departed zone (a takeover).
   const PeerId deepest = deepest_peer();
   const PeerId sibling = pair_sibling(leaving);
-  if (sibling != kNoPeer &&
-      peers_[leaving].id.length() == peers_[deepest].id.length()) {
-    // Fusion: the sibling absorbs the parent zone.
-    std::vector<PeerId> affected;
-    for (PeerId p : {leaving, sibling}) {
-      affected.insert(affected.end(), in_neighbors(p).begin(),
-                      in_neighbors(p).end());
-    }
-    affected.push_back(sibling);
+  const bool own_pair =
+      sibling != kNoPeer &&
+      peers_[leaving].id.length() == peers_[deepest].id.length();
+  const PeerId loser = own_pair ? leaving : deepest;
+  const PeerId winner = own_pair ? sibling : pair_sibling(deepest);
+  ARMADA_CHECK(winner != kNoPeer);  // a max-depth zone's sibling is a zone
+  ARMADA_CHECK(own_pair || (loser != leaving && winner != leaving));
 
-    std::vector<StoredObject> inherited = take_store(leaving);
-    record_handoff(leaving, sibling, store_payloads(inherited));
-    append_store(sibling, std::move(inherited));
-    detach_out_edges(leaving);
-    fuse(leaving, sibling);
-    drop_from_alive(leaving);
-    release_peer(leaving);
-    if (!delegations_.empty()) {
-      reconcile_hosted();
-    }
-    std::vector<PeerId> rewired = refresh_neighbors(std::move(affected));
-    if (report != nullptr) {
-      report->origin = sibling;
-      report->rewired = std::move(rewired);
-    }
-    return dropped;
-  }
-
-  // Takeover: merge the deepest sibling pair (A, B); B absorbs their parent
-  // zone and A relocates into the leaving peer's zone.
-  const PeerId a = deepest;
-  const PeerId b = pair_sibling(a);
-  ARMADA_CHECK(b != kNoPeer);  // a max-depth zone's sibling is a zone
-  ARMADA_CHECK(a != leaving && b != leaving);
-
+  // Whose out-lists can change: the in-neighbors of every peer whose zone
+  // moves, plus the pair (refresh_neighbors dedups and skips the departed).
   std::vector<PeerId> affected;
-  for (PeerId p : {leaving, a, b}) {
+  for (PeerId p : {leaving, loser, winner}) {
     affected.insert(affected.end(), in_neighbors(p).begin(),
                     in_neighbors(p).end());
   }
-  affected.push_back(a);
-  affected.push_back(b);
+  affected.push_back(loser);
+  affected.push_back(winner);
 
-  std::vector<StoredObject> merged = take_store(a);
-  record_handoff(a, b, store_payloads(merged));
-  append_store(b, std::move(merged));
-  fuse(a, b);
+  std::vector<StoredObject> merged = take_store(loser);
+  record_handoff(loser, winner, store_payloads(merged));
+  for (StoredObject& obj : merged) {
+    stores_.push_back(peers_[winner].store, std::move(obj));
+  }
+  const KautzString& winner_id = peers_[winner].id;
+  zones_.erase(peers_[loser].id);
+  zones_.erase(winner_id);
+  assign_zone(winner, winner_id.prefix(winner_id.length() - 1));
+  if (!own_pair) {
+    assign_zone(loser, peers_[leaving].id);
+    std::vector<StoredObject> relocated = take_store(leaving);
+    record_handoff(leaving, loser, store_payloads(relocated));
+    stores_.assign(peers_[loser].store, std::move(relocated));
+  }
 
-  // Relocate A into the departed zone.
-  assign_zone(a, peers_[leaving].id);
-  std::vector<StoredObject> relocated = take_store(leaving);
-  record_handoff(leaving, a, store_payloads(relocated));
-  stores_.assign(peers_[a].store, std::move(relocated));
   detach_out_edges(leaving);
-  drop_from_alive(leaving);
+  const std::size_t pos = alive_pos_[leaving];
+  alive_[pos] = alive_.back();
+  alive_pos_[alive_[pos]] = pos;
+  alive_.pop_back();
   release_peer(leaving);
-  if (!delegations_.empty()) {
-    reconcile_hosted();
+
+  // The surgery can hand a host (part of) the very range it hosts — the
+  // fusion shortens the winner's PeerID, a takeover relocates the loser.
+  // Such a delegation dissolves back to the structural owners, restoring
+  // the host-disjointness invariant.
+  for (auto it = delegations_.begin(); it != delegations_.end();) {
+    Delegation& d = it->second;
+    const KautzString& host_id = peers_[d.host].id;
+    if (!host_id.is_prefix_of(d.range) && !d.range.is_prefix_of(host_id)) {
+      ++it;
+      continue;
+    }
+    dissolve(d);
+    it = delegations_.erase(it);
   }
   std::vector<PeerId> rewired = refresh_neighbors(std::move(affected));
   if (report != nullptr) {
-    report->origin = a;
+    // The repair radiates from the peer now holding the departed zone.
+    report->origin = own_pair ? winner : loser;
     report->rewired = std::move(rewired);
   }
   return dropped;

@@ -98,8 +98,9 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
       std::vector<std::uint64_t> payloads;  ///< handles of the moved objects
     };
 
-    /// Peer the repair radiates from: the joiner (join), the absorbing or
-    /// relocated peer (leave/crash).
+    /// Peer the repair radiates from: the joiner (join), or the peer now
+    /// holding the departed zone (leave/crash): the fused pair's winner, or
+    /// on a takeover the loser that moved into it.
     PeerId origin = kNoPeer;
     PeerId joiner = kNoPeer;  ///< join only
     /// Alive peers whose neighbor tables were recomputed; each one owes a
@@ -342,8 +343,13 @@ class FissioneNetwork final : public overlay::RoutedOverlay {
   void detach_out_edges(PeerId p);
   /// Split the zone of `victim`, assigning the new half to a fresh peer.
   PeerId split_peer(PeerId victim, MembershipReport* report);
-  /// Remove `leaving` from the overlay; `transfer_objects` selects graceful
-  /// departure vs crash. Returns number of dropped objects.
+  /// Remove `leaving` from the overlay in one surgery: fuse one max-depth
+  /// sibling pair (loser, winner) into its parent zone, which the winner
+  /// takes. The pair is the leaving peer's own when it is at maximum depth;
+  /// otherwise it is the deepest pair, and the loser takes over the
+  /// departed zone. The pair are the only survivors whose PeerIDs change.
+  /// `transfer_objects` selects graceful departure vs crash. Returns number
+  /// of dropped objects.
   std::size_t remove_peer(PeerId leaving, bool transfer_objects,
                           MembershipReport* report);
   /// Walk from `start` to a peer none of whose neighbors has a shorter

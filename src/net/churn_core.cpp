@@ -85,8 +85,15 @@ sim::Time ChurnCore::send(net::NodeId from, net::NodeId to,
                           std::uint32_t bytes, net::TrafficClass cls,
                           std::function<void()> on_arrival) {
   ++stats_.repair_messages;
-  sim::Time arrival;
-  if (queued() && from != to) {
+  sim::Time arrival = base_;
+  if (from == to || config_.zero_delay) {
+    // Nothing crosses a link: one delivery event at the departure instant.
+    sim_.schedule_at(arrival, [cb = std::move(on_arrival)] {
+      if (cb) {
+        cb();
+      }
+    });
+  } else {
     // Updates to the same node inside the coalescing window share a
     // departure, and repair competes with query traffic for the same node
     // queues.
@@ -96,17 +103,6 @@ sim::Time ChurnCore::send(net::NodeId from, net::NodeId to,
                          [cb = std::move(on_arrival)](sim::Time) { cb(); })
                    : net::Transport::QueuedArrival(),
         base_, cls);
-  } else {
-    // The arithmetic path stays bitwise for the uninstalled / zero-queue /
-    // zero-delay cases: one delivery event at the propagation instant.
-    const sim::Time link =
-        from == to ? 0.0 : priced(overlay_.transport().link(from, to));
-    arrival = base_ + link;
-    if (on_arrival) {
-      sim_.schedule_at(arrival, std::move(on_arrival));
-    } else {
-      sim_.schedule_at(arrival, [] {});  // the delivery event itself
-    }
   }
   completion_ = std::max(completion_, arrival);
   return arrival;
@@ -129,7 +125,8 @@ void ChurnCore::record_query(bool stale, std::uint64_t detours, bool failed,
 
 ChurnCore::WalkReplay ChurnCore::replay(const std::vector<net::NodeId>& path) {
   net::Transport& transport = overlay_.transport();
-  const bool use_queueing = queued();
+  const bool use_queueing =
+      !config_.zero_delay && overlay_.queueing_active();
   const std::uint32_t bytes =
       use_queueing ? transport.default_message_bytes() : 0u;
   WalkReplay out;

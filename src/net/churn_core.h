@@ -8,9 +8,12 @@
 //    node is drawn when the event executes.
 //  * The floor guard — leave/crash events are skipped (counted in
 //    ChurnStats::skipped_events) while the overlay is at kMinSize nodes.
-//  * Repair delivery — `send` prices one repair message through the
-//    queueing network when one is active, or at pure propagation cost
-//    otherwise, and extends the event's completion instant. Crashes wait
+//  * Repair delivery — `send` hands every repair message that crosses a
+//    link to Transport::deliver, departing at the event's repair instant,
+//    and extends the event's completion instant. So repair is priced like
+//    any other message: at pure propagation cost with no active queueing
+//    network, through its queues otherwise, and as a hop span of the
+//    event's "repair/*" trace whenever a recorder is attached. Crashes wait
 //    out kCrashDetectDelay before any healing traffic departs, so their
 //    stale windows are strictly longer than a graceful leave's.
 //  * Stale-route windows — until its repair delivery arrives, a rewired
@@ -114,12 +117,13 @@ class ChurnCore {
   /// Whether `id` is currently a member (stale_nodes lists only those).
   virtual bool alive(std::uint32_t id) const = 0;
 
-  /// One repair delivery from -> to, departing at base(); returns its
-  /// arrival instant (the queueing engine reserves synchronously, so
-  /// coalesced arrivals are exact). The class lets priority scheduling keep
-  /// the control plane (kRepair) ahead of query backlog. A self-send costs
-  /// nothing and never enters the queueing network. Only valid inside
-  /// change().
+  /// One repair delivery from -> to through Transport::deliver, departing
+  /// at base(); returns its arrival instant (the queueing engine reserves
+  /// synchronously, so coalesced arrivals are exact). The class lets
+  /// priority scheduling keep the control plane (kRepair) ahead of query
+  /// backlog. A self-send, or any send under the zero-delay schedule,
+  /// crosses no link: it arrives at base() and never reaches the transport.
+  /// Only valid inside change().
   sim::Time send(net::NodeId from, net::NodeId to, std::uint32_t bytes,
                  net::TrafficClass cls, std::function<void()> on_arrival = {});
   /// Join placement traffic: already-delivered sequential messages, so they
@@ -142,9 +146,6 @@ class ChurnCore {
   sim::StaleWindows windows_;  ///< by node id
 
  private:
-  bool queued() const {
-    return !config_.zero_delay && overlay_.queueing_active();
-  }
   sim::Time priced(sim::Time latency) const {
     return config_.zero_delay ? 0.0 : latency;
   }

@@ -10,9 +10,10 @@ namespace armada::net {
 
 namespace {
 
-/// Priority tiers of the kStrict discipline: lower rank is served first.
-/// kRepair > kHandoff > kQuery, so repair is never starved by query
-/// backlog.
+/// Priority tiers per class: lower rank is served first. kFifo puts every
+/// class in one tier; kStrict ranks kRepair > kHandoff > kQuery, so repair
+/// is never starved by query backlog.
+constexpr std::array<int, kNumTrafficClasses> kFifoRank = {0, 0, 0};
 constexpr std::array<int, kNumTrafficClasses> kStrictRank = {
     /*kQuery=*/2, /*kRepair=*/0, /*kHandoff=*/1};
 
@@ -41,7 +42,11 @@ void Queueing::Backlog::push(sim::Time now, sim::Time done,
   *peak = std::max(*peak, static_cast<std::uint64_t>(until.size() - head));
 }
 
-Queueing::Queueing(QueueingConfig config) : config_(config) {
+Queueing::Queueing(QueueingConfig config)
+    : config_(config),
+      rank_(config.scheduling == QueueingConfig::Scheduling::kStrict
+                ? kStrictRank
+                : kFifoRank) {
   // Node-table growth moves every entry; a throwing move would copy them.
   static_assert(std::is_nothrow_move_constructible_v<NodeState>);
   ARMADA_CHECK(config_.service_rate > 0.0);
@@ -64,36 +69,24 @@ Queueing::LinkState& Queueing::link(NodeState& src, NodeId to) {
 }
 
 sim::Time Queueing::reserve_server(
-    sim::Time& busy_until,
     std::array<sim::Time, kNumTrafficClasses>& class_until, TrafficClass cls,
     sim::Time now, sim::Time service) const {
+  // Serialize behind this tier and all higher tiers. Under kFifo that is
+  // every class, and the latest class horizon is the last completion, so
+  // this is the one shared FIFO bit for bit. Reservations a lower tier
+  // already holds are not revoked (synchronous reservation discipline), so
+  // a higher-tier burst can transiently overbook the server where a
+  // preemptive scheduler would slip the lower tier.
   const std::size_t c = class_index(cls);
-  switch (config_.scheduling) {
-    case QueueingConfig::Scheduling::kFifo: {
-      // One shared FIFO — the pre-class engine, bit for bit.
-      const sim::Time done = std::max(now, busy_until) + service;
-      busy_until = done;
-      return done;
-    }
-    case QueueingConfig::Scheduling::kStrict: {
-      // Serialize behind this tier and all higher tiers. Reservations a
-      // lower tier already holds are not revoked (synchronous reservation
-      // discipline), so a higher-tier burst can transiently overbook the
-      // server where a preemptive scheduler would slip the lower tier.
-      sim::Time horizon = now;
-      for (std::size_t d = 0; d < kNumTrafficClasses; ++d) {
-        if (kStrictRank[d] <= kStrictRank[c]) {
-          horizon = std::max(horizon, class_until[d]);
-        }
-      }
-      const sim::Time done = horizon + service;
-      class_until[c] = done;
-      busy_until = std::max(busy_until, done);
-      return done;
+  sim::Time horizon = now;
+  for (std::size_t d = 0; d < kNumTrafficClasses; ++d) {
+    if (rank_[d] <= rank_[c]) {
+      horizon = std::max(horizon, class_until[d]);
     }
   }
-  ARMADA_CHECK_MSG(false, "unknown scheduling discipline");
-  return now + service;
+  const sim::Time done = horizon + service;
+  class_until[c] = done;
+  return done;
 }
 
 sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
@@ -116,8 +109,7 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // structural no-op: the message is ready the instant it is enqueued.
   sim::Time ready = now;
   if (service > 0.0) {
-    ready = reserve_server(src.egress_busy_until, src.egress_class_until, cls,
-                           now, service);
+    ready = reserve_server(src.egress_class_until, cls, now, service);
     stats_.egress_busy_total += service;
     src.egress_backlog.push(now, ready, &stats_.egress_depth_peak);
   }
@@ -158,9 +150,8 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // Ingress service reservation at the receiver.
   sim::Time delivered_at = arrival;
   if (service > 0.0) {
-    delivered_at = reserve_server(dst.ingress_busy_until,
-                                  dst.ingress_class_until, cls, arrival,
-                                  service);
+    delivered_at =
+        reserve_server(dst.ingress_class_until, cls, arrival, service);
     stats_.ingress_busy_total += service;
     dst.ingress_backlog.push(now, delivered_at, &stats_.ingress_depth_peak);
   }

@@ -20,15 +20,17 @@
 // arrival order per link but may differ from global arrival order across
 // links under extreme skew.
 //
-// Traffic classes and priority (the closed-loop PR): every send carries a
-// TrafficClass. Under the default kFifo discipline the class is pure
-// accounting and timing is bit-identical for any mix. kStrict serializes a
-// class behind its own tier and every higher tier only: repair never waits
-// for query backlog. Because reservations already granted to a lower tier
-// are never revoked, a higher-tier burst may transiently overbook a server
-// exactly where a preemptive scheduler would instead slip the lower tier —
-// lower-tier delays are therefore a lower bound under cross-class
-// contention (the standard price of synchronous reservations).
+// Traffic classes and priority: every send carries a TrafficClass, and a
+// server reserves by one rule, strict priority over the discipline's rank
+// tiers: a class serializes behind its own tier and every higher tier
+// only. The default kFifo puts every class in one tier, so the class is
+// pure accounting and timing is bit-identical for any mix. kStrict ranks
+// repair > handoff > query: repair never waits for query backlog. Because
+// reservations already granted to a lower tier are never revoked, a
+// higher-tier burst may transiently overbook a server exactly where a
+// preemptive scheduler would instead slip the lower tier — lower-tier
+// delays are therefore a lower bound under cross-class contention (the
+// standard price of synchronous reservations).
 //
 // Closed-loop flow control (QueueingConfig::flow): a query sender asks
 // admit_query once per message, which counts the target's outstanding
@@ -55,11 +57,11 @@
 // batches intact. The cumulative CongestionStats aggregate across both.
 //
 // The queue state is one table indexed by NodeId. A node's entry holds its
-// two servers' horizons, each server's backlog — the completion instants of
-// its reservations in push order, one contiguous vector read from a head
-// index — and the links leaving it, a short list searched by target. The
-// table grows by moving its entries, so send() sizes it for both endpoints
-// before it takes a reference into it.
+// two servers' per-class horizons, each server's backlog — the completion
+// instants of its reservations in push order, one contiguous vector read
+// from a head index — and the links leaving it, a short list searched by
+// target. The table grows by moving its entries, so send() sizes it for
+// both endpoints before it takes a reference into it.
 #pragma once
 
 #include <array>
@@ -108,8 +110,8 @@ struct FlowControlConfig {
 struct QueueingConfig {
   /// Per-node service scheduling across traffic classes.
   enum class Scheduling : std::uint8_t {
-    /// One shared FIFO per server; classes are accounting-only. Default —
-    /// bit-identical to the pre-class engine for any traffic mix.
+    /// One tier: one shared FIFO per server; classes are accounting-only.
+    /// Default — bit-identical to the pre-class engine for any traffic mix.
     kFifo,
     /// Strict priority kRepair > kHandoff > kQuery: a class serializes
     /// behind its own tier and all higher tiers only.
@@ -223,10 +225,7 @@ class Queueing {
     bool batch_open = false;  ///< batch_departure holds an opened batch
   };
   struct NodeState {
-    sim::Time egress_busy_until = 0.0;
-    sim::Time ingress_busy_until = 0.0;
-    /// Per-class server horizons used by the kStrict (priority tiers)
-    /// discipline; untouched under kFifo.
+    /// Per-class server horizons: each class's last completion instant.
     std::array<sim::Time, kNumTrafficClasses> egress_class_until{};
     std::array<sim::Time, kNumTrafficClasses> ingress_class_until{};
     Backlog egress_backlog;
@@ -249,15 +248,17 @@ class Queueing {
 
   /// The state of the link from `src` to `to`, opened on first use.
   static LinkState& link(NodeState& src, NodeId to);
-  /// Reserve one service slot of class `cls` on the server described by
-  /// (busy_until, class_until) under the configured discipline; returns
-  /// the completion instant.
+  /// Reserve one service slot of class `cls` on the server whose class
+  /// horizons are `class_until`; returns the completion instant, horizon +
+  /// service, where the horizon is the latest of `now` and the horizons of
+  /// every class ranked at or above `cls`.
   sim::Time reserve_server(
-      sim::Time& busy_until,
       std::array<sim::Time, kNumTrafficClasses>& class_until, TrafficClass cls,
       sim::Time now, sim::Time service) const;
 
   QueueingConfig config_;
+  /// The discipline's priority tier per class (lower is served first).
+  std::array<int, kNumTrafficClasses> rank_;
   CongestionStats stats_;
   State state_;
 };

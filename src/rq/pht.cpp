@@ -46,8 +46,7 @@ std::uint64_t Pht::label_max(const std::string& label) const {
 }
 
 std::uint64_t Pht::publish(double value) {
-  const std::uint64_t handle = values_.size();
-  values_.push_back(value);
+  const std::uint64_t handle = num_objects_++;
   const std::uint64_t key = key_of(value);
 
   // Descend to the leaf whose label prefixes the key.
@@ -88,11 +87,6 @@ void Pht::split_leaf(const std::string& label) {
       split_leaf(child);
     }
   }
-}
-
-double Pht::value(std::uint64_t handle) const {
-  ARMADA_CHECK(handle < values_.size());
-  return values_[handle];
 }
 
 sim::QueryStats Pht::visit(const std::string& label, std::uint64_t klo,
@@ -170,16 +164,6 @@ Pht::PointLookup Pht::lookup(double value) const {
   }
 }
 
-std::size_t Pht::max_depth() const {
-  std::size_t depth = 0;
-  for (const auto& [label, node] : nodes_) {
-    if (node.leaf) {
-      depth = std::max(depth, label.size());
-    }
-  }
-  return depth;
-}
-
 void Pht::check_invariants() const {
   for (const auto& [label, node] : nodes_) {
     if (!node.leaf) {
@@ -194,7 +178,7 @@ void Pht::check_invariants() const {
         "oversized leaf " << label);
     for (const auto& [key, handle] : node.keys) {
       ARMADA_CHECK(key >= label_min(label) && key <= label_max(label));
-      ARMADA_CHECK(handle < values_.size());
+      ARMADA_CHECK(handle < num_objects_);
     }
   }
 }

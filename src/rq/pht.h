@@ -50,7 +50,6 @@ class Pht {
 
   /// Insert (bulk load; maintenance traffic is not metered).
   std::uint64_t publish(double value);
-  double value(std::uint64_t handle) const;
 
   /// Range query [lo, hi]: parallel recursive traversal of the subtrie;
   /// delay = deepest chain of lookups, messages = total routing hops.
@@ -67,7 +66,6 @@ class Pht {
   PointLookup lookup(double value) const;
 
   std::size_t num_trie_nodes() const { return nodes_.size(); }
-  std::size_t max_depth() const;
   /// Trie structure checks: leaf capacities, label consistency.
   void check_invariants() const;
 
@@ -89,7 +87,7 @@ class Pht {
   Config config_;
   LookupFn lookup_;
   std::map<std::string, TrieNode> nodes_;
-  std::vector<double> values_;
+  std::uint64_t num_objects_ = 0;  ///< published so far; the next handle
 };
 
 }  // namespace armada::rq

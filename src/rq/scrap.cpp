@@ -44,11 +44,6 @@ std::uint64_t Scrap::publish(const std::vector<double>& point) {
   return handle;
 }
 
-const std::array<double, 2>& Scrap::point(std::uint64_t handle) const {
-  ARMADA_CHECK(handle < points_.size());
-  return points_[handle];
-}
-
 core::RangeQueryResult Scrap::query(NodeId issuer,
                                     const kautz::Box& box) const {
   ARMADA_CHECK(box.size() == 2);

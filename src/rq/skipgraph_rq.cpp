@@ -18,15 +18,9 @@ SkipGraphRangeIndex::SkipGraphRangeIndex(const skipgraph::SkipGraph& graph,
 
 std::uint64_t SkipGraphRangeIndex::publish(double value) {
   ARMADA_CHECK(value >= domain_.lo && value <= domain_.hi);
-  const std::uint64_t handle = values_.size();
-  values_.push_back(value);
+  const std::uint64_t handle = num_objects_++;
   store_[graph_.owner_of(value)].emplace_back(value, handle);
   return handle;
-}
-
-double SkipGraphRangeIndex::value(std::uint64_t handle) const {
-  ARMADA_CHECK(handle < values_.size());
-  return values_[handle];
 }
 
 core::RangeQueryResult SkipGraphRangeIndex::query(NodeId issuer, double lo,

@@ -23,7 +23,6 @@ class SkipGraphRangeIndex {
 
   /// Publish a value at the peer owning it (greatest peer key <= value).
   std::uint64_t publish(double value);
-  double value(std::uint64_t handle) const;
 
   core::RangeQueryResult query(skipgraph::NodeId issuer, double lo,
                                double hi) const;
@@ -36,7 +35,7 @@ class SkipGraphRangeIndex {
   const skipgraph::SkipGraph& graph_;
   kautz::Interval domain_;
   std::vector<std::vector<std::pair<double, std::uint64_t>>> store_;
-  std::vector<double> values_;
+  std::uint64_t num_objects_ = 0;  ///< published so far; the next handle
 };
 
 }  // namespace armada::rq

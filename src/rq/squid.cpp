@@ -47,11 +47,6 @@ std::uint64_t Squid::publish(const std::vector<double>& point) {
   return handle;
 }
 
-const std::array<double, 2>& Squid::point(std::uint64_t handle) const {
-  ARMADA_CHECK(handle < points_.size());
-  return points_[handle];
-}
-
 sim::QueryStats Squid::collect_segment(NodeId entry, std::uint64_t first,
                                        std::uint64_t last,
                                        const kautz::Box& box,

@@ -31,7 +31,6 @@ class Squid {
   Squid(const chord::ChordNetwork& net, Config config);
 
   std::uint64_t publish(const std::vector<double>& point);
-  const std::array<double, 2>& point(std::uint64_t handle) const;
 
   core::RangeQueryResult query(chord::NodeId issuer,
                                const kautz::Box& box) const;

@@ -11,7 +11,10 @@
 //  * stale-route windows: queries racing repair detour or fail observably
 //    and recover at quiescence,
 //  * cross-run determinism of ChurnStats/QueryStats (same seed + same
-//    trace => identical measurements from two independent stacks).
+//    trace => identical measurements from two independent stacks),
+//  * repair delivery: every repair message that crosses a link is a hop
+//    span of its repair/* trace and a message of the queueing engine, with
+//    no engine or the zero-queue one as under a pricing one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "armada/churn_harness.h"
@@ -852,6 +856,109 @@ TEST(TimedChurnTracing, SpanTreesStayWellFormedAcrossDetourAndMigration) {
   EXPECT_TRUE(repair_root);
   EXPECT_TRUE(query_root);
   EXPECT_TRUE(migration_flagged);
+}
+
+// --- repair traffic is delivered: hop spans and engine counts -------------
+
+// What a traced churn run put on the wire, read from its spans and from the
+// queueing engine's class counters.
+struct RepairTraffic {
+  sim::ChurnStats churn;
+  std::uint64_t repair_spans = 0;   ///< kRepair hop spans under repair/*
+  std::uint64_t handoff_spans = 0;  ///< kHandoff hop spans under repair/*
+  std::uint64_t engine_repair = 0;  ///< congestion().class_messages
+  std::uint64_t engine_handoff = 0;
+};
+
+template <typename Driver, typename Overlay>
+RepairTraffic traced_repair(Overlay& net, const std::vector<ChurnEvent>& events,
+                            bool zero_queue_engine) {
+  if (zero_queue_engine) {
+    net.install_queueing(net::QueueingConfig{});
+  }
+  auto recorder = std::make_shared<obs::TraceRecorder>();  // traces all
+  net.transport().attach_trace(recorder);
+  sim::Simulator sim;
+  Driver driver(net, sim);
+  driver.schedule(events);
+  sim.run();
+  net.transport().detach_trace();
+  EXPECT_EQ(recorder->validate(), "");
+
+  RepairTraffic out;
+  out.churn = driver.stats();
+  for (const obs::Span& s : recorder->spans()) {
+    if (s.parent == 0) {
+      continue;
+    }
+    const obs::Span* root = recorder->find(s.trace);
+    EXPECT_TRUE(root != nullptr && root->name != nullptr &&
+                std::string_view(root->name).substr(0, 7) == "repair/");
+    ++(s.cls == net::TrafficClass::kHandoff ? out.handoff_spans
+                                            : out.repair_spans);
+  }
+  const net::CongestionStats& cs = net.transport().congestion();
+  out.engine_repair = cs.class_messages[net::class_index(
+      net::TrafficClass::kRepair)];
+  out.engine_handoff = cs.class_messages[net::class_index(
+      net::TrafficClass::kHandoff)];
+  return out;
+}
+
+// Every repair message that crosses a link goes through Transport::deliver,
+// so a traced churn run records one hop span per such message under its
+// "repair/*" root with no queueing engine at all, and the zero-queue engine
+// counts each one in its class counters while timing stays bitwise.
+// Departures place nothing and never send to themselves, so there the
+// count is exactly ChurnStats::repair_messages.
+TEST(TimedChurnTracing, RepairMessagesAreHopSpansWithOrWithoutAnEngine) {
+  std::vector<ChurnEvent> departures;
+  std::vector<ChurnEvent> mixed;
+  for (int i = 0; i < 12; ++i) {
+    departures.push_back(ChurnEvent{
+        1.0 + i, i % 2 == 0 ? ChurnEventKind::kLeave : ChurnEventKind::kCrash});
+    constexpr ChurnEventKind kCycle[] = {
+        ChurnEventKind::kJoin, ChurnEventKind::kLeave, ChurnEventKind::kCrash};
+    mixed.push_back(ChurnEvent{1.0 + i, kCycle[i % std::size(kCycle)]});
+  }
+
+  auto check = [&](auto run, const char* overlay) {
+    SCOPED_TRACE(overlay);
+    for (const auto* events : {&departures, &mixed}) {
+      const RepairTraffic bare = run(*events, false);
+      const RepairTraffic zero = run(*events, true);
+      EXPECT_GT(bare.repair_spans, 0u);
+      EXPECT_GT(bare.handoff_spans, 0u);
+      EXPECT_TRUE(bare.churn == zero.churn);  // the engine prices nothing
+      EXPECT_EQ(bare.repair_spans, zero.repair_spans);
+      EXPECT_EQ(bare.handoff_spans, zero.handoff_spans);
+      EXPECT_EQ(zero.engine_repair, zero.repair_spans);
+      EXPECT_EQ(zero.engine_handoff, zero.handoff_spans);
+      if (events == &departures) {
+        EXPECT_EQ(bare.repair_spans + bare.handoff_spans,
+                  bare.churn.repair_messages);
+      }
+    }
+  };
+  check(
+      [](const std::vector<ChurnEvent>& events, bool zero_queue_engine) {
+        FissioneNetwork net = FissioneNetwork::build(80, 9961);
+        net.set_latency_model(std::make_shared<net::RttMatrix>(9962));
+        for (int i = 0; i < 300; ++i) {
+          net.publish(net.random_object_id(), static_cast<std::uint64_t>(i));
+        }
+        return traced_repair<fissione::ChurnDriver>(net, events,
+                                                    zero_queue_engine);
+      },
+      "fissione");
+  check(
+      [](const std::vector<ChurnEvent>& events, bool zero_queue_engine) {
+        chord::ChordNetwork net(100, 9963);
+        net.set_latency_model(std::make_shared<net::RttMatrix>(9964));
+        return traced_repair<chord::ChurnDriver>(net, events,
+                                                 zero_queue_engine);
+      },
+      "chord");
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "kautz/kautz_space.h"
@@ -228,6 +230,90 @@ TEST(FissioneCrash, LosesOnlyLocalObjectsAndHeals) {
   }
 }
 
+// Every departure fuses one max-depth sibling pair into its parent zone,
+// which the winner takes: the leaving peer's own pair when it is at maximum
+// depth, else the deepest pair (lowest PeerId first), whose loser then takes
+// over the departed zone. So one or two survivors change PeerID, the repair
+// radiates from the peer now holding the departed zone, and objects move
+// loser -> winner, then (takeover, graceful) leaving -> loser.
+TEST(FissioneLeave, EveryDepartureFusesOneMaxDepthPair) {
+  auto net = FissioneNetwork::build(120, 14);
+  Rng rng(29);
+  for (std::uint64_t v = 0; v < 400; ++v) {
+    net.publish(kautz::random_string(rng, 48), v);
+  }
+  int fusions = 0;
+  int takeovers = 0;
+  for (int i = 0; i < 60; ++i) {
+    std::map<PeerId, KautzString> before;
+    std::map<PeerId, std::size_t> stored;
+    std::size_t depth = 0;
+    PeerId deepest = kNoPeer;
+    for (PeerId p : net.alive_peers()) {
+      before[p] = net.peer_id(p);
+      stored[p] = net.store_of(p).size();
+    }
+    for (const auto& [p, id] : before) {
+      if (id.length() > depth) {
+        depth = id.length();
+        deepest = p;
+      }
+    }
+    const PeerId leaving =
+        net.alive_peers()[rng.next_index(net.alive_peers().size())];
+    const KautzString gone = before[leaving];
+    const bool graceful = i % 2 == 0;
+    FissioneNetwork::MembershipReport report;
+    if (graceful) {
+      net.leave(leaving, &report);
+    } else {
+      net.crash(leaving, &report);
+    }
+    net.check_invariants();
+
+    std::vector<PeerId> renamed;
+    for (const auto& [p, id] : before) {
+      if (p != leaving && net.peer_id(p) != id) {
+        renamed.push_back(p);
+      }
+    }
+    ASSERT_TRUE(renamed.size() == 1 || renamed.size() == 2);
+    const bool takeover = renamed.size() == 2;
+    const PeerId loser = takeover ? deepest : leaving;
+    const PeerId winner =
+        takeover ? (renamed[0] == loser ? renamed[1] : renamed[0])
+                 : renamed[0];
+    ASSERT_TRUE(!takeover || renamed[0] == loser || renamed[1] == loser);
+    EXPECT_EQ(before[loser].length(), depth);
+    EXPECT_EQ(before[winner].length(), depth);
+    EXPECT_EQ(net.peer_id(winner), before[loser].prefix(depth - 1));
+    EXPECT_EQ(net.peer_id(winner), before[winner].prefix(depth - 1));
+    EXPECT_EQ(report.origin, takeover ? loser : winner);
+    EXPECT_EQ(net.owner_of(gone), report.origin);
+    if (takeover) {
+      EXPECT_LT(gone.length(), depth);
+      EXPECT_EQ(net.peer_id(loser), gone);
+    }
+
+    std::vector<std::pair<PeerId, PeerId>> expected;
+    if (stored[loser] > 0 && (graceful || loser != leaving)) {
+      expected.emplace_back(loser, winner);
+    }
+    if (takeover && graceful && stored[leaving] > 0) {
+      expected.emplace_back(leaving, loser);
+    }
+    std::vector<std::pair<PeerId, PeerId>> handoffs;
+    for (const auto& h : report.handoffs) {
+      handoffs.emplace_back(h.from, h.to);
+      EXPECT_EQ(h.payloads.size(), stored[h.from]);
+    }
+    EXPECT_EQ(handoffs, expected);
+    ++(takeover ? takeovers : fusions);
+  }
+  EXPECT_GT(fusions, 0);
+  EXPECT_GT(takeovers, 0);
+}
+
 TEST(FissioneLeave, RefusesToDropBelowBootstrap) {
   FissioneNetwork net(FissioneNetwork::Config{}, 13);
   EXPECT_THROW(net.leave(net.alive_peers().front()), CheckError);
@@ -356,31 +442,65 @@ TEST(FissioneZoneIndex, PrefixCoverAndOwnerMatchFullScansUnderChurn) {
     level = std::move(next);
   }
   ASSERT_EQ(prefixes.size(), 3u + 6u + 12u + 24u + 48u);
+  // A prefix's position in `prefixes`: lengths in increasing order, each
+  // length in lexicographic (rank) order.
+  std::array<std::size_t, 6> level_start{};
+  for (std::size_t len = 2; len <= 5; ++len) {
+    level_start[len] = level_start[len - 1] + kautz::space_size(len - 1);
+  }
+  const auto position = [&level_start](const KautzString& prefix) {
+    return level_start[prefix.length()] + kautz::rank(prefix);
+  };
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    ASSERT_EQ(position(prefixes[i]), i) << prefixes[i].to_string();
+  }
 
   std::size_t extending_covers = 0;  // covers of PeerIDs extending the prefix
   std::size_t covering_covers = 0;   // covers of one PeerID above the prefix
   Rng probe_rng(4111);
+  std::vector<std::vector<PeerId>> scans(prefixes.size());  // by position
+  std::vector<PeerId> by_id;
   const auto check = [&](const FissioneNetwork& net, int step) {
-    // One alive-order pass: a PeerID at least as long as a prefix is
-    // comparable with it iff it starts with it; a shorter one is tested.
-    std::map<KautzString, std::vector<PeerId>> scans;
-    for (PeerId p : net.alive_peers()) {
+    // One pass over the peers in PeerID order, the order a cover comes in:
+    // a PeerID at least as long as a prefix is comparable with it iff it
+    // starts with it; a shorter one is comparable with exactly its
+    // extensions.
+    by_id.assign(net.alive_peers().begin(), net.alive_peers().end());
+    std::sort(by_id.begin(), by_id.end(), [&net](PeerId a, PeerId b) {
+      return net.peer_id(a) < net.peer_id(b);
+    });
+    for (std::vector<PeerId>& scan : scans) {
+      scan.clear();
+    }
+    for (PeerId p : by_id) {
       const KautzString& pid = net.peer_id(p);
-      for (std::size_t len = 1; len <= 5; ++len) {
-        if (len <= pid.length()) {
-          scans[pid.prefix(len)].push_back(p);
-          continue;
-        }
-        for (const KautzString& prefix : prefixes) {
-          if (prefix.length() == len && pid.is_prefix_of(prefix)) {
-            scans[prefix].push_back(p);
+      for (std::size_t len = 1; len <= std::min<std::size_t>(pid.length(), 5);
+           ++len) {
+        scans[position(pid.prefix(len))].push_back(p);
+      }
+      std::vector<KautzString> shorter;
+      if (pid.length() < 5) {
+        shorter.push_back(pid);
+      }
+      while (!shorter.empty()) {
+        const KautzString e = shorter.back();
+        shorter.pop_back();
+        for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
+          if (e.can_append(s)) {
+            KautzString child = e;
+            child.push_back(s);
+            scans[position(child)].push_back(p);
+            if (child.length() < 5) {
+              shorter.push_back(child);
+            }
           }
         }
       }
     }
-    for (const KautzString& prefix : prefixes) {
-      const std::vector<PeerId>& scan = scans[prefix];
-      std::vector<PeerId> cover = net.cover_of_prefix(prefix);
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
+      const KautzString& prefix = prefixes[i];
+      const std::vector<PeerId>& scan = scans[i];
+      const std::vector<PeerId> cover = net.cover_of_prefix(prefix);
       ASSERT_TRUE(std::is_sorted(
           cover.begin(), cover.end(), [&net](PeerId a, PeerId b) {
             return net.peer_id(a) < net.peer_id(b);
@@ -392,16 +512,15 @@ TEST(FissioneZoneIndex, PrefixCoverAndOwnerMatchFullScansUnderChurn) {
       } else {
         ++extending_covers;
       }
-      std::sort(cover.begin(), cover.end(), [&net](PeerId a, PeerId b) {
-        return net.alive_index(a) < net.alive_index(b);
-      });
       ASSERT_EQ(cover, scan) << "step " << step << " prefix "
                              << prefix.to_string();
     }
     for (int i = 0; i < 20; ++i) {
       const KautzString s = kautz::random_string(probe_rng, 48);
+      // A PeerID prefixing s is comparable with s's first five symbols, so
+      // that prefix's scan holds every candidate.
       PeerId prefixing = kNoPeer;
-      for (PeerId p : net.alive_peers()) {
+      for (PeerId p : scans[position(s.prefix(5))]) {
         if (net.peer_id(p).is_prefix_of(s)) {
           ASSERT_EQ(prefixing, kNoPeer) << "two zones hold " << s.to_string();
           prefixing = p;

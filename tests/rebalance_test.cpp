@@ -626,6 +626,66 @@ TEST(Rebalancer, CancelsCleanlyWhenDonorCrashesMidTransfer) {
   EXPECT_EQ(net.total_objects(), values.size() - dropped);
 }
 
+// With no membership hook wired, nothing cancels a flight at the churn
+// event: the landing itself must notice that the acceptor died in flight,
+// cancel, and leave the registry and the donor's objects untouched.
+TEST(Rebalancer, CancelsAtLandingWhenAcceptorCrashesWithoutAHook) {
+  auto fx = testsupport::make_single_index(90, 27);
+  auto& net = fx->net;
+  const auto values = testsupport::publish_uniform_values(fx->index, 450, 61);
+  fissione::ServiceLoadMap load;
+  net.set_service_load(&load);
+
+  rebalance::RebalanceConfig cfg;
+  cfg.trigger_load = 1.0;
+  cfg.target_load = 10.0;
+  cfg.sweep_interval = 2;
+  cfg.cooldown = 4;
+  rebalance::Rebalancer rb(net, cfg);
+
+  sim::Simulator sim;
+  std::size_t dropped = 0;
+  PeerId donor = fissione::kNoPeer;
+  std::size_t donor_objects = 0;
+  sim.schedule_at(0.0, [&] {
+    const PeerId hot = fattest_peer(net);
+    load.add(hot, 8);
+    KautzString hot_oid = net.peer_id(hot);
+    while (hot_oid.length() < FissioneNetwork::kObjectIdLength) {
+      for (std::uint8_t s = 0; s <= kautz::kBase; ++s) {
+        if (hot_oid.can_append(s)) {
+          hot_oid.push_back(s);
+          break;
+        }
+      }
+    }
+    const kautz::KautzRegion hot_region(hot_oid, hot_oid);
+    for (int i = 0; i < 24 && rb.inflight() == 0; ++i) {
+      rb.on_query(sim, {hot_region});
+    }
+    ASSERT_EQ(rb.inflight(), 1u);
+    PeerId acceptor = fissione::kNoPeer;
+    std::tie(donor, acceptor) = rb.flight_endpoints().front();
+    ASSERT_NE(acceptor, donor);
+    dropped = net.crash(acceptor);
+    ASSERT_TRUE(net.is_alive(donor));
+    donor_objects = net.store_of(donor).size();
+    EXPECT_EQ(rb.inflight(), 1u);  // nothing cancelled it yet
+  });
+  sim.run();
+
+  EXPECT_EQ(rb.inflight(), 0u);
+  EXPECT_EQ(rb.stats().migrations_started, 1u);
+  EXPECT_EQ(rb.stats().migrations_cancelled, 1u);
+  EXPECT_EQ(rb.stats().migrations_completed, 0u);
+  EXPECT_EQ(rb.stats().objects_migrated, 0u);
+  EXPECT_EQ(rb.stats().cutover_messages, 0u);
+  EXPECT_FALSE(net.has_delegations());
+  EXPECT_EQ(net.store_of(donor).size(), donor_objects);
+  net.check_invariants();
+  EXPECT_EQ(net.total_objects(), values.size() - dropped);
+}
+
 TEST(Rebalancer, DeterministicAcrossIdenticalRuns) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const auto run = [seed] {

@@ -2,7 +2,8 @@
 // disabled-config bitwise equivalence, replica-served correctness against
 // the global scan and the paper delay bound, cache TTL / publish / churn
 // invalidation, the cache's FIFO eviction order, churn repair (which
-// holders it re-syncs, and a holder hosting a migrated slice), MIRA box
+// holders it re-syncs, and a holder hosting a migrated slice), teardown of
+// a cooled region, a publish into a replicated region, MIRA box
 // queries with replication, caching and rebalancing all on, determinism
 // of the placement and cache hit/miss sequences (ARMADA_FUZZ_SEED
 // overrides the seed sweep), the holder scan and snapshot collection
@@ -548,6 +549,157 @@ TEST(ReplicaChurn, DriverHookInvalidatesCacheAndKeepsQueriesExact) {
   EXPECT_GT(rs.stats().cache_invalidated_churn, 0u);
 
   const auto truth = sorted(fx->index.scan_matches({{300.0, 305.0}}));
+  for (int q = 0; q < 10; ++q) {
+    const RangeQueryResult r =
+        fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+    EXPECT_EQ(sorted(r.matches), truth);
+  }
+}
+
+// A replicated region whose decayed count falls below cool_threshold is torn
+// down at a decay sweep: regions_torn_down rises, the region stops serving,
+// each live holder gets one kHandoff release notice (a holder that crashed
+// with no membership hook wired gets none), and later answers still equal
+// the global scan.
+TEST(ReplicaTeardown, CooledRegionReleasesEachLiveHolderOnce) {
+  constexpr std::uint64_t kSeed = 53;
+  auto fx = make_single_index(220, kSeed);
+  publish_uniform_values(fx->index, 700, kSeed * 31 + 7);
+  ReplicationConfig cfg = small_scale_config();
+  cfg.cache_ttl = 0;
+  ReplicaSet& rs = fx->index.enable_replication(cfg);
+
+  Rng rng(kSeed + 9);
+  for (int q = 0; q < 20; ++q) {
+    fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+  }
+  ASSERT_FALSE(rs.regions().empty());
+  const ReplicaSet::Regions replicated = rs.regions();
+  const PeerId crashed = replicated.begin()->second.holders.front().peer;
+  fx->net.crash(crashed);
+  std::vector<PeerId> live_holders;
+  for (const auto& [prefix, region] : replicated) {
+    for (const ReplicaSet::Holder& holder : region.holders) {
+      if (fx->net.is_alive(holder.peer)) {
+        live_holders.push_back(holder.peer);
+      }
+    }
+  }
+
+  ASSERT_FALSE(live_holders.empty());
+
+  // Tick the query clock without charging any region until every replica
+  // set has cooled off, recording the release notices under one trace.
+  auto rec = std::make_shared<obs::TraceRecorder>();
+  fx->net.transport().attach_trace(rec);
+  sim::Simulator sim;
+  const std::uint64_t placement_before = rs.stats().placement_messages;
+  {
+    const obs::TraceRecorder::Scope scope =
+        rec->enter(rec->begin_trace("cool", 0, sim.now()));
+    for (std::uint64_t tick = 0; !rs.regions().empty(); ++tick) {
+      ASSERT_LT(tick, 16 * ReplicaSet::kDecayInterval);
+      rs.on_query(sim, {});
+    }
+  }
+  sim.run();
+  fx->net.transport().detach_trace();
+
+  EXPECT_EQ(rs.stats().regions_torn_down, replicated.size());
+  EXPECT_EQ(rs.stats().active_regions, 0u);
+  EXPECT_EQ(rs.stats().replica_objects, 0u);
+  EXPECT_EQ(rs.stats().placement_messages - placement_before,
+            live_holders.size());
+  std::vector<PeerId> notified;
+  for (const obs::Span& s : rec->spans()) {
+    if (s.parent != 0) {
+      EXPECT_EQ(s.cls, net::TrafficClass::kHandoff);
+      notified.push_back(s.to);
+    }
+  }
+  std::sort(live_holders.begin(), live_holders.end());
+  std::sort(notified.begin(), notified.end());
+  EXPECT_EQ(notified, live_holders);
+  EXPECT_EQ(std::count(notified.begin(), notified.end(), crashed), 0);
+
+  // The region no longer serves; answers come from the plain search.
+  const auto truth = sorted(fx->index.scan_matches({{300.0, 305.0}}));
+  const CountedQuery first =
+      counted_query(fx->index, rs, fx->random_issuer(rng), 300.0, 305.0);
+  EXPECT_EQ(first.replica_routes, 0u);
+  EXPECT_EQ(sorted(first.result.matches), truth);
+  for (int q = 0; q < 10; ++q) {
+    const RangeQueryResult r =
+        fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+    EXPECT_EQ(sorted(r.matches), truth);
+  }
+}
+
+// A publish into a replicated region updates its snapshot copy-on-write: a
+// snapshot captured before it stays as it was, and the holder scan serves
+// the new object at once.
+TEST(ReplicaPublish, PublishIntoReplicatedRegionIsServedByTheHolderScan) {
+  constexpr std::uint64_t kSeed = 59;
+  auto fx = make_single_index(200, kSeed);
+  publish_uniform_values(fx->index, 800, kSeed * 31 + 7);
+  ReplicationConfig cfg = small_scale_config();
+  cfg.cache_ttl = 0;
+  ReplicaSet& rs = fx->index.enable_replication(cfg);
+
+  Rng rng(kSeed + 9);
+  for (int q = 0; q < 20; ++q) {
+    fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);
+  }
+  const ReplicaSet::Regions before = rs.regions();
+  const std::uint64_t replica_objects = rs.stats().replica_objects;
+
+  const std::uint64_t handle = fx->index.publish(302.5);
+  kautz::KautzString oid;
+  for (PeerId p : fx->net.alive_peers()) {
+    fx->net.for_each_owned(p, [&](const fissione::StoredObject& obj) {
+      if (obj.payload == handle) {
+        oid = obj.object_id;
+      }
+    });
+  }
+  const kautz::KautzString prefix = oid.prefix(cfg.region_prefix_len);
+  ASSERT_TRUE(before.contains(prefix));
+  const auto& old_snapshot = before.at(prefix).objects;
+  const auto& new_snapshot = rs.regions().at(prefix).objects;
+  EXPECT_NE(new_snapshot, old_snapshot);
+  EXPECT_EQ(new_snapshot->size(), old_snapshot->size() + 1);
+  EXPECT_TRUE(std::is_sorted(new_snapshot->begin(), new_snapshot->end()));
+  EXPECT_EQ(*new_snapshot, rs.collect_objects(prefix));
+  EXPECT_EQ(rs.stats().replica_objects, replica_objects + 1);
+  for (const auto& [other, region] : rs.regions()) {
+    if (other != prefix) {
+      EXPECT_EQ(region.objects, before.at(other).objects);
+    }
+  }
+
+  // The new object's own class is served by a holder, which finds it.
+  sim::Simulator sim;
+  std::vector<std::uint64_t> matches;
+  PeerId served_by = fissione::kNoPeer;
+  const std::uint64_t routes = rs.stats().replica_routes;
+  ASSERT_TRUE(rs.serve_class(
+      sim, fx->random_issuer(rng), kautz::KautzRegion(oid, oid), "new-object",
+      [](const fissione::StoredObject&) { return true; },
+      [&](sim::QueryStats, std::vector<std::uint64_t> m, PeerId holder) {
+        matches = std::move(m);
+        served_by = holder;
+      }));
+  sim.run();
+  EXPECT_EQ(rs.stats().replica_routes, routes + 1);
+  EXPECT_EQ(matches, std::vector<std::uint64_t>{handle});
+  const auto& holders = rs.regions().at(prefix).holders;
+  EXPECT_TRUE(std::any_of(holders.begin(), holders.end(),
+                          [served_by](const ReplicaSet::Holder& h) {
+                            return h.peer == served_by;
+                          }));
+
+  const auto truth = sorted(fx->index.scan_matches({{300.0, 305.0}}));
+  ASSERT_TRUE(std::binary_search(truth.begin(), truth.end(), handle));
   for (int q = 0; q < 10; ++q) {
     const RangeQueryResult r =
         fx->index.range_query(fx->random_issuer(rng), 300.0, 305.0);

@@ -33,7 +33,11 @@ parent's BENCHMARK.json.
 
 Exit status: 0 when every run passed, every pair agreed on the simulated
 metrics, every claim held and no metric was WORSE; 1 otherwise; 2 on bad
-arguments.
+arguments, checked before anything runs: a parent without BENCHMARK.json,
+a workload it does not list (give several as separate words, not a comma
+list), a claim that is not <workload>:<metric> with a BENCHMARK.json
+end-to-end metric, or a claim whose workload is not among --workloads (it
+would never be evaluated).
 """
 
 import argparse
@@ -134,8 +138,17 @@ def main():
     args = parser.parse_args()
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    with open(os.path.join(sides["parent"], "BENCHMARK.json")) as f:
-        meta = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    try:
+        with open(os.path.join(sides["parent"], "BENCHMARK.json")) as f:
+            bench = json.load(f)
+    except OSError as e:
+        parser.error(f"cannot read the parent's BENCHMARK.json: {e}")
+    meta = {m["name"]: m for m in bench["end_to_end"]}
+    known = [w["name"] for w in bench["workloads"]]
+    unknown = [w for w in args.workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown --workloads {', '.join(unknown)}; "
+                     f"BENCHMARK.json lists {' '.join(known)}")
     claims = {tuple(c.split(":", 1)) for c in args.claim}
     try:
         seeds = parse_seeds(args.seeds)
@@ -143,6 +156,11 @@ def main():
         parser.error(f"bad --seeds {args.seeds}")
     if not seeds or any(len(c) != 2 or c[1] not in meta for c in claims):
         parser.error("need seeds, and claims as <workload>:<metric>")
+    unswept = sorted(f"{w}:{m}" for w, m in claims
+                     if w not in args.workloads)
+    if unswept:
+        parser.error(f"claim {', '.join(unswept)} names a workload not in "
+                     f"--workloads")
 
     for name, checkout in sides.items():
         if run(checkout, args.workloads[0], seeds[0], 1,
